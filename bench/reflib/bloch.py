@@ -1,0 +1,89 @@
+"""Bloch decomposition of single-system states over the Weyl basis.
+
+A state rho on a d-dimensional space is written as
+``rho = (I + sum_k a_k W_k) / d`` where the sum runs over the d^2 - 1
+non-identity Weyl operators and ``a_k = Tr(W_k^dag rho)``. Hermiticity of
+rho ties coefficients at opposite indices together (the symmetry
+condition checked by :func:`symmetry_defect`), and the Euclidean length
+of the coefficient vector is bounded by ``sqrt(d - 1)`` with equality
+exactly for pure states.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .linalg import DensityMatrix, DimensionMismatchError
+from .weyl import WeylBasis, weyl_basis
+
+SYMMETRY_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class BlochVector:
+    """Coefficients over the non-identity Weyl operators, lexicographic order."""
+
+    d: int
+    coeffs: np.ndarray
+
+    def coefficient(self, n: int, m: int) -> complex:
+        """Coefficient at index (n, m); (0, 0) is excluded by construction."""
+        k = (n % self.d) * self.d + (m % self.d)
+        if k == 0:
+            raise ValueError("the identity component is fixed at 1/d and not stored")
+        return complex(self.coeffs[k - 1])
+
+
+def _negation_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coefficient phase and position of the (-n, -m) partner."""
+    n, m = np.divmod(np.arange(1, d * d), d)
+    phase = np.exp(-2j * np.pi * ((n * m) % d) / d)
+    partner = ((-n) % d) * d + ((-m) % d) - 1
+    return phase, partner
+
+
+def symmetry_defect(v: BlochVector) -> float:
+    """Max violation of ``conj(a[n,m]) == exp(-2j*pi*n*m/d) * a[-n,-m]``."""
+    phase, partner = _negation_table(v.d)
+    return float(np.max(np.abs(v.coeffs.conj() - phase * v.coeffs[partner])))
+
+
+def decompose(rho: DensityMatrix, basis: WeylBasis | None = None) -> BlochVector:
+    """Coefficients ``a_k = Tr(W_k^dag rho)`` of a single-system state."""
+    if len(rho.dims) != 1:
+        raise DimensionMismatchError(
+            f"decompose expects a single subsystem, got dims {rho.dims}"
+        )
+    if basis is None:
+        basis = weyl_basis(rho.dim)
+    if basis.d != rho.dim:
+        raise DimensionMismatchError(
+            f"state dimension {rho.dim} does not match basis dimension {basis.d}"
+        )
+    coeffs = np.einsum("kuv,uv->k", basis.ops.conj(), rho.matrix)[1:]
+    return BlochVector(basis.d, coeffs)
+
+
+def reconstruct(v: BlochVector, basis: WeylBasis | None = None) -> np.ndarray:
+    """Assemble ``(I + sum_k a_k W_k) / d`` from a coefficient vector."""
+    if basis is None:
+        basis = weyl_basis(v.d)
+    if basis.d != v.d:
+        raise DimensionMismatchError(
+            f"vector dimension {v.d} does not match basis dimension {basis.d}"
+        )
+    m = np.eye(v.d, dtype=complex) + np.tensordot(v.coeffs, basis.ops[1:], axes=1)
+    return m / v.d
+
+
+def bloch_length(v: BlochVector) -> float:
+    """Euclidean norm of the coefficient vector."""
+    return float(np.linalg.norm(v.coeffs))
+
+
+def purity_from_length(v: BlochVector) -> float:
+    """Tr(rho^2) of the source state, computed as ``(1 + |v|^2) / d``."""
+    length = bloch_length(v)
+    return (1.0 + length * length) / v.d

@@ -1,0 +1,424 @@
+"""Command-line front-end.
+
+Subcommands: ``basis``, ``decompose``, ``check-sep``, ``check-tele`` and
+``scan``. States come either from a matrix file or from the ``--state``
+micro-grammar ``family:key=value,...`` (vector values are comma-joined,
+e.g. ``bell-diagonal:t=0.2,0.2,0.2``).
+
+Exit codes: 0 success, 1 internal numerical failure, 2 usage or input
+error. Reports are JSON on stdout; identical invocations (including
+``--seed``) are byte-identical apart from the timestamp, which
+``--no-timestamp`` removes. Seeds are never read from the environment.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+from datetime import datetime, timezone
+
+import numpy as np
+
+from . import __version__
+from .bipartite import (
+    decompose_bipartite,
+    kyfan_norm,
+    ppt_criterion,
+    reconstruct_bipartite,
+    weyl_separability_criterion,
+)
+from .bloch import bloch_length, decompose, purity_from_length, reconstruct
+from .fileio import load_state, matrix_entries
+from .linalg import (
+    DensityMatrix,
+    ValidationError,
+    min_eigenvalue,
+    partial_transpose,
+    singular_values,
+    validate_density,
+)
+from .states import (
+    bell_diagonal,
+    example4,
+    isotropic,
+    max_entangled,
+    ppt_3x3,
+    random_mixed,
+    random_product_pure,
+    random_separable,
+)
+from .teleport import fef_search, optimal_fidelity, verdict_from_estimate
+from .weyl import weyl_basis
+
+
+class UsageError(ValueError):
+    """Bad flags, state specs, or input files; maps to exit code 2."""
+
+
+# ---------------------------------------------------------------------------
+# --state micro-grammar
+
+
+def _parse_params(text: str) -> dict[str, list[str]]:
+    params: dict[str, list[str]] = {}
+    current = None
+    for token in text.split(","):
+        if "=" in token:
+            key, value = token.split("=", 1)
+            key = key.strip()
+            if key in params:
+                raise UsageError(f"duplicate state parameter {key!r}")
+            params[key] = [value]
+            current = key
+        elif current is not None:
+            params[current].append(token)
+        else:
+            raise UsageError(f"state parameter {token!r} is missing a key")
+    return params
+
+
+def _take(params: dict, key: str, kind, default=None):
+    if key not in params:
+        if default is not None:
+            return default
+        raise UsageError(f"missing state parameter {key!r}")
+    values = params.pop(key)
+    if len(values) != 1:
+        raise UsageError(f"state parameter {key!r} expects a single value")
+    try:
+        return kind(values[0])
+    except ValueError as exc:
+        raise UsageError(f"bad value for state parameter {key!r}: {exc}") from exc
+
+
+def _take_vector(params: dict, key: str, length: int) -> list[float]:
+    if key not in params:
+        raise UsageError(f"missing state parameter {key!r}")
+    values = params.pop(key)
+    if len(values) != length:
+        raise UsageError(f"state parameter {key!r} expects {length} comma-joined values")
+    try:
+        return [float(v) for v in values]
+    except ValueError as exc:
+        raise UsageError(f"bad value for state parameter {key!r}: {exc}") from exc
+
+
+def state_from_spec(spec: str) -> DensityMatrix:
+    """Build a state from a ``family:key=value,...`` specification."""
+    family, _, rest = spec.partition(":")
+    family = family.strip()
+    params = _parse_params(rest) if rest else {}
+    try:
+        if family == "isotropic":
+            rho = isotropic(_take(params, "d", int), _take(params, "p", float))
+        elif family == "bell-diagonal":
+            t = _take_vector(params, "t", 3)
+            rho = bell_diagonal(*t)
+        elif family == "max-entangled":
+            rho = max_entangled(_take(params, "d", int))
+        elif family == "ppt-3x3":
+            rho = ppt_3x3()
+        elif family == "example4":
+            rho = example4(_take(params, "p", float))
+        elif family == "random-mixed":
+            if "d" in params:
+                d = _take(params, "d", int)
+                rho = random_mixed(d, _take(params, "rank", int), _take(params, "seed", int))
+            else:
+                da = _take(params, "da", int)
+                db = _take(params, "db", int)
+                rank = _take(params, "rank", int)
+                seed = _take(params, "seed", int)
+                single = random_mixed(da * db, rank, seed)
+                rho = validate_density(single.matrix, [da, db])
+        elif family == "random-product-pure":
+            rho = random_product_pure(
+                _take(params, "da", int),
+                _take(params, "db", int),
+                _take(params, "seed", int),
+            )
+        elif family == "random-separable":
+            rho = random_separable(
+                _take(params, "da", int),
+                _take(params, "db", int),
+                _take(params, "k", int),
+                _take(params, "seed", int),
+            )
+        else:
+            raise UsageError(f"unknown state family {family!r}")
+    except ValueError as exc:
+        if isinstance(exc, UsageError):
+            raise
+        raise UsageError(str(exc)) from exc
+    if params:
+        raise UsageError(f"unknown state parameters {sorted(params)} for {family!r}")
+    return rho
+
+
+def _load_input(args) -> tuple[DensityMatrix, dict]:
+    if getattr(args, "state", None):
+        rho = state_from_spec(args.state)
+        descriptor = {"state": args.state, "dims": list(rho.dims)}
+    elif getattr(args, "input", None):
+        rho = load_state(args.input)
+        descriptor = {"file": args.input, "dims": list(rho.dims)}
+    else:
+        raise UsageError("provide an input file or --state")
+    return rho, descriptor
+
+
+# ---------------------------------------------------------------------------
+# report assembly
+
+
+def _report_header(args, descriptor: dict) -> dict:
+    report = {"tool": "weylsep", "version": __version__}
+    if not getattr(args, "no_timestamp", False):
+        report["timestamp"] = datetime.now(timezone.utc).isoformat()
+    report["input"] = descriptor
+    return report
+
+
+def _verdict_record(v) -> dict:
+    return {
+        "criterion": v.criterion,
+        "outcome": v.token,
+        "statistic": float(v.statistic),
+        "threshold": float(v.threshold),
+    }
+
+
+def _emit(report: dict) -> None:
+    print(json.dumps(report, indent=2))
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_basis(args) -> int:
+    if args.d < 2:
+        raise UsageError(f"dimension must be >= 2, got {args.d}")
+    basis = weyl_basis(args.d)
+    out = [
+        {"n": n, "m": m, "entries": matrix_entries(basis.op(n, m))}
+        for n, m in basis.pairs
+    ]
+    print(json.dumps(out, indent=2))
+    return 0
+
+
+def cmd_decompose(args) -> int:
+    rho, descriptor = _load_input(args)
+    report = _report_header(args, descriptor)
+    if len(rho.dims) == 1:
+        vec = decompose(rho)
+        residual = float(np.max(np.abs(reconstruct(vec) - rho.matrix)))
+        report["bloch"] = {
+            "length": bloch_length(vec),
+            "purity": purity_from_length(vec),
+            "coefficients": [[float(c.real), float(c.imag)] for c in vec.coeffs],
+        }
+        report["reconstruction_residual"] = residual
+    elif len(rho.dims) == 2:
+        dec = decompose_bipartite(rho)
+        residual = float(np.max(np.abs(reconstruct_bipartite(dec) - rho.matrix)))
+        sv = singular_values(dec.correlation)
+        report["bipartite"] = {
+            "alpha_length": float(np.linalg.norm(dec.alpha)),
+            "beta_length": float(np.linalg.norm(dec.beta)),
+            "kyfan_norm": kyfan_norm(dec.correlation),
+            "top_singular_values": [float(s) for s in sv[:5]],
+            "alpha": [[float(c.real), float(c.imag)] for c in dec.alpha],
+            "beta": [[float(c.real), float(c.imag)] for c in dec.beta],
+            "correlation_shape": list(dec.correlation.shape),
+            "correlation": matrix_entries(dec.correlation),
+        }
+        report["reconstruction_residual"] = residual
+    else:
+        raise UsageError(f"decompose supports 1 or 2 subsystems, got dims {rho.dims}")
+    _emit(report)
+    return 0
+
+
+def cmd_check_sep(args) -> int:
+    rho, descriptor = _load_input(args)
+    if len(rho.dims) != 2:
+        raise UsageError(f"check-sep needs a bipartite state, got dims {rho.dims}")
+    dec = decompose_bipartite(rho)
+    sv = singular_values(dec.correlation)
+    residual = float(np.max(np.abs(reconstruct_bipartite(dec) - rho.matrix)))
+    report = _report_header(args, descriptor)
+    report["decomposition"] = {
+        "alpha_length": float(np.linalg.norm(dec.alpha)),
+        "beta_length": float(np.linalg.norm(dec.beta)),
+        "kyfan_norm": kyfan_norm(dec.correlation),
+        "top_singular_values": [float(s) for s in sv[:5]],
+        "reconstruction_residual": residual,
+    }
+    verdicts = [_verdict_record(weyl_separability_criterion(rho))]
+    if min(rho.dims) <= 3:
+        verdicts.append(_verdict_record(ppt_criterion(rho)))
+    report["verdicts"] = verdicts
+    _emit(report)
+    return 0
+
+
+def cmd_check_tele(args) -> int:
+    rho, descriptor = _load_input(args)
+    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
+        raise UsageError(f"check-tele needs a d x d bipartition, got dims {rho.dims}")
+    d = rho.dims[0]
+    est = fef_search(rho, args.budget, seed=args.seed)
+    verdict = verdict_from_estimate(est, d)
+    report = _report_header(args, descriptor)
+    report["seed"] = args.seed
+    report["budget"] = args.budget
+    report["fef"] = {
+        "value": est.value,
+        "optimal_fidelity": optimal_fidelity(est.value, d),
+        "evaluations": est.evaluations,
+        "converged": est.converged,
+        "best_unitary": matrix_entries(est.best_unitary),
+    }
+    report["verdicts"] = [_verdict_record(verdict)]
+    _emit(report)
+    return 0
+
+
+def _scan_grid(start: float, stop: float, step: float) -> list[float]:
+    if step <= 0:
+        raise UsageError(f"step must be positive, got {step}")
+    if stop < start:
+        raise UsageError(f"empty scan range [{start}, {stop}] with step {step}")
+    # small forward slack so an exactly-dividing range keeps its endpoint,
+    # while accumulated roundoff never pushes a grid point past it
+    count = int(np.floor((stop - start) / step + 1e-6)) + 1
+    return [min(start + i * step, stop) for i in range(count)]
+
+
+def cmd_scan(args) -> int:
+    grid = _scan_grid(args.start, args.stop, args.step)
+    if args.family == "isotropic":
+        if args.d is None:
+            raise UsageError("isotropic scan requires --d")
+        make = lambda p: isotropic(args.d, p)  # noqa: E731
+    elif args.family == "bell-diagonal":
+        if args.direction is None:
+            raise UsageError("bell-diagonal scan requires --direction t1,t2,t3")
+        try:
+            direction = [float(x) for x in args.direction.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad --direction: {exc}") from exc
+        if len(direction) != 3:
+            raise UsageError("--direction expects three comma-joined values")
+        make = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
+    else:
+        raise UsageError(f"unknown scan family {args.family!r}")
+
+    rows = []
+    for param in grid:
+        rho = make(param)
+        verdict = weyl_separability_criterion(rho)
+        row = [param, verdict.statistic, verdict.threshold, verdict.token]
+        if args.ppt:
+            row.append(min_eigenvalue(partial_transpose(rho, 1)))
+        rows.append(row)
+
+    header = ["param", "kyfan", "threshold", "verdict"]
+    if args.ppt:
+        header.append("ppt_min_eig")
+    if args.out == "-":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="weylsep",
+        description="Entanglement and teleportation-resource detection "
+        "in the Weyl operator basis.",
+    )
+    parser.add_argument("--version", action="version", version=f"weylsep {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_basis = sub.add_parser("basis", help="print the Weyl basis as JSON")
+    p_basis.add_argument("--d", type=int, required=True, help="local dimension (>= 2)")
+    p_basis.set_defaults(func=cmd_basis)
+
+    def add_io(p, with_file=True):
+        if with_file:
+            p.add_argument("input", nargs="?", help="matrix file (JSON)")
+        p.add_argument(
+            "--state",
+            help="state spec, family:key=value,... "
+            "(families: isotropic, bell-diagonal, max-entangled, ppt-3x3, "
+            "example4, random-mixed, random-product-pure, random-separable)",
+        )
+        p.add_argument(
+            "--no-timestamp",
+            action="store_true",
+            help="omit the timestamp field for byte-deterministic output",
+        )
+
+    p_dec = sub.add_parser("decompose", help="Bloch/bipartite decomposition report")
+    add_io(p_dec)
+    p_dec.set_defaults(func=cmd_decompose)
+
+    p_sep = sub.add_parser("check-sep", help="run the separability criteria")
+    add_io(p_sep)
+    p_sep.set_defaults(func=cmd_check_sep)
+
+    p_tele = sub.add_parser("check-tele", help="search for a teleportation witness")
+    add_io(p_tele)
+    p_tele.add_argument("--budget", type=int, default=64, help="number of search starts")
+    p_tele.add_argument("--seed", type=int, required=True, help="search seed (required)")
+    p_tele.set_defaults(func=cmd_check_tele)
+
+    p_scan = sub.add_parser("scan", help="sweep a state family, write CSV")
+    p_scan.add_argument("--family", required=True, choices=["isotropic", "bell-diagonal"])
+    p_scan.add_argument("--d", type=int, help="dimension for the isotropic family")
+    p_scan.add_argument("--direction", help="t1,t2,t3 ray for the bell-diagonal family")
+    p_scan.add_argument("--from", dest="start", type=float, required=True)
+    p_scan.add_argument("--to", dest="stop", type=float, required=True)
+    p_scan.add_argument("--step", type=float, required=True)
+    p_scan.add_argument("--out", required=True, help="output CSV path, or - for stdout")
+    p_scan.add_argument("--ppt", action="store_true", help="add a ppt_min_eig column")
+    p_scan.set_defaults(func=cmd_scan)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except np.linalg.LinAlgError as exc:  # subclasses ValueError, so goes first
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except (UsageError, ValidationError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # numerical failures inside the kernels
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

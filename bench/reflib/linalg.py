@@ -1,0 +1,176 @@
+"""Dense complex linear algebra kernels and density-matrix validation.
+
+Everything here operates on plain ``numpy`` arrays of ``complex128``.
+Subsystem A is always the left (slow, most significant) tensor factor in
+row-major composite indexing, i.e. the basis ket ``|i j>`` has linear
+index ``i * dB + j``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+POSITIVITY_TOL = 1e-10
+
+
+class ValidationError(ValueError):
+    """A matrix violates one of the density-matrix invariants."""
+
+
+class DimensionMismatchError(ValidationError):
+    """Shape or subsystem-dimension bookkeeping does not add up."""
+
+
+class NotHermitianError(ValidationError):
+    """Hermiticity defect exceeds tolerance."""
+
+
+class WrongTraceError(ValidationError):
+    """Trace differs from one beyond tolerance."""
+
+
+class NotPositiveSemidefiniteError(ValidationError):
+    """A negative eigenvalue below tolerance was found."""
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A validated trace-one Hermitian PSD matrix plus subsystem dimensions.
+
+    Construct through :func:`validate_density`; the dataclass itself does
+    not re-check the invariants. Instances are immutable (the stored array
+    is marked read-only) and safe to share between threads.
+    """
+
+    matrix: np.ndarray
+    dims: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        """Total Hilbert-space dimension."""
+        return self.matrix.shape[0]
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return m.conj().T
+
+
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Max-abs entry of ``m - m^dagger``."""
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product; the left factor carries the slow index."""
+    return np.kron(np.asarray(a), np.asarray(b))
+
+
+def purity(rho: DensityMatrix) -> float:
+    """Tr(rho^2)."""
+    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+
+
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values in nonincreasing order."""
+    return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+
+
+def min_eigenvalue(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix.
+
+    The input is symmetrized as ``(h + h^dagger) / 2`` before the solve to
+    damp roundoff asymmetry; inputs whose Hermiticity defect exceeds
+    ``HERMITICITY_TOL`` are rejected.
+    """
+    h = np.asarray(h, dtype=complex)
+    defect = hermiticity_defect(h)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"not Hermitian: max |h - h^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0])
+
+
+def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
+    if len(rho.dims) != 2:
+        raise DimensionMismatchError(
+            f"expected exactly 2 subsystems, got dims {rho.dims}"
+        )
+    return rho.dims[0], rho.dims[1]
+
+
+def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
+    """Reduced state of one subsystem of a bipartite state.
+
+    ``keep=0`` traces out the right factor, ``keep=1`` the left one.
+    """
+    da, db = _require_bipartite(rho)
+    if keep not in (0, 1):
+        raise ValueError(f"keep must be 0 or 1, got {keep}")
+    r4 = rho.matrix.reshape(da, db, da, db)
+    if keep == 0:
+        reduced = np.einsum("abcb->ac", r4)
+        d = da
+    else:
+        reduced = np.einsum("abad->bd", r4)
+        d = db
+    return validate_density(reduced, [d])
+
+
+def partial_transpose(rho: DensityMatrix, sys: int) -> np.ndarray:
+    """Blockwise transpose on one subsystem.
+
+    The result is Hermitian but in general not PSD, so it is returned as a
+    bare array rather than a :class:`DensityMatrix`.
+    """
+    da, db = _require_bipartite(rho)
+    if sys not in (0, 1):
+        raise ValueError(f"sys must be 0 or 1, got {sys}")
+    r4 = rho.matrix.reshape(da, db, da, db)
+    if sys == 0:
+        out = r4.transpose(2, 1, 0, 3)
+    else:
+        out = r4.transpose(0, 3, 2, 1)
+    return out.reshape(da * db, da * db)
+
+
+def validate_density(m: np.ndarray, dims) -> DensityMatrix:
+    """Check the density-matrix invariants and wrap the result.
+
+    Raises a distinct :class:`ValidationError` subclass per violated
+    invariant (dimension bookkeeping, finiteness, Hermiticity, unit trace,
+    positivity); the message carries the measured violation.
+    """
+    m = np.array(m, dtype=complex)
+    dims = tuple(int(x) for x in dims)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if not dims or any(d < 1 for d in dims):
+        raise DimensionMismatchError(f"subsystem dims must be positive, got {dims}")
+    if int(np.prod(dims)) != m.shape[0]:
+        raise DimensionMismatchError(
+            f"subsystem dims {dims} multiply to {int(np.prod(dims))}, "
+            f"matrix dimension is {m.shape[0]}"
+        )
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise ValidationError("matrix contains non-finite entries")
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"not Hermitian: max |rho - rho^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise WrongTraceError(f"trace is {tr.real:.12g}{tr.imag:+.3e}j, expected 1")
+    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    if lo < -POSITIVITY_TOL:
+        raise NotPositiveSemidefiniteError(
+            f"negative eigenvalue {lo:.3e} below -{POSITIVITY_TOL:.0e}"
+        )
+    m.flags.writeable = False
+    return DensityMatrix(m, dims)
