@@ -7,6 +7,14 @@ rho ties coefficients at opposite indices together (the symmetry
 condition checked by :func:`symmetry_defect`), and the Euclidean length
 of the coefficient vector is bounded by ``sqrt(d - 1)`` with equality
 exactly for pure states.
+
+The coefficients are computed without forming the basis: ``W(n, m)`` has
+the single nonzero entry ``exp(2j*pi*k*n/d)`` in row ``k``, at column
+``(k+m) mod d``, so ``a[n, m]`` is the discrete Fourier transform over
+``k`` of the cyclic diagonal ``rho[k, (k+m) mod d]``. One gather and one
+d x d matrix product give all d^2 coefficients in O(d^3) operations, and
+the conjugate transform plus a scatter through the same index rebuilds the
+state (:func:`weylsep.weyl.weyl_coefficients` with one factor).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, DimensionMismatchError
-from .weyl import WeylBasis, weyl_basis
+from .weyl import WeylBasis, weyl_assemble, weyl_coefficients
 
 SYMMETRY_TOL = 1e-10
 
@@ -51,31 +59,32 @@ def symmetry_defect(v: BlochVector) -> float:
 
 
 def decompose(rho: DensityMatrix, basis: WeylBasis | None = None) -> BlochVector:
-    """Coefficients ``a_k = Tr(W_k^dag rho)`` of a single-system state."""
+    """Coefficients ``a_k = Tr(W_k^dag rho)`` of a single-system state.
+
+    A ``basis``, when given, must have the state's dimension.
+    """
     if len(rho.dims) != 1:
         raise DimensionMismatchError(
             f"decompose expects a single subsystem, got dims {rho.dims}"
         )
-    if basis is None:
-        basis = weyl_basis(rho.dim)
-    if basis.d != rho.dim:
+    if basis is not None and basis.d != rho.dim:
         raise DimensionMismatchError(
             f"state dimension {rho.dim} does not match basis dimension {basis.d}"
         )
-    coeffs = np.einsum("kuv,uv->k", basis.ops.conj(), rho.matrix)[1:]
-    return BlochVector(basis.d, coeffs)
+    coeffs = weyl_coefficients(rho.matrix, rho.dim).reshape(-1)[1:]
+    return BlochVector(rho.dim, coeffs)
 
 
 def reconstruct(v: BlochVector, basis: WeylBasis | None = None) -> np.ndarray:
-    """Assemble ``(I + sum_k a_k W_k) / d`` from a coefficient vector."""
-    if basis is None:
-        basis = weyl_basis(v.d)
-    if basis.d != v.d:
+    """Assemble ``(I + sum_k a_k W_k) / d`` from a coefficient vector.
+
+    A ``basis``, when given, must have the vector's dimension.
+    """
+    if basis is not None and basis.d != v.d:
         raise DimensionMismatchError(
             f"vector dimension {v.d} does not match basis dimension {basis.d}"
         )
-    m = np.eye(v.d, dtype=complex) + np.tensordot(v.coeffs, basis.ops[1:], axes=1)
-    return m / v.d
+    return weyl_assemble(np.concatenate(([1.0], v.coeffs)), v.d)
 
 
 def bloch_length(v: BlochVector) -> float:

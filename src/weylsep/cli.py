@@ -79,10 +79,8 @@ def _parse_params(text: str) -> dict[str, list[str]]:
     return params
 
 
-def _take(params: dict, key: str, kind, default=None):
+def _take(params: dict, key: str, kind):
     if key not in params:
-        if default is not None:
-            return default
         raise UsageError(f"missing state parameter {key!r}")
     values = params.pop(key)
     if len(values) != 1:

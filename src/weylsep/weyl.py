@@ -79,3 +79,58 @@ def weyl_basis(d: int) -> WeylBasis:
     ops = np.stack([weyl_op(d, n, m) for n in range(d) for m in range(d)])
     ops.flags.writeable = False
     return WeylBasis(d, ops)
+
+
+@lru_cache(maxsize=None)
+def cyclic_index(da: int, db: int = 1) -> np.ndarray:
+    """Flat positions of ``M[(a, b), ((a+m1) mod da, (b+m2) mod db)]``.
+
+    The read-only result has shape ``(da, db, da, db)`` in ``(a, b, m1, m2)``
+    order and indexes the row-major ravel of a ``(da*db, da*db)`` matrix. It
+    is a permutation of ``range((da*db)**2)``, so gathering through it reads
+    every entry once and scattering through it writes every entry once.
+    """
+    a, b, m1, m2 = np.ix_(np.arange(da), np.arange(db), np.arange(da), np.arange(db))
+    row = a * db + b
+    col = ((a + m1) % da) * db + (b + m2) % db
+    index = row * (da * db) + col
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=None)
+def fourier(d: int) -> np.ndarray:
+    """Read-only DFT matrix ``F[n, k] = exp(-2j*pi*n*k/d)``."""
+    ks = np.arange(d)
+    # Reduce n*k mod d before the trig call, as _root_phases does.
+    f = np.exp(-2j * np.pi * (np.outer(ks, ks) % d) / d)
+    f.flags.writeable = False
+    return f
+
+
+def weyl_coefficients(matrix: np.ndarray, da: int, db: int = 1) -> np.ndarray:
+    """Table ``T[s, t] = Tr[M (W_s^dag (x) W_t^dag)]`` of a ``(da*db)``-square matrix.
+
+    Rows run over the ``da^2`` operators of the first factor and columns
+    over the ``db^2`` of the second, both lexicographic in ``(n, m)``; with
+    ``db = 1`` the single column holds the one-factor coefficients. Since
+    ``W(n, m)`` has the single entry ``exp(2j*pi*k*n/d)`` in row ``k``, each
+    coefficient is a discrete Fourier transform of a cyclic diagonal: the
+    diagonals are gathered once, then transformed over ``a`` and over ``b``,
+    in O(D^2 (da + db)) operations with ``D = da*db``.
+    """
+    g = matrix.reshape(-1)[cyclic_index(da, db)]  # (a, b, m1, m2)
+    g = fourier(da) @ g.reshape(da, -1)  # (n1, b, m1, m2)
+    g = fourier(db) @ g.reshape(da, db, -1)  # (n1, n2, m1, m2)
+    return g.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+
+
+def weyl_assemble(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
+    """Inverse of :func:`weyl_coefficients`: ``sum_{s,t} T[s, t] W_s (x) W_t / (da*db)``."""
+    dim = da * db
+    g = table.reshape(da, da, db, db).transpose(0, 2, 1, 3)  # (n1, n2, m1, m2)
+    g = fourier(da).conj() @ g.reshape(da, -1)  # (a, n2, m1, m2)
+    g = fourier(db).conj() @ g.reshape(da, db, -1)  # (a, b, m1, m2)
+    out = np.empty(dim * dim, dtype=complex)
+    out[cyclic_index(da, db).reshape(-1)] = g.reshape(-1) / dim
+    return out.reshape(dim, dim)

@@ -206,3 +206,27 @@ def gell_mann_kyfan(rho: np.ndarray, da: int, db: int) -> float:
     r4 = np.asarray(rho, dtype=complex).reshape(da, db, da, db)
     t = np.einsum("iajb,sji,tba->st", r4, gell_mann_matrices(da), gell_mann_matrices(db))
     return float(np.sqrt(da * db) / 2.0 * np.linalg.svd(t, compute_uv=False).sum())
+
+
+def _weyl_entrywise(d: int, n: int, m: int) -> np.ndarray:
+    """W(n, m) entry by entry: ``exp(2j*pi*k*n/d)`` at ``(k, (k+m) mod d)``."""
+    w = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        w[k, (k + m) % d] = np.exp(2j * np.pi * k * n / d)
+    return w
+
+
+def weyl_coefficient_table(rho: np.ndarray, da: int, db: int) -> np.ndarray:
+    """``Tr[rho (W_s^dag (x) W_t^dag)]`` for every pair, by explicit traces.
+
+    Rows run over the ``da^2`` operators ``(n, m)`` of the first factor and
+    columns over the ``db^2`` of the second, lexicographic in ``(n, m)``;
+    ``db = 1`` gives the single-system coefficients in one column.
+    """
+    ops_a = [_weyl_entrywise(da, n, m) for n in range(da) for m in range(da)]
+    ops_b = [_weyl_entrywise(db, n, m) for n in range(db) for m in range(db)]
+    table = np.empty((da * da, db * db), dtype=complex)
+    for s, wa in enumerate(ops_a):
+        for t, wb in enumerate(ops_b):
+            table[s, t] = np.trace(rho @ np.kron(wa.conj().T, wb.conj().T))
+    return table

@@ -24,7 +24,7 @@ from weylsep.bipartite import symmetry_defects
 from weylsep.states import bell_diagonal, haar_unitary, isotropic, max_entangled, ppt_3x3
 from weylsep.weyl import weyl_basis
 
-from oracles import random_entangled_pure_matrix
+from oracles import random_entangled_pure_matrix, weyl_coefficient_table
 
 
 def _random_bipartite(da, db, rank, seed):
@@ -211,7 +211,21 @@ def test_reconstruct_bipartite_zero_coefficients():
     np.testing.assert_allclose(reconstruct_bipartite(dec), np.eye(6) / 6, atol=1e-15)
 
 
-@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3), (3, 4)])
+# Asymmetric shapes catch a swap of the two factors in the gather index.
+ORACLE_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 8), (8, 3), (4, 6), (5, 7)]
+
+
+@pytest.mark.parametrize("da,db", ORACLE_SHAPES)
+def test_decompose_bipartite_matches_entrywise_oracle(da, db):
+    rho = _random_bipartite(da, db, min(3, da * db), seed=da * 10 + db)
+    table = weyl_coefficient_table(rho.matrix, da, db)
+    dec = decompose_bipartite(rho)
+    assert np.max(np.abs(dec.alpha - table[1:, 0])) <= 1e-12
+    assert np.max(np.abs(dec.beta - table[0, 1:])) <= 1e-12
+    assert np.max(np.abs(dec.correlation - table[1:, 1:])) <= 1e-12
+
+
+@pytest.mark.parametrize("da,db", [(3, 3), (3, 4), *ORACLE_SHAPES, (16, 16)])
 def test_bipartite_roundtrip(da, db):
     for seed in range(10):
         rho = _random_bipartite(da, db, 1 + seed % (da * db), seed=seed)

@@ -16,6 +16,8 @@ from weylsep.bloch import BlochVector, symmetry_defect
 from weylsep.states import isotropic
 from weylsep.weyl import weyl_basis
 
+from oracles import weyl_coefficient_table
+
 DIMS = [2, 3, 4, 5]
 
 
@@ -32,7 +34,14 @@ def test_ground_state_projector_d2():
     assert vec.coefficient(1, 0) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("d", range(2, 17))
+def test_decompose_matches_entrywise_oracle(d):
+    rho = random_mixed(d, min(3, d), seed=d)
+    table = weyl_coefficient_table(rho.matrix, d, 1)
+    assert np.max(np.abs(decompose(rho).coeffs - table[1:, 0])) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 17))
 def test_roundtrip_on_random_states(d):
     for seed in range(20):
         rho = random_mixed(d, 1 + seed % d, seed=seed)

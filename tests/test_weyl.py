@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylsep import weyl_basis, weyl_dagger_index, weyl_op
+from weylsep.weyl import cyclic_index, fourier
 
 DIMS = [2, 3, 4, 5]
 
@@ -129,3 +130,21 @@ def test_basis_is_cached_and_read_only():
 
 def test_indices_reduce_modulo_d():
     np.testing.assert_allclose(weyl_op(3, 4, 5), weyl_op(3, 1, 2), atol=1e-15)
+
+
+@pytest.mark.parametrize("da,db", [(2, 1), (5, 1), (2, 3), (3, 2), (4, 6)])
+def test_cyclic_index_is_a_read_only_permutation(da, db):
+    index = cyclic_index(da, db)
+    assert index.shape == (da, db, da, db)
+    np.testing.assert_array_equal(np.sort(index, axis=None), np.arange((da * db) ** 2))
+    with pytest.raises(ValueError):
+        index[0, 0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_fourier_is_a_scaled_unitary_dft(d):
+    f = fourier(d)
+    np.testing.assert_allclose(f @ f.conj().T, d * np.eye(d), atol=1e-12)
+    np.testing.assert_allclose(f[1], np.exp(-2j * np.pi * np.arange(d) / d), atol=1e-15)
+    with pytest.raises(ValueError):
+        f[0, 0] = 0
