@@ -15,6 +15,27 @@ fully entangled fraction, and rho is useful for teleportation exactly
 when some U achieves ``<O_U> > d``. The search below returns a certified
 lower bound on F (it only ever evaluates true mean values), so a verdict
 of USEFUL is sound while a miss stays INCONCLUSIVE.
+
+With the row-major vec convention ``(U (x) I)|psi+>`` has components
+``U[a, b] / sqrt(d)``, so O_U is ``d vec(U) vec(U)^dag`` and the search
+objective is the quadratic form ``f(U) = vec(U)^dag rho vec(U) / d``.
+
+The search is the generalized power method of Journee, Nesterov,
+Richtarik and Sepulchre (JMLR 11, 2010) on the unitary group: with
+``G = reshape(rho vec U)``, step to the polar factor ``W V^dag`` of the
+SVD ``G = W S V^dag``. No step lowers f. Because rho is PSD, f is convex,
+so it lies above its tangent plane at U:
+
+    f(U') >= f(U) + (2/d) Re Tr(G^dag (U' - U)).
+
+Over unitary U', ``Re Tr(G^dag U')`` is largest at the polar factor, where
+it equals the trace norm ``sum S >= Re Tr(G^dag U)``; so
+``f(polar(G)) >= f(U)``. The step actually uses ``G + SHIFT U``, the same
+step for ``rho + SHIFT I``, whose objective is ``f + SHIFT`` on unitaries,
+so the bound holds unchanged. The shift pins the polar factor where G is
+singular (for a product pure state G has rank one): a point with
+``U^dag G`` PSD is then a strict fixed point, where without it the SVD
+completes the null space from round-off and U never settles.
 """
 
 from __future__ import annotations
@@ -30,10 +51,9 @@ from .weyl import weyl_basis
 
 UNITARITY_TOL = 1e-10
 MEAN_IMAG_TOL = 1e-8
-MAX_SWEEPS = 200
-STALL_TOL = 1e-10
-
-_FIVE_ANGLES = 2.0 * np.pi * np.arange(5) / 5.0
+MAX_ITERATIONS = 1000
+FIXED_POINT_TOL = 1e-8
+SHIFT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,7 +82,7 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def detection_operator(u: np.ndarray, d: int | None = None) -> DetectionOperator:
-    """Assemble O_U from the Weyl sum for a unitary U.
+    """Build O_U for a unitary U as the collapsed Weyl sum ``d vec(U) vec(U)^dag``.
 
     The result is checked to be Hermitian; non-unitary or mis-sized inputs
     are rejected.
@@ -79,9 +99,8 @@ def detection_operator(u: np.ndarray, d: int | None = None) -> DetectionOperator
     defect = unitarity_defect(u)
     if defect > UNITARITY_TOL:
         raise ValueError(f"input is not unitary: max |UU^dag - I| = {defect:.3e}")
-    ops = weyl_basis(d).ops
-    conjugated = np.einsum("ab,kbc,dc->kad", u, ops, u.conj())
-    matrix = np.einsum("kab,kcd->acbd", conjugated, ops.conj()).reshape(d * d, d * d)
+    v = u.reshape(-1)
+    matrix = d * np.outer(v, v.conj())
     herm = hermiticity_defect(matrix)
     if herm > UNITARITY_TOL:
         raise ArithmeticError(f"assembled operator lost Hermiticity: defect {herm:.3e}")
@@ -113,104 +132,20 @@ def optimal_fidelity(f: float, d: int) -> float:
     return (d * f + 1.0) / (d + 1.0)
 
 
-class _Objective:
-    """F-candidate value ``<psi_U| rho |psi_U>`` as a function of U.
+def _polar_ascent(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Iterate ``U <- polar(reshape(rho vec U) + SHIFT U)`` from ``u`` to a fixed point.
 
-    With the row-major vec convention, ``(U (x) I)|psi+>`` has components
-    ``U[a, b] / sqrt(d)``, so the objective is the quadratic form
-    ``vec(U)^dag rho vec(U) / d``. Evaluations are counted for reporting.
+    Returns the last unitary, the number of steps taken and whether a step
+    left every entry of U within ``FIXED_POINT_TOL`` before the cap.
     """
-
-    def __init__(self, rho: np.ndarray, d: int):
-        self.rho = rho
-        self.d = d
-        self.evaluations = 0
-
-    def __call__(self, u: np.ndarray) -> float:
-        self.evaluations += 1
-        v = u.reshape(-1)
-        return float(np.real(v.conj() @ (self.rho @ v))) / self.d
-
-
-def _phase_step(obj: _Objective, u: np.ndarray, col: int, best: float):
-    """Optimal phase on one column, solved in closed form.
-
-    The objective as a function of the phase angle is a pure sinusoid
-    ``const + |g| cos(phi + arg g)``; the maximizer is ``phi = -arg g``.
-    """
-    d = obj.d
-    v = u.reshape(-1)
-    w = np.zeros_like(v)
-    w[col::d] = v[col::d]
-    t = obj.rho @ w
-    g = (v - w).conj() @ t
-    obj.evaluations += 1
-    if abs(g) < 1e-18:
-        return best, u
-    u2 = u.copy()
-    u2[:, col] *= np.exp(-1j * np.angle(g))
-    val = obj(u2)
-    if val > best:
-        return val, u2
-    return best, u
-
-
-def _rotated(u: np.ndarray, p: int, q: int, theta: float, imag: bool) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    g = np.array([[c, 1j * s], [1j * s, c]]) if imag else np.array([[c, -s], [s, c]])
-    u2 = u.copy()
-    u2[:, [p, q]] = u[:, [p, q]] @ g
-    return u2
-
-
-def _givens_step(obj: _Objective, u: np.ndarray, p: int, q: int, imag: bool, best: float):
-    """Optimal plane-rotation angle between two columns.
-
-    ``imag`` selects between the real rotation and its phased companion;
-    together with the column phases the two families span the full
-    tangent space of U(d), so a point where every one-parameter move
-    stalls is a true critical point. The objective along the angle is a
-    trigonometric polynomial with frequencies up to 2, pinned exactly by
-    five equispaced samples; its stationary angles are roots of a quartic
-    in ``exp(1j*theta)``.
-    """
-    vals = np.empty(5)
-    vals[0] = best
-    for j in range(1, 5):
-        vals[j] = obj(_rotated(u, p, q, _FIVE_ANGLES[j], imag))
-    a = np.fft.fft(vals) / 5.0  # a[k] multiplies exp(1j*k*theta), k = 0,1,2,-2,-1
-    poly = np.array([2.0 * a[2], a[1], 0.0, -a[4], -2.0 * a[3]])
-    scale = float(np.max(np.abs(poly)))
-    if scale < 1e-15:
-        return best, u
-    best_u = u
-    for w in np.roots(poly):
-        if not 0.5 < abs(w) < 2.0:
-            continue
-        theta = float(np.angle(w))
-        u2 = _rotated(u, p, q, theta, imag)
-        val = obj(u2)
-        if val > best:
-            best, best_u = val, u2
-    return best, best_u
-
-
-def _refine(obj: _Objective, u: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Cyclic coordinate ascent over column phases and plane rotations."""
-    d = obj.d
-    best = obj(u)
-    for _ in range(MAX_SWEEPS):
-        sweep_start = best
-        for k in range(d):
-            best, u = _phase_step(obj, u, k, best)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                best, u = _givens_step(obj, u, p, q, False, best)
-                best, u = _givens_step(obj, u, p, q, True, best)
-                best, u = _phase_step(obj, u, q, best)
-        if best - sweep_start < STALL_TOL:
-            return u, best, True
-    return u, best, False
+    d = u.shape[0]
+    for step in range(1, MAX_ITERATIONS + 1):
+        w, _, vh = np.linalg.svd((rho @ u.reshape(-1)).reshape(d, d) + SHIFT * u)
+        nxt = w @ vh
+        if np.max(np.abs(nxt - u)) < FIXED_POINT_TOL:
+            return nxt, step, True
+        u = nxt
+    return u, MAX_ITERATIONS, False
 
 
 def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
@@ -220,32 +155,37 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     first (identity, then every Weyl unitary); remaining slots are Haar
     samples, each drawn from a private stream derived from
     ``(seed, start index)`` so results are reproducible and nondecreasing
-    in the budget. Every start is refined by cyclic single-parameter
-    ascent until a full sweep improves by less than ``STALL_TOL`` or the
-    sweep cap is hit.
+    in the budget. Every start is refined by polar iteration (see the
+    module docstring) until a step moves no entry of U by
+    ``FIXED_POINT_TOL`` or more, or ``MAX_ITERATIONS`` steps are taken.
+    ``evaluations`` is the total number of steps over all starts, and
+    ``converged`` says every start reached a fixed point.
     """
     da, db = _require_square(rho)
     d = da
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    obj = _Objective(rho.matrix, d)
     basis = weyl_basis(d)
     best_val = -1.0
     best_u = np.eye(d, dtype=complex)
-    all_stalled = True
+    steps = 0
+    all_fixed = True
     for idx in range(budget):
         if idx < d * d:
             # ops[0] is the identity, so it always leads the start set
             start = basis.ops[idx].astype(complex)
         else:
             start = haar_unitary(d, (seed, idx))
-        u, val, stalled = _refine(obj, start.copy())
-        all_stalled = all_stalled and stalled
+        u, taken, fixed = _polar_ascent(rho.matrix, start)
+        steps += taken
+        all_fixed = all_fixed and fixed
+        v = u.reshape(-1)
+        val = float(np.real(v.conj() @ (rho.matrix @ v))) / d
         if val > best_val:
             best_val, best_u = val, u
     best_u = best_u.copy()
     best_u.flags.writeable = False
-    return FefEstimate(best_val, best_u, obj.evaluations, all_stalled)
+    return FefEstimate(best_val, best_u, steps, all_fixed)
 
 
 def verdict_from_estimate(est: FefEstimate, d: int) -> Verdict:

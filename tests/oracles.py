@@ -230,3 +230,43 @@ def weyl_coefficient_table(rho: np.ndarray, da: int, db: int) -> np.ndarray:
         for t, wb in enumerate(ops_b):
             table[s, t] = np.trace(rho @ np.kron(wa.conj().T, wb.conj().T))
     return table
+
+
+def weyl_sum_operator(u: np.ndarray) -> np.ndarray:
+    """``sum_(n,m) (U W_nm U^dag) (x) conj(W_nm)``, term by term.
+
+    The detection operator by its defining Weyl sum, with each W(n, m)
+    built entry by entry; the library builds the collapsed closed form.
+    """
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+    total = np.zeros((d * d, d * d), dtype=complex)
+    for n in range(d):
+        for m in range(d):
+            w = _weyl_entrywise(d, n, m)
+            total += np.kron(u @ w @ u.conj().T, w.conj())
+    return total
+
+
+_S = 1.0 / np.sqrt(2.0)
+# Magic basis as columns: |Phi+>, i|Phi->, i|Psi+>, |Psi->.
+_MAGIC = np.array(
+    [
+        [_S, 1j * _S, 0, 0],
+        [0, 0, 1j * _S, _S],
+        [0, 0, 1j * _S, -_S],
+        [_S, -1j * _S, 0, 0],
+    ]
+)
+
+
+def fef_magic_2x2(rho: np.ndarray) -> float:
+    """Fully entangled fraction of a two-qubit state in closed form.
+
+    Up to a global phase, the maximally entangled two-qubit states are the
+    real unit vectors in the magic basis, so F is the largest eigenvalue of
+    ``Re(M^dag rho M)`` (Badziag, Horodecki, Horodecki and Horodecki,
+    PRA 62, 012311, 2000).
+    """
+    m = _MAGIC.conj().T @ np.asarray(rho, dtype=complex) @ _MAGIC
+    return float(np.linalg.eigvalsh(m.real)[-1])

@@ -27,6 +27,7 @@ from oracles import (
     random_entangled_pure_matrix,
     realigned_kyfan,
     tiles_state_matrix,
+    weyl_sum_operator,
 )
 from test_weyl import _displayed_d3_basis
 
@@ -261,6 +262,7 @@ def test_detection_operator_two_route_identity():
             rotated = np.kron(u, np.eye(d)) @ psi
             closed = d * d * np.outer(rotated, rotated.conj())
             assert np.max(np.abs(op.matrix - closed)) <= 1e-10
+            assert np.max(np.abs(op.matrix - weyl_sum_operator(u))) <= 1e-10
         rho = _bipartite(d, d, d, seed=d)
         op = ws.detection_operator(ws.haar_unitary(d, seed=7), d)
         raw = complex(np.trace(rho.matrix @ op.matrix))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylsep import (
     DimensionMismatchError,
@@ -10,12 +12,15 @@ from weylsep import (
     mean_value,
     optimal_fidelity,
     random_mixed,
+    random_product_pure,
     random_separable,
     teleportation_verdict,
     validate_density,
 )
 from weylsep.states import example4, haar_unitary, isotropic
 from weylsep.weyl import weyl_op
+
+from oracles import fef_magic_2x2, weyl_sum_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -48,7 +53,7 @@ def test_weyl_sum_equals_closed_form(d):
     for seed in range(10):
         u = haar_unitary(d, seed=seed)
         op = detection_operator(u, d)
-        assert np.max(np.abs(op.matrix - _closed_form(u, d))) <= 1e-10
+        assert np.max(np.abs(op.matrix - weyl_sum_operator(u))) <= 1e-10
 
 
 def test_operator_is_hermitian_with_trace_d_squared():
@@ -160,6 +165,42 @@ def test_fef_search_bounds_and_identity_start():
         assert est.value >= baseline - 1e-12
         assert est.value <= 1.0 + 1e-9
         assert est.evaluations > 0
+
+
+def test_fef_search_matches_two_qubit_closed_form():
+    for seed in range(300):
+        rho = _random_bipartite_2x2(seed + 2000, rank=1 + seed % 4)
+        est = fef_search(rho, budget=8, seed=seed)
+        assert abs(est.value - fef_magic_2x2(rho.matrix)) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 4), rank=st.integers(1, 16), seed=st.integers(0, 2**31 - 1))
+def test_fef_search_properties(d, rank, seed):
+    rho = validate_density(random_mixed(d * d, min(rank, d * d), seed=seed).matrix, [d, d])
+    psi = max_entangled_ket(d)
+    identity_overlap = float(np.real(psi.conj() @ rho.matrix @ psi))
+    lam_max = float(np.linalg.eigvalsh(rho.matrix)[-1])
+    values = []
+    for budget in (1, 2, 4, 8):
+        est = fef_search(rho, budget=budget, seed=seed)
+        assert identity_overlap - 1e-12 <= est.value <= lam_max + 1e-12
+        u = est.best_unitary
+        assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-12
+        mean = mean_value(rho, detection_operator(u, d))
+        assert abs(mean - d * d * est.value) <= 1e-9
+        values.append(est.value)
+    for lo, hi in zip(values, values[1:]):
+        assert hi >= lo
+
+
+def test_fef_search_settles_on_product_pure_states():
+    # rho vec U has rank one here, so the polar factor is not unique
+    for d in (2, 3, 4):
+        for seed in range(5):
+            est = fef_search(random_product_pure(d, d, seed=seed), budget=4, seed=seed)
+            assert est.converged
+            assert est.value == pytest.approx(1.0 / d, abs=1e-12)
 
 
 def test_fef_search_separable_ceiling():
