@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, DimensionMismatchError
-from .weyl import WeylBasis, weyl_assemble, weyl_coefficients
+from .weyl import weyl_assemble, weyl_coefficients
 
 SYMMETRY_TOL = 1e-10
 
@@ -58,32 +58,18 @@ def symmetry_defect(v: BlochVector) -> float:
     return float(np.max(np.abs(v.coeffs.conj() - phase * v.coeffs[partner])))
 
 
-def decompose(rho: DensityMatrix, basis: WeylBasis | None = None) -> BlochVector:
-    """Coefficients ``a_k = Tr(W_k^dag rho)`` of a single-system state.
-
-    A ``basis``, when given, must have the state's dimension.
-    """
+def decompose(rho: DensityMatrix) -> BlochVector:
+    """Coefficients ``a_k = Tr(W_k^dag rho)`` of a single-system state."""
     if len(rho.dims) != 1:
         raise DimensionMismatchError(
             f"decompose expects a single subsystem, got dims {rho.dims}"
-        )
-    if basis is not None and basis.d != rho.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho.dim} does not match basis dimension {basis.d}"
         )
     coeffs = weyl_coefficients(rho.matrix, rho.dim).reshape(-1)[1:]
     return BlochVector(rho.dim, coeffs)
 
 
-def reconstruct(v: BlochVector, basis: WeylBasis | None = None) -> np.ndarray:
-    """Assemble ``(I + sum_k a_k W_k) / d`` from a coefficient vector.
-
-    A ``basis``, when given, must have the vector's dimension.
-    """
-    if basis is not None and basis.d != v.d:
-        raise DimensionMismatchError(
-            f"vector dimension {v.d} does not match basis dimension {basis.d}"
-        )
+def reconstruct(v: BlochVector) -> np.ndarray:
+    """Assemble ``(I + sum_k a_k W_k) / d`` from a coefficient vector."""
     return weyl_assemble(np.concatenate(([1.0], v.coeffs)), v.d)
 
 

@@ -5,15 +5,18 @@ Subcommands: ``basis``, ``decompose``, ``check-sep``, ``check-tele`` and
 micro-grammar ``family:key=value,...`` (vector values are comma-joined,
 e.g. ``bell-diagonal:t=0.2,0.2,0.2``).
 
-Exit codes: 0 success, 1 internal numerical failure, 2 usage or input
-error. Reports are JSON on stdout; identical invocations (including
-``--seed``) are byte-identical apart from the timestamp, which
-``--no-timestamp`` removes. Seeds are never read from the environment.
+Exit codes: 0 success; 2 usage or input error (:class:`UsageError`,
+:class:`~weylsep.linalg.ValidationError` or :class:`OSError`); 1 any other
+failure, which is a fault in the program. Reports are JSON on stdout;
+identical invocations (including ``--seed``) are byte-identical apart from
+the timestamp, which ``--no-timestamp`` removes. Seeds are never read from
+the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -23,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bipartite import (
+    BipartiteDecomposition,
     decompose_bipartite,
     kyfan_norm,
     ppt_criterion,
@@ -31,14 +35,7 @@ from .bipartite import (
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
 from .fileio import load_state, matrix_entries
-from .linalg import (
-    DensityMatrix,
-    ValidationError,
-    min_eigenvalue,
-    partial_transpose,
-    singular_values,
-    validate_density,
-)
+from .linalg import DensityMatrix, ValidationError, singular_values, validate_density
 from .states import (
     bell_diagonal,
     example4,
@@ -79,28 +76,19 @@ def _parse_params(text: str) -> dict[str, list[str]]:
     return params
 
 
-def _take(params: dict, key: str, kind):
-    if key not in params:
-        raise UsageError(f"missing state parameter {key!r}")
-    values = params.pop(key)
-    if len(values) != 1:
-        raise UsageError(f"state parameter {key!r} expects a single value")
-    try:
-        return kind(values[0])
-    except ValueError as exc:
-        raise UsageError(f"bad value for state parameter {key!r}: {exc}") from exc
-
-
-def _take_vector(params: dict, key: str, length: int) -> list[float]:
+def _take(params: dict, key: str, kind, length: int = 1):
+    """Pop ``key`` and convert its ``length`` values; one value comes back bare."""
     if key not in params:
         raise UsageError(f"missing state parameter {key!r}")
     values = params.pop(key)
     if len(values) != length:
-        raise UsageError(f"state parameter {key!r} expects {length} comma-joined values")
+        expects = "a single value" if length == 1 else f"{length} comma-joined values"
+        raise UsageError(f"state parameter {key!r} expects {expects}")
     try:
-        return [float(v) for v in values]
+        converted = [kind(v) for v in values]
     except ValueError as exc:
         raise UsageError(f"bad value for state parameter {key!r}: {exc}") from exc
+    return converted[0] if length == 1 else converted
 
 
 def state_from_spec(spec: str) -> DensityMatrix:
@@ -112,8 +100,7 @@ def state_from_spec(spec: str) -> DensityMatrix:
         if family == "isotropic":
             rho = isotropic(_take(params, "d", int), _take(params, "p", float))
         elif family == "bell-diagonal":
-            t = _take_vector(params, "t", 3)
-            rho = bell_diagonal(*t)
+            rho = bell_diagonal(*_take(params, "t", float, 3))
         elif family == "max-entangled":
             rho = max_entangled(_take(params, "d", int))
         elif family == "ppt-3x3":
@@ -156,10 +143,12 @@ def state_from_spec(spec: str) -> DensityMatrix:
 
 
 def _load_input(args) -> tuple[DensityMatrix, dict]:
-    if getattr(args, "state", None):
+    if args.state and args.input:
+        raise UsageError("give either an input file or --state, not both")
+    if args.state:
         rho = state_from_spec(args.state)
         descriptor = {"state": args.state, "dims": list(rho.dims)}
-    elif getattr(args, "input", None):
+    elif args.input:
         rho = load_state(args.input)
         descriptor = {"file": args.input, "dims": list(rho.dims)}
     else:
@@ -188,8 +177,25 @@ def _verdict_record(v) -> dict:
     }
 
 
-def _emit(report: dict) -> None:
+def _emit(report) -> None:
     print(json.dumps(report, indent=2))
+
+
+def _residual(rebuilt: np.ndarray, rho: DensityMatrix) -> float:
+    return float(np.max(np.abs(rebuilt - rho.matrix)))
+
+
+def _bipartite_summary(rho: DensityMatrix) -> tuple[BipartiteDecomposition, dict]:
+    """The decomposition plus the summary that ``decompose`` and ``check-sep`` share."""
+    dec = decompose_bipartite(rho)
+    summary = {
+        "alpha_length": float(np.linalg.norm(dec.alpha)),
+        "beta_length": float(np.linalg.norm(dec.beta)),
+        "kyfan_norm": kyfan_norm(dec.correlation),
+        "top_singular_values": [float(s) for s in singular_values(dec.correlation)[:5]],
+        "reconstruction_residual": _residual(reconstruct_bipartite(dec), rho),
+    }
+    return dec, summary
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +206,7 @@ def cmd_basis(args) -> int:
     if args.d < 2:
         raise UsageError(f"dimension must be >= 2, got {args.d}")
     basis = weyl_basis(args.d)
-    out = [
-        {"n": n, "m": m, "entries": matrix_entries(basis.op(n, m))}
-        for n, m in basis.pairs
-    ]
-    print(json.dumps(out, indent=2))
+    _emit([{"n": n, "m": m, "entries": matrix_entries(basis.op(n, m))} for n, m in basis.pairs])
     return 0
 
 
@@ -213,64 +215,50 @@ def cmd_decompose(args) -> int:
     report = _report_header(args, descriptor)
     if len(rho.dims) == 1:
         vec = decompose(rho)
-        residual = float(np.max(np.abs(reconstruct(vec) - rho.matrix)))
         report["bloch"] = {
             "length": bloch_length(vec),
             "purity": purity_from_length(vec),
-            "coefficients": [[float(c.real), float(c.imag)] for c in vec.coeffs],
+            "coefficients": matrix_entries(vec.coeffs),
         }
-        report["reconstruction_residual"] = residual
+        residual = _residual(reconstruct(vec), rho)
     elif len(rho.dims) == 2:
-        dec = decompose_bipartite(rho)
-        residual = float(np.max(np.abs(reconstruct_bipartite(dec) - rho.matrix)))
-        sv = singular_values(dec.correlation)
+        dec, summary = _bipartite_summary(rho)
+        residual = summary.pop("reconstruction_residual")
         report["bipartite"] = {
-            "alpha_length": float(np.linalg.norm(dec.alpha)),
-            "beta_length": float(np.linalg.norm(dec.beta)),
-            "kyfan_norm": kyfan_norm(dec.correlation),
-            "top_singular_values": [float(s) for s in sv[:5]],
-            "alpha": [[float(c.real), float(c.imag)] for c in dec.alpha],
-            "beta": [[float(c.real), float(c.imag)] for c in dec.beta],
+            **summary,
+            "alpha": matrix_entries(dec.alpha),
+            "beta": matrix_entries(dec.beta),
             "correlation_shape": list(dec.correlation.shape),
             "correlation": matrix_entries(dec.correlation),
         }
-        report["reconstruction_residual"] = residual
     else:
         raise UsageError(f"decompose supports 1 or 2 subsystems, got dims {rho.dims}")
+    report["reconstruction_residual"] = residual
     _emit(report)
     return 0
 
 
 def cmd_check_sep(args) -> int:
     rho, descriptor = _load_input(args)
-    if len(rho.dims) != 2:
-        raise UsageError(f"check-sep needs a bipartite state, got dims {rho.dims}")
-    dec = decompose_bipartite(rho)
-    sv = singular_values(dec.correlation)
-    residual = float(np.max(np.abs(reconstruct_bipartite(dec) - rho.matrix)))
-    report = _report_header(args, descriptor)
-    report["decomposition"] = {
-        "alpha_length": float(np.linalg.norm(dec.alpha)),
-        "beta_length": float(np.linalg.norm(dec.beta)),
-        "kyfan_norm": kyfan_norm(dec.correlation),
-        "top_singular_values": [float(s) for s in sv[:5]],
-        "reconstruction_residual": residual,
-    }
-    verdicts = [_verdict_record(weyl_separability_criterion(rho))]
+    _, summary = _bipartite_summary(rho)
+    verdicts = [weyl_separability_criterion(rho)]
     if min(rho.dims) <= 3:
-        verdicts.append(_verdict_record(ppt_criterion(rho)))
-    report["verdicts"] = verdicts
+        verdicts.append(ppt_criterion(rho))
+    report = _report_header(args, descriptor)
+    report["decomposition"] = summary
+    report["verdicts"] = [_verdict_record(v) for v in verdicts]
     _emit(report)
     return 0
 
 
 def cmd_check_tele(args) -> int:
+    if args.budget < 1:
+        raise UsageError(f"budget must be >= 1, got {args.budget}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     rho, descriptor = _load_input(args)
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise UsageError(f"check-tele needs a d x d bipartition, got dims {rho.dims}")
-    d = rho.dims[0]
     est = fef_search(rho, args.budget, seed=args.seed)
-    verdict = verdict_from_estimate(est, d)
+    d = rho.dims[0]
     report = _report_header(args, descriptor)
     report["seed"] = args.seed
     report["budget"] = args.budget
@@ -281,12 +269,14 @@ def cmd_check_tele(args) -> int:
         "converged": est.converged,
         "best_unitary": matrix_entries(est.best_unitary),
     }
-    report["verdicts"] = [_verdict_record(verdict)]
+    report["verdicts"] = [_verdict_record(verdict_from_estimate(est, d))]
     _emit(report)
     return 0
 
 
 def _scan_grid(start: float, stop: float, step: float) -> list[float]:
+    if not np.isfinite([start, stop, step]).all():
+        raise UsageError(f"scan bounds and step must be finite, got {start}, {stop}, {step}")
     if step <= 0:
         raise UsageError(f"step must be positive, got {step}")
     if stop < start:
@@ -316,27 +306,22 @@ def cmd_scan(args) -> int:
     else:
         raise UsageError(f"unknown scan family {args.family!r}")
 
+    header = ["param", "kyfan", "threshold", "verdict"] + (["ppt_min_eig"] if args.ppt else [])
     rows = []
     for param in grid:
         rho = make(param)
         verdict = weyl_separability_criterion(rho)
         row = [param, verdict.statistic, verdict.threshold, verdict.token]
         if args.ppt:
-            row.append(min_eigenvalue(partial_transpose(rho, 1)))
+            row.append(ppt_criterion(rho).statistic)
         rows.append(row)
 
-    header = ["param", "kyfan", "threshold", "verdict"]
-    if args.ppt:
-        header.append("ppt_min_eig")
-    if args.out == "-":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    with (
+        contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="")
+    ) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
     return 0
 
 
@@ -357,12 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--d", type=int, required=True, help="local dimension (>= 2)")
     p_basis.set_defaults(func=cmd_basis)
 
-    def add_io(p, with_file=True):
-        if with_file:
-            p.add_argument("input", nargs="?", help="matrix file (JSON)")
+    def add_io(p):
+        p.add_argument("input", nargs="?", help="matrix file (JSON)")
         p.add_argument(
             "--state",
-            help="state spec, family:key=value,... "
+            help="state spec, family:key=value,..., instead of an input file "
             "(families: isotropic, bell-diagonal, max-entangled, ppt-3x3, "
             "example4, random-mixed, random-product-pure, random-separable)",
         )
@@ -407,13 +391,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:  # subclasses ValueError, so goes first
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, ValidationError, OSError, ValueError) as exc:
+    except (UsageError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # numerical failures inside the kernels
+    except Exception as exc:  # anything else is a fault in the program, not the input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,8 +35,8 @@ def save_state(path, rho: DensityMatrix) -> None:
 def load_state(path) -> DensityMatrix:
     """Parse and validate a state file; raises ValidationError on any defect."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError("top-level JSON value must be an object")

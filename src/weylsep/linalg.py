@@ -18,7 +18,7 @@ POSITIVITY_TOL = 1e-10
 
 
 class ValidationError(ValueError):
-    """A matrix violates one of the density-matrix invariants."""
+    """A matrix breaks a density-matrix invariant, or a state parameter is out of range."""
 
 
 class DimensionMismatchError(ValidationError):
@@ -53,11 +53,6 @@ class DensityMatrix:
     def dim(self) -> int:
         """Total Hilbert-space dimension."""
         return self.matrix.shape[0]
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -1,22 +1,23 @@
 """Factories for named states and seeded random ensembles.
 
-All constructors return validated :class:`DensityMatrix` values. The
-random families are deterministic functions of their seed: the same seed
-and parameters reproduce the output bit for bit, so results can be
-replicated across machines and implementations.
+All constructors return validated :class:`DensityMatrix` values and
+raise :class:`ValidationError` for a parameter outside the family's
+range. The random families are deterministic functions of their seed:
+the same seed and parameters reproduce the output bit for bit, so results
+can be replicated across machines and implementations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron, validate_density
+from .linalg import DensityMatrix, ValidationError, kron, validate_density
 
 
 def max_entangled_ket(d: int) -> np.ndarray:
     """The ket ``sum_i |ii> / sqrt(d)``."""
     if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+        raise ValidationError(f"dimension must be >= 2, got {d}")
     ket = np.zeros(d * d, dtype=complex)
     ket[:: d + 1] = 1.0 / np.sqrt(d)
     return ket
@@ -35,9 +36,10 @@ def isotropic(d: int, p: float) -> DensityMatrix:
     exactly for ``p <= 1/(d+1)``.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
+        raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
+    ket = max_entangled_ket(d)
     m = (1.0 - p) / (d * d) * np.eye(d * d, dtype=complex)
-    m += p * max_entangled(d).matrix
+    m += p * np.outer(ket, ket.conj())
     return validate_density(m, [d, d])
 
 
@@ -93,7 +95,7 @@ def example4(p: float) -> DensityMatrix:
     which swaps the usual textbook labels.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
+        raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
     phi = np.zeros(4, dtype=complex)
     phi[1] = 1.0 / np.sqrt(2.0)
     phi[2] = -1.0 / np.sqrt(2.0)
@@ -109,7 +111,7 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def random_mixed(d: int, rank: int, seed) -> DensityMatrix:
     """Ginibre-induced random state of the given rank on one d-level system."""
     if not 1 <= rank <= d:
-        raise ValueError(f"rank must lie in [1, {d}], got {rank}")
+        raise ValidationError(f"rank must lie in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
     g = _ginibre(rng, d, rank)
     m = g @ g.conj().T
@@ -136,7 +138,7 @@ def random_separable(da: int, db: int, k: int, seed) -> DensityMatrix:
     separable by construction.
     """
     if k < 1:
-        raise ValueError(f"mixture size must be >= 1, got {k}")
+        raise ValidationError(f"mixture size must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k))
     m = np.zeros((da * db, da * db), dtype=complex)
@@ -154,7 +156,7 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     Haar. Deterministic given the seed.
     """
     if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+        raise ValidationError(f"dimension must be >= 2, got {d}")
     rng = np.random.default_rng(seed)
     z = _ginibre(rng, d, d) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -111,12 +111,15 @@ def detection_operator(u: np.ndarray, d: int | None = None) -> DetectionOperator
 
 
 def mean_value(rho: DensityMatrix, op: DetectionOperator) -> float:
-    """``Tr(rho O_U)``, checked to be real."""
+    """``Tr(rho O_U)`` as the O(D^2) sum ``sum_ij rho[i, j] O[j, i]``, checked to be real.
+
+    It reads the built operator, so it stays a route independent of the search.
+    """
     if rho.dims != (op.d, op.d):
         raise DimensionMismatchError(
             f"state dims {rho.dims} do not match operator dimension {op.d}x{op.d}"
         )
-    val = complex(np.trace(rho.matrix @ op.matrix))
+    val = complex(np.sum(rho.matrix * op.matrix.T))
     if abs(val.imag) > MEAN_IMAG_TOL:
         raise ArithmeticError(
             f"mean value has imaginary part {val.imag:.3e}; operator is broken"
@@ -206,8 +209,8 @@ def teleportation_verdict(rho: DensityMatrix, budget: int = 64, *, seed) -> Verd
 
 
 def _require_square(rho: DensityMatrix) -> tuple[int, int]:
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
+    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1] or rho.dims[0] < 2:
         raise DimensionMismatchError(
-            f"expected a d x d bipartition, got dims {rho.dims}"
+            f"expected a d x d bipartition with d >= 2, got dims {rho.dims}"
         )
     return rho.dims[0], rho.dims[1]

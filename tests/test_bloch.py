@@ -14,7 +14,6 @@ from weylsep import (
 )
 from weylsep.bloch import BlochVector, symmetry_defect
 from weylsep.states import isotropic
-from weylsep.weyl import weyl_basis
 
 from oracles import weyl_coefficient_table
 
@@ -125,9 +124,6 @@ def test_linearity_of_decomposition():
 
 
 def test_dimension_mismatch_errors():
-    rho = random_mixed(3, 2, seed=1)
-    with pytest.raises(DimensionMismatchError):
-        decompose(rho, weyl_basis(2))
     bipartite = validate_density(np.eye(4) / 4, [2, 2])
     with pytest.raises(DimensionMismatchError):
         decompose(bipartite)

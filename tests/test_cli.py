@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylsep import validate_density
+from weylsep import cli, validate_density
 from weylsep.fileio import save_state
 from weylsep.states import max_entangled, random_mixed
 from weylsep.weyl import weyl_basis
@@ -247,3 +251,109 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "weylsep" in proc.stdout
+
+
+def run_main(*args):
+    """Run ``cli.main`` in-process; returns the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(args))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("decompose", "{non_utf8}"),
+        ("check-tele", "--state", "example4:p=0.8", "--seed", "1", "--budget", "0"),
+        ("check-tele", "--state", "example4:p=0.8", "--seed", "-1", "--budget", "2"),
+        ("check-tele", "{one_by_one}", "--seed", "1"),
+        ("scan", "--family", "isotropic", "--d", "2", "--from", "nan", "--to", "1",
+         "--step", "0.5", "--out", "-"),
+        ("scan", "--family", "isotropic", "--d", "2", "--from", "0", "--to", "1",
+         "--step", "inf", "--out", "-"),
+        ("scan", "--family", "isotropic", "--d", "1", "--from", "0", "--to", "1",
+         "--step", "0.5", "--out", "-"),
+        ("scan", "--family", "isotropic", "--d", "2", "--from", "-0.5", "--to", "1",
+         "--step", "0.5", "--out", "-"),
+        ("check-sep", "--state", "isotropic:d=0,p=0.3"),
+        ("check-sep", "--state", "isotropic:d=3,p=0.3", "{state_file}"),
+    ],
+    ids=[
+        "non-utf8-file", "budget-0", "negative-seed", "tele-1x1", "scan-nan", "scan-inf-step",
+        "scan-d-1", "scan-p-below-0", "isotropic-d-0", "file-and-state",
+    ],
+)
+def test_input_errors_exit_two(tmp_path, args):
+    files = {
+        "{non_utf8}": tmp_path / "latin1.json",
+        "{one_by_one}": tmp_path / "one.json",
+        "{state_file}": tmp_path / "state.json",
+    }
+    files["{non_utf8}"].write_bytes(b'{"format": "weylsep-matrix-v1\xff"}')
+    files["{one_by_one}"].write_text(
+        '{"format": "weylsep-matrix-v1", "dims": [1, 1], "entries": [[1, 0]]}'
+    )
+    save_state(files["{state_file}"], max_entangled(3))
+    rc, out, err = run_main(*(str(files.get(a, a)) for a in args))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_internal_failure_exits_one(monkeypatch):
+    def broken(m):
+        raise ValueError("kernel failure")
+
+    monkeypatch.setattr(cli, "kyfan_norm", broken)
+    rc, out, err = run_main("check-sep", "--state", "isotropic:d=3,p=0.3")
+    assert rc == 1
+    assert err == "internal error: kernel failure\n"
+
+
+# |v| <= 6 keeps every state at most 36 x 36; junk has no digits, so it
+# cannot make a dimension larger
+_INT = st.integers(-6, 6).map(str)
+_FLOAT = st.one_of(st.floats(-0.5, 1.5).map(repr), st.sampled_from(["nan", "inf", "1e400"]))
+_JUNK = st.text(alphabet="abx:=,.-+ ", max_size=4)
+_GRAMMAR = [
+    ("isotropic", {"d": _INT, "p": _FLOAT}),
+    ("bell-diagonal", {"t": _FLOAT}),
+    ("max-entangled", {"d": _INT}),
+    ("ppt-3x3", {}),
+    ("example4", {"p": _FLOAT}),
+    ("random-mixed", {"d": _INT, "rank": _INT, "seed": _INT}),
+    ("random-mixed", {"da": _INT, "db": _INT, "rank": _INT, "seed": _INT}),
+    ("random-product-pure", {"da": _INT, "db": _INT, "seed": _INT}),
+    ("random-separable", {"da": _INT, "db": _INT, "k": _INT, "seed": _INT}),
+]
+
+
+@st.composite
+def _state_specs(draw):
+    """Known families and keys, mostly well formed, with dropped keys and junk mixed in."""
+    family, keys = draw(st.sampled_from(_GRAMMAR) | st.tuples(_JUNK, st.just({})))
+    dropped = draw(st.sampled_from([None, None, None, *keys]))
+    tokens = []
+    for key, value in keys.items():
+        count = 3 if key == "t" else 1
+        if key != dropped:
+            values = draw(st.lists(value, min_size=count, max_size=count))
+            tokens.append(f"{key}=" + ",".join(values))
+    extra = draw(st.sampled_from([None] * 5 + ["d=2", "p=0.5", "t=1,2", "junk"]))
+    if extra == "junk":
+        extra = draw(_JUNK)
+    tokens = draw(st.permutations(tokens + ([extra] if extra is not None else [])))
+    return family + (":" + ",".join(tokens) if tokens else "")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(spec=_state_specs())
+def test_state_grammar_fuzz_exits_cleanly(spec):
+    rc, out, err = run_main("check-sep", f"--state={spec}", "--no-timestamp")
+    assert rc in (0, 2)
+    assert "Traceback" not in err
+    if rc == 0:
+        assert json.loads(out)["input"]["state"] == spec
+    else:
+        assert err.splitlines()[-1].startswith("error:")
