@@ -27,6 +27,7 @@ the same index rebuild the state (:mod:`weylsep.weyl`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .weyl import weyl_assemble, weyl_coefficients
 ENTANGLED = "ENTANGLED"
 SEPARABLE = "SEPARABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
+USEFUL = "USEFUL"
 
 #: Margin added to thresholds before claiming ENTANGLED, so that roundoff
 #: at an exact boundary never produces a false positive.
@@ -56,19 +58,17 @@ FACTOR_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one criterion: the witnessing scalar and its threshold."""
+    """Outcome token of one criterion, with the witnessing scalar and its threshold.
+
+    The Ky Fan and PPT criteria answer ENTANGLED or INCONCLUSIVE, the
+    teleportation criterion USEFUL or INCONCLUSIVE. SEPARABLE is reserved:
+    no criterion produces it yet.
+    """
 
     criterion: str
     outcome: str
     statistic: float
     threshold: float
-
-    @property
-    def token(self) -> str:
-        """Display token; the teleportation criterion reports USEFUL."""
-        if self.criterion == "teleportation" and self.outcome == ENTANGLED:
-            return "USEFUL"
-        return self.outcome
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,11 @@ class BipartiteDecomposition:
     alpha: np.ndarray
     beta: np.ndarray
     correlation: np.ndarray
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of ``correlation``, nonincreasing; one SVD on first read."""
+        return singular_values(self.correlation)
 
 
 def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
@@ -145,20 +150,23 @@ def kyfan_norm(m: np.ndarray) -> float:
     return float(np.sum(singular_values(m)))
 
 
-def weyl_separability_criterion(rho: DensityMatrix) -> Verdict:
-    """Correlation-matrix trace-norm test.
+def correlation_verdict(dec: BipartiteDecomposition) -> Verdict:
+    """Correlation-matrix trace-norm test on a decomposition already built.
 
     ENTANGLED when the Ky Fan norm of the correlation matrix exceeds
     ``sqrt((dA-1)*(dB-1))`` beyond the roundoff margin; INCONCLUSIVE
     otherwise. The bound is only necessary for separability, so this
     criterion never answers SEPARABLE.
     """
-    da, db = _require_bipartite(rho)
-    dec = decompose_bipartite(rho)
-    statistic = kyfan_norm(dec.correlation)
-    threshold = float(np.sqrt((da - 1) * (db - 1)))
+    statistic = float(np.sum(dec.singular_values))
+    threshold = float(np.sqrt((dec.da - 1) * (dec.db - 1)))
     outcome = ENTANGLED if statistic > threshold + STATISTIC_MARGIN else INCONCLUSIVE
     return Verdict("weyl-correlation", outcome, statistic, threshold)
+
+
+def weyl_separability_criterion(rho: DensityMatrix) -> Verdict:
+    """:func:`correlation_verdict` of the state's decomposition."""
+    return correlation_verdict(decompose_bipartite(rho))
 
 
 def ppt_criterion(rho: DensityMatrix) -> Verdict:
@@ -168,7 +176,6 @@ def ppt_criterion(rho: DensityMatrix) -> Verdict:
     a positive partial transpose is reported INCONCLUSIVE (it proves
     separability only at 2x2 and 2x3, and verdicts stay one-sided here).
     """
-    _require_bipartite(rho)
     statistic = min_eigenvalue(partial_transpose(rho, 1))
     outcome = ENTANGLED if statistic < -STATISTIC_MARGIN else INCONCLUSIVE
     return Verdict("ppt", outcome, statistic, 0.0)
@@ -194,7 +201,7 @@ def product_test(
             f"< 1 - {purity_tol:.0e}"
         )
     dec = decompose_bipartite(rho)
-    s = singular_values(dec.correlation)
+    s = dec.singular_values
     outer = np.outer(dec.alpha, dec.beta)
     residual = float(np.linalg.norm(dec.correlation - outer))
     if s[0] < 1e-15:

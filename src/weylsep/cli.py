@@ -7,10 +7,12 @@ e.g. ``bell-diagonal:t=0.2,0.2,0.2``).
 
 Exit codes: 0 success; 2 usage or input error (:class:`UsageError`,
 :class:`~weylsep.linalg.ValidationError` or :class:`OSError`); 1 any other
-failure, which is a fault in the program. Reports are JSON on stdout;
-identical invocations (including ``--seed``) are byte-identical apart from
-the timestamp, which ``--no-timestamp`` removes. Seeds are never read from
-the environment.
+failure, which is a fault in the program. Every dimension given on the
+command line (the ``d``, ``da`` and ``db`` state keys, ``basis --d`` and
+``scan --d``) is capped at :data:`MAX_DIM` before anything is allocated.
+Reports are JSON on stdout; identical invocations (including ``--seed``)
+are byte-identical apart from the timestamp, which ``--no-timestamp``
+removes. Seeds are never read from the environment.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ import numpy as np
 from . import __version__
 from .bipartite import (
     BipartiteDecomposition,
+    correlation_verdict,
     decompose_bipartite,
-    kyfan_norm,
     ppt_criterion,
     reconstruct_bipartite,
     weyl_separability_criterion,
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
 from .fileio import load_state, matrix_entries
-from .linalg import DensityMatrix, ValidationError, singular_values, validate_density
+from .linalg import DensityMatrix, ValidationError, validate_density
 from .states import (
     bell_diagonal,
     example4,
@@ -50,8 +52,20 @@ from .teleport import fef_search, optimal_fidelity, verdict_from_estimate
 from .weyl import weyl_basis
 
 
+#: Largest local dimension the command line accepts (``D <= MAX_DIM**2`` for a pair).
+MAX_DIM = 32
+
+
 class UsageError(ValueError):
     """Bad flags, state specs, or input files; maps to exit code 2."""
+
+
+def _dim(value) -> int:
+    """A dimension read from the command line, capped at ``MAX_DIM`` before any allocation."""
+    d = int(value)
+    if d > MAX_DIM:
+        raise UsageError(f"dimension {d} exceeds the maximum {MAX_DIM}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -98,36 +112,36 @@ def state_from_spec(spec: str) -> DensityMatrix:
     params = _parse_params(rest) if rest else {}
     try:
         if family == "isotropic":
-            rho = isotropic(_take(params, "d", int), _take(params, "p", float))
+            rho = isotropic(_take(params, "d", _dim), _take(params, "p", float))
         elif family == "bell-diagonal":
             rho = bell_diagonal(*_take(params, "t", float, 3))
         elif family == "max-entangled":
-            rho = max_entangled(_take(params, "d", int))
+            rho = max_entangled(_take(params, "d", _dim))
         elif family == "ppt-3x3":
             rho = ppt_3x3()
         elif family == "example4":
             rho = example4(_take(params, "p", float))
         elif family == "random-mixed":
             if "d" in params:
-                d = _take(params, "d", int)
+                d = _take(params, "d", _dim)
                 rho = random_mixed(d, _take(params, "rank", int), _take(params, "seed", int))
             else:
-                da = _take(params, "da", int)
-                db = _take(params, "db", int)
+                da = _take(params, "da", _dim)
+                db = _take(params, "db", _dim)
                 rank = _take(params, "rank", int)
                 seed = _take(params, "seed", int)
                 single = random_mixed(da * db, rank, seed)
                 rho = validate_density(single.matrix, [da, db])
         elif family == "random-product-pure":
             rho = random_product_pure(
-                _take(params, "da", int),
-                _take(params, "db", int),
+                _take(params, "da", _dim),
+                _take(params, "db", _dim),
                 _take(params, "seed", int),
             )
         elif family == "random-separable":
             rho = random_separable(
-                _take(params, "da", int),
-                _take(params, "db", int),
+                _take(params, "da", _dim),
+                _take(params, "db", _dim),
                 _take(params, "k", int),
                 _take(params, "seed", int),
             )
@@ -171,7 +185,7 @@ def _report_header(args, descriptor: dict) -> dict:
 def _verdict_record(v) -> dict:
     return {
         "criterion": v.criterion,
-        "outcome": v.token,
+        "outcome": v.outcome,
         "statistic": float(v.statistic),
         "threshold": float(v.threshold),
     }
@@ -191,8 +205,8 @@ def _bipartite_summary(rho: DensityMatrix) -> tuple[BipartiteDecomposition, dict
     summary = {
         "alpha_length": float(np.linalg.norm(dec.alpha)),
         "beta_length": float(np.linalg.norm(dec.beta)),
-        "kyfan_norm": kyfan_norm(dec.correlation),
-        "top_singular_values": [float(s) for s in singular_values(dec.correlation)[:5]],
+        "kyfan_norm": float(np.sum(dec.singular_values)),
+        "top_singular_values": [float(s) for s in dec.singular_values[:5]],
         "reconstruction_residual": _residual(reconstruct_bipartite(dec), rho),
     }
     return dec, summary
@@ -203,9 +217,10 @@ def _bipartite_summary(rho: DensityMatrix) -> tuple[BipartiteDecomposition, dict
 
 
 def cmd_basis(args) -> int:
-    if args.d < 2:
-        raise UsageError(f"dimension must be >= 2, got {args.d}")
-    basis = weyl_basis(args.d)
+    d = _dim(args.d)
+    if d < 2:
+        raise UsageError(f"dimension must be >= 2, got {d}")
+    basis = weyl_basis(d)
     _emit([{"n": n, "m": m, "entries": matrix_entries(basis.op(n, m))} for n, m in basis.pairs])
     return 0
 
@@ -240,8 +255,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_check_sep(args) -> int:
     rho, descriptor = _load_input(args)
-    _, summary = _bipartite_summary(rho)
-    verdicts = [weyl_separability_criterion(rho)]
+    dec, summary = _bipartite_summary(rho)
+    verdicts = [correlation_verdict(dec)]
     if min(rho.dims) <= 3:
         verdicts.append(ppt_criterion(rho))
     report = _report_header(args, descriptor)
@@ -292,7 +307,8 @@ def cmd_scan(args) -> int:
     if args.family == "isotropic":
         if args.d is None:
             raise UsageError("isotropic scan requires --d")
-        make = lambda p: isotropic(args.d, p)  # noqa: E731
+        d = _dim(args.d)
+        make = lambda p: isotropic(d, p)  # noqa: E731
     elif args.family == "bell-diagonal":
         if args.direction is None:
             raise UsageError("bell-diagonal scan requires --direction t1,t2,t3")
@@ -311,7 +327,7 @@ def cmd_scan(args) -> int:
     for param in grid:
         rho = make(param)
         verdict = weyl_separability_criterion(rho)
-        row = [param, verdict.statistic, verdict.threshold, verdict.token]
+        row = [param, verdict.statistic, verdict.threshold, verdict.outcome]
         if args.ppt:
             row.append(ppt_criterion(rho).statistic)
         rows.append(row)

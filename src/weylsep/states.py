@@ -57,6 +57,8 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     (-1,1,1), (1,-1,1), (1,1,-1); anything outside fails the positivity
     check. Separable exactly when ``|t1| + |t2| + |t3| <= 1``.
     """
+    if not np.all(np.isfinite([t1, t2, t3])):
+        raise ValidationError(f"correlation parameters must be finite, got {(t1, t2, t3)}")
     m = np.eye(4, dtype=complex)
     for t, i in ((t1, 1), (t2, 2), (t3, 3)):
         m += t * kron(_PAULI[i], _PAULI[i])

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bipartite import ENTANGLED, INCONCLUSIVE, STATISTIC_MARGIN, Verdict
+from .bipartite import INCONCLUSIVE, STATISTIC_MARGIN, USEFUL, Verdict
 from .linalg import DensityMatrix, DimensionMismatchError, hermiticity_defect
 from .states import haar_unitary
 from .weyl import weyl_basis
@@ -192,9 +192,9 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
 
 
 def verdict_from_estimate(est: FefEstimate, d: int) -> Verdict:
-    """Map a search result onto the usefulness test ``<O_U> > d``."""
+    """Map a search result onto the usefulness test ``<O_U> > d``: USEFUL or INCONCLUSIVE."""
     statistic = d * d * est.value
-    outcome = ENTANGLED if statistic > d + STATISTIC_MARGIN else INCONCLUSIVE
+    outcome = USEFUL if statistic > d + STATISTIC_MARGIN else INCONCLUSIVE
     return Verdict("teleportation", outcome, statistic, float(d))
 
 

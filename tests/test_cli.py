@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylsep import cli, validate_density
+from weylsep import bipartite, cli, validate_density
 from weylsep.fileio import save_state
 from weylsep.states import max_entangled, random_mixed
 from weylsep.weyl import weyl_basis
@@ -278,10 +278,23 @@ def run_main(*args):
          "--step", "0.5", "--out", "-"),
         ("check-sep", "--state", "isotropic:d=0,p=0.3"),
         ("check-sep", "--state", "isotropic:d=3,p=0.3", "{state_file}"),
+        ("check-sep", "--state", "bell-diagonal:t=inf,0,0"),
+        ("scan", "--family", "bell-diagonal", "--direction=inf,0,0", "--from", "0",
+         "--to", "1", "--step", "0.5", "--out", "-"),
+        ("check-sep", "--state", "isotropic:d=10000000,p=0.3"),
+        ("decompose", "--state", "random-mixed:d=33,rank=1,seed=0"),
+        ("check-sep", "--state", "random-mixed:da=2,db=100000,rank=1,seed=0"),
+        ("check-sep", "--state", "random-product-pure:da=100000,db=2,seed=0"),
+        ("basis", "--d", "100000"),
+        ("scan", "--family", "isotropic", "--d", "33", "--from", "0", "--to", "1",
+         "--step", "0.5", "--out", "-"),
     ],
     ids=[
         "non-utf8-file", "budget-0", "negative-seed", "tele-1x1", "scan-nan", "scan-inf-step",
-        "scan-d-1", "scan-p-below-0", "isotropic-d-0", "file-and-state",
+        "scan-d-1", "scan-p-below-0", "isotropic-d-0", "file-and-state", "bell-diagonal-inf",
+        "scan-direction-inf", "isotropic-d-oversized", "random-mixed-d-33",
+        "random-mixed-db-oversized", "product-pure-da-oversized", "basis-d-oversized",
+        "scan-d-33",
     ],
 )
 def test_input_errors_exit_two(tmp_path, args):
@@ -305,10 +318,40 @@ def test_internal_failure_exits_one(monkeypatch):
     def broken(m):
         raise ValueError("kernel failure")
 
-    monkeypatch.setattr(cli, "kyfan_norm", broken)
+    monkeypatch.setattr(cli, "decompose_bipartite", broken)
     rc, out, err = run_main("check-sep", "--state", "isotropic:d=3,p=0.3")
     assert rc == 1
     assert err == "internal error: kernel failure\n"
+
+
+def test_dimension_cap_is_inclusive():
+    spec = f"random-mixed:d={cli.MAX_DIM},rank=1,seed=0"
+    assert run_main("decompose", "--state", spec, "--no-timestamp")[0] == 0
+    assert run_main("check-sep", "--state", "random-mixed:da=16,db=16,rank=2,seed=0")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["check-sep", "decompose"])
+@pytest.mark.parametrize(
+    "spec", ["random-mixed:da=2,db=3,rank=3,seed=1", "random-mixed:da=4,db=4,rank=5,seed=2"]
+)
+def test_one_decomposition_and_one_svd_per_report(monkeypatch, command, spec):
+    calls = {"svd": 0, "decompose": 0}
+    svd, decompose = np.linalg.svd, bipartite.decompose_bipartite
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_decompose(rho):
+        calls["decompose"] += 1
+        return decompose(rho)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(bipartite, "decompose_bipartite", counted_decompose)
+    monkeypatch.setattr(cli, "decompose_bipartite", counted_decompose)
+    rc, out, err = run_main(command, "--state", spec, "--no-timestamp")
+    assert (rc, err) == (0, "")
+    assert calls == {"svd": 1, "decompose": 1}
 
 
 # |v| <= 6 keeps every state at most 36 x 36; junk has no digits, so it

@@ -162,7 +162,7 @@ def test_example4_limits():
 
 def test_example4_teleportation_usefulness():
     verdict = teleportation_verdict(example4(0.7), budget=6, seed=0)
-    assert verdict.token == "USEFUL"
+    assert verdict.outcome == "USEFUL"
 
 
 def test_random_mixed_rank_one_is_pure():

@@ -17,6 +17,7 @@ from weylsep import (
     teleportation_verdict,
     validate_density,
 )
+from weylsep import teleport
 from weylsep.states import example4, haar_unitary, isotropic
 from weylsep.weyl import weyl_op
 
@@ -156,6 +157,31 @@ def test_fef_search_monotone_in_budget():
         assert hi >= lo - 1e-15
 
 
+def test_fef_search_budget_prefix(monkeypatch):
+    # each Haar start is drawn from (seed, start index) alone, so a larger
+    # budget first runs every start of a smaller one, in the same order
+    polar = teleport._polar_ascent
+
+    def starts(budget):
+        seen = []
+
+        def recording(rho, u):
+            seen.append(u.copy())
+            return polar(rho, u)
+
+        monkeypatch.setattr(teleport, "_polar_ascent", recording)
+        fef_search(rho, budget=budget, seed=4)
+        return seen
+
+    rho = validate_density(random_mixed(9, 3, seed=5).matrix, [3, 3])
+    k, n = 12, 20  # both past the d^2 = 9 Weyl starts, so Haar starts are compared
+    short, long = starts(k), starts(n)
+    assert len(short) == k and len(long) == n
+    for a, b in zip(short, long):
+        np.testing.assert_array_equal(a, b)
+    assert not np.allclose(long[k - 1], long[k])
+
+
 def test_fef_search_bounds_and_identity_start():
     psi = max_entangled_ket(2)
     for seed in range(10):
@@ -220,15 +246,15 @@ def test_fef_search_requires_square_bipartition():
 
 def test_teleportation_verdicts():
     useful = teleportation_verdict(example4(0.8), budget=6, seed=7)
-    assert useful.token == "USEFUL"
+    assert useful.outcome == "USEFUL"
     assert useful.statistic > 2.0
     assert useful.threshold == 2.0
 
     mixed = validate_density(np.eye(4) / 4, [2, 2])
-    assert teleportation_verdict(mixed, budget=4, seed=7).token == "INCONCLUSIVE"
+    assert teleportation_verdict(mixed, budget=4, seed=7).outcome == "INCONCLUSIVE"
 
     iso = teleportation_verdict(isotropic(2, 0.9), budget=6, seed=7)
-    assert iso.token == "USEFUL"
+    assert iso.outcome == "USEFUL"
     assert iso.statistic == pytest.approx(3.7, abs=1e-6)
 
 
