@@ -21,7 +21,9 @@ transform, over ``(a, b)``, of the cyclic diagonal
 products with the dA- and dB-point DFT matrices give the whole table in
 O(D^2 (dA + dB)) operations, ``D = dA*dB``, against O(D^4) for traces
 against the stacked basis; the conjugate transforms plus a scatter through
-the same index rebuild the state (:mod:`weylsep.weyl`).
+the same index rebuild the state (:mod:`weylsep.weyl`). The decomposition
+is that table itself: its identity column holds ``a``, its identity row
+``b``, and the rest is ``L``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import BlochVector, _negation_table, reconstruct
 from .linalg import (
     DensityMatrix,
     _require_bipartite,
@@ -41,7 +42,7 @@ from .linalg import (
     singular_values,
     validate_density,
 )
-from .weyl import weyl_assemble, weyl_coefficients
+from .weyl import adjoint_defect, weyl_assemble, weyl_coefficients
 
 ENTANGLED = "ENTANGLED"
 SEPARABLE = "SEPARABLE"
@@ -52,6 +53,7 @@ USEFUL = "USEFUL"
 #: at an exact boundary never produces a false positive.
 STATISTIC_MARGIN = 1e-9
 
+PURITY_TOL = 1e-8
 RANK_ONE_RATIO_TOL = 1e-8
 FACTOR_RESIDUAL_TOL = 1e-8
 
@@ -73,18 +75,34 @@ class Verdict:
 
 @dataclass(frozen=True)
 class BipartiteDecomposition:
-    """Local coefficient vectors plus the correlation matrix.
+    """The Weyl coefficient table ``T[s, t] = Tr[rho (W_s^dag (x) W_t^dag)]``.
 
-    ``alpha`` has length dA^2 - 1, ``beta`` length dB^2 - 1, and
-    ``correlation`` shape (dA^2 - 1, dB^2 - 1), all in the lexicographic
-    Weyl ordering with the identity slot removed.
+    ``table`` has shape (dA^2, dB^2), both axes in the lexicographic Weyl
+    ordering with the identity first, and ``table[0, 0] = 1`` exactly.
+    :func:`decompose_bipartite` marks it read-only, so its views ``alpha``
+    (length dA^2 - 1), ``beta`` (length dB^2 - 1) and ``correlation``
+    (shape (dA^2 - 1, dB^2 - 1)) are read-only too, and the cached
+    singular values cannot go stale.
     """
 
     da: int
     db: int
-    alpha: np.ndarray
-    beta: np.ndarray
-    correlation: np.ndarray
+    table: np.ndarray
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Local coefficients of the first factor: the identity column."""
+        return self.table[1:, 0]
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Local coefficients of the second factor: the identity row."""
+        return self.table[0, 1:]
+
+    @property
+    def correlation(self) -> np.ndarray:
+        """The correlation matrix L: the table without its identity row and column."""
+        return self.table[1:, 1:]
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -96,24 +114,14 @@ def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
     """All local and joint Weyl coefficients of a bipartite state."""
     da, db = _require_bipartite(rho)
     table = weyl_coefficients(rho.matrix, da, db)
-    return BipartiteDecomposition(
-        da=da,
-        db=db,
-        alpha=table[1:, 0].copy(),
-        beta=table[0, 1:].copy(),
-        correlation=table[1:, 1:].copy(),
-    )
+    table[0, 0] = 1.0
+    table.flags.writeable = False
+    return BipartiteDecomposition(da, db, table)
 
 
 def reconstruct_bipartite(dec: BipartiteDecomposition) -> np.ndarray:
     """Assemble the state back from its coefficients."""
-    da, db = dec.da, dec.db
-    table = np.empty((da * da, db * db), dtype=complex)
-    table[0, 0] = 1.0
-    table[1:, 0] = dec.alpha
-    table[0, 1:] = dec.beta
-    table[1:, 1:] = dec.correlation
-    return weyl_assemble(table, da, db)
+    return weyl_assemble(dec.table, dec.da, dec.db)
 
 
 def reduced_from_decomposition(dec: BipartiteDecomposition, sys: int) -> DensityMatrix:
@@ -124,8 +132,8 @@ def reduced_from_decomposition(dec: BipartiteDecomposition, sys: int) -> Density
     if sys not in (0, 1):
         raise ValueError(f"sys must be 0 or 1, got {sys}")
     d = dec.da if sys == 0 else dec.db
-    coeffs = dec.alpha if sys == 0 else dec.beta
-    return validate_density(reconstruct(BlochVector(d, coeffs)), [d])
+    local = dec.table[:, 0] if sys == 0 else dec.table[0]
+    return validate_density(weyl_assemble(local, d), [d])
 
 
 def symmetry_defects(dec: BipartiteDecomposition) -> tuple[float, float, float]:
@@ -133,16 +141,11 @@ def symmetry_defects(dec: BipartiteDecomposition) -> tuple[float, float, float]:
 
     Returns the defects for alpha, beta, and the correlation matrix; each
     compares ``conj(x[idx])`` against the phased coefficient at the negated
-    index pair.
+    index pair (:func:`weylsep.weyl.adjoint_defect`).
     """
-    pa, ka = _negation_table(dec.da)
-    pb, kb = _negation_table(dec.db)
-    defect_a = float(np.max(np.abs(dec.alpha.conj() - pa * dec.alpha[ka])))
-    defect_b = float(np.max(np.abs(dec.beta.conj() - pb * dec.beta[kb])))
-    phase_m = np.outer(pa, pb)
-    partner_m = dec.correlation[np.ix_(ka, kb)]
-    defect_m = float(np.max(np.abs(dec.correlation.conj() - phase_m * partner_m)))
-    return defect_a, defect_b, defect_m
+    defect = adjoint_defect(dec.table, dec.da, dec.db)
+    alpha, beta, correlation = defect[1:, 0], defect[0, 1:], defect[1:, 1:]
+    return float(np.max(alpha)), float(np.max(beta)), float(np.max(correlation))
 
 
 def kyfan_norm(m: np.ndarray) -> float:
@@ -181,24 +184,23 @@ def ppt_criterion(rho: DensityMatrix) -> Verdict:
     return Verdict("ppt", outcome, statistic, 0.0)
 
 
-def product_test(
-    rho: DensityMatrix, purity_tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray] | None:
+def product_test(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     """Decide whether a pure bipartite state is a product state.
 
     A pure state is a product exactly when its correlation matrix is the
     rank-one outer product of the local coefficient vectors. Returns the
-    pair ``(alpha, beta)`` on success (the factors' Bloch vectors, from
-    which the factor states can be rebuilt), or None when the state is not
-    a product. Mixed inputs, ``Tr rho^2 < 1 - purity_tol``, are rejected
-    because the rank-one equivalence only holds for pure states.
+    pair ``(alpha, beta)`` on success (the factors' Bloch vectors, as
+    read-only views of the decomposition, from which the factor states can
+    be rebuilt), or None when the state is not a product. Mixed inputs,
+    ``Tr rho^2 < 1 - PURITY_TOL``, are rejected because the rank-one
+    equivalence only holds for pure states.
     """
     _require_bipartite(rho)
     pur = purity(rho)
-    if pur < 1.0 - purity_tol:
+    if pur < 1.0 - PURITY_TOL:
         raise ValueError(
             f"product test requires a pure state: Tr rho^2 = {pur:.12g} "
-            f"< 1 - {purity_tol:.0e}"
+            f"< 1 - {PURITY_TOL:.0e}"
         )
     dec = decompose_bipartite(rho)
     s = dec.singular_values
@@ -207,5 +209,5 @@ def product_test(
     if s[0] < 1e-15:
         return None
     if s[1] / s[0] <= RANK_ONE_RATIO_TOL and residual <= FACTOR_RESIDUAL_TOL:
-        return dec.alpha.copy(), dec.beta.copy()
+        return dec.alpha, dec.beta
     return None

@@ -24,14 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, DimensionMismatchError
-from .weyl import weyl_assemble, weyl_coefficients
+from .weyl import adjoint_defect, weyl_assemble, weyl_coefficients
 
 SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Coefficients over the non-identity Weyl operators, lexicographic order."""
+    """Coefficients over the non-identity Weyl operators, lexicographic order.
+
+    :func:`decompose` marks ``coeffs`` read-only.
+    """
 
     d: int
     coeffs: np.ndarray
@@ -44,18 +47,9 @@ class BlochVector:
         return complex(self.coeffs[k - 1])
 
 
-def _negation_table(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coefficient phase and position of the (-n, -m) partner."""
-    n, m = np.divmod(np.arange(1, d * d), d)
-    phase = np.exp(-2j * np.pi * ((n * m) % d) / d)
-    partner = ((-n) % d) * d + ((-m) % d) - 1
-    return phase, partner
-
-
 def symmetry_defect(v: BlochVector) -> float:
     """Max violation of ``conj(a[n,m]) == exp(-2j*pi*n*m/d) * a[-n,-m]``."""
-    phase, partner = _negation_table(v.d)
-    return float(np.max(np.abs(v.coeffs.conj() - phase * v.coeffs[partner])))
+    return float(np.max(adjoint_defect(np.concatenate(([1.0], v.coeffs)), v.d)))
 
 
 def decompose(rho: DensityMatrix) -> BlochVector:
@@ -65,6 +59,7 @@ def decompose(rho: DensityMatrix) -> BlochVector:
             f"decompose expects a single subsystem, got dims {rho.dims}"
         )
     coeffs = weyl_coefficients(rho.matrix, rho.dim).reshape(-1)[1:]
+    coeffs.flags.writeable = False
     return BlochVector(rho.dim, coeffs)
 
 

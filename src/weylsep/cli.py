@@ -9,7 +9,9 @@ Exit codes: 0 success; 2 usage or input error (:class:`UsageError`,
 :class:`~weylsep.linalg.ValidationError` or :class:`OSError`); 1 any other
 failure, which is a fault in the program. Every dimension given on the
 command line (the ``d``, ``da`` and ``db`` state keys, ``basis --d`` and
-``scan --d``) is capped at :data:`MAX_DIM` before anything is allocated.
+``scan --d``) is capped at :data:`MAX_DIM` before anything is allocated, as
+are the ``random-separable`` mixture size (:data:`MAX_MIXTURE`) and the
+``scan`` row count (:data:`MAX_SCAN_ROWS`).
 Reports are JSON on stdout; identical invocations (including ``--seed``)
 are byte-identical apart from the timestamp, which ``--no-timestamp``
 removes. Seeds are never read from the environment.
@@ -55,17 +57,31 @@ from .weyl import weyl_basis
 #: Largest local dimension the command line accepts (``D <= MAX_DIM**2`` for a pair).
 MAX_DIM = 32
 
+#: Largest ``random-separable`` mixture size ``k`` the command line accepts.
+MAX_MIXTURE = MAX_DIM**2
+
+#: Most rows one ``scan`` may write: a 1e-5 step over [0, 1].
+MAX_SCAN_ROWS = 100_001
+
 
 class UsageError(ValueError):
     """Bad flags, state specs, or input files; maps to exit code 2."""
 
 
-def _dim(value) -> int:
-    """A dimension read from the command line, capped at ``MAX_DIM`` before any allocation."""
-    d = int(value)
-    if d > MAX_DIM:
-        raise UsageError(f"dimension {d} exceeds the maximum {MAX_DIM}")
-    return d
+def _capped(limit: int, what: str):
+    """Integer converter for a command-line value, capped at ``limit`` before any allocation."""
+
+    def convert(value) -> int:
+        n = int(value)
+        if n > limit:
+            raise UsageError(f"{what} {n} exceeds the maximum {limit}")
+        return n
+
+    return convert
+
+
+_dim = _capped(MAX_DIM, "dimension")
+_mixture_size = _capped(MAX_MIXTURE, "mixture size")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +158,7 @@ def state_from_spec(spec: str) -> DensityMatrix:
             rho = random_separable(
                 _take(params, "da", _dim),
                 _take(params, "db", _dim),
-                _take(params, "k", int),
+                _take(params, "k", _mixture_size),
                 _take(params, "seed", int),
             )
         else:
@@ -297,9 +313,12 @@ def _scan_grid(start: float, stop: float, step: float) -> list[float]:
     if stop < start:
         raise UsageError(f"empty scan range [{start}, {stop}] with step {step}")
     # small forward slack so an exactly-dividing range keeps its endpoint,
-    # while accumulated roundoff never pushes a grid point past it
-    count = int(np.floor((stop - start) / step + 1e-6)) + 1
-    return [min(start + i * step, stop) for i in range(count)]
+    # while accumulated roundoff never pushes a grid point past it; the
+    # count is a float, inf when the quotient overflows, until it is capped
+    count = np.floor((stop - start) / step + 1e-6) + 1
+    if count > MAX_SCAN_ROWS:
+        raise UsageError(f"scan grid has {count:.0f} rows, more than the maximum {MAX_SCAN_ROWS}")
+    return [min(start + i * step, stop) for i in range(int(count))]
 
 
 def cmd_scan(args) -> int:
@@ -318,6 +337,8 @@ def cmd_scan(args) -> int:
             raise UsageError(f"bad --direction: {exc}") from exc
         if len(direction) != 3:
             raise UsageError("--direction expects three comma-joined values")
+        if not np.isfinite(direction).all():
+            raise UsageError(f"--direction must be finite, got {args.direction}")
         make = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
     else:
         raise UsageError(f"unknown scan family {args.family!r}")

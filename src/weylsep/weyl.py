@@ -39,12 +39,12 @@ def weyl_op(d: int, n: int, m: int) -> np.ndarray:
 def weyl_dagger_index(d: int, n: int, m: int) -> tuple[complex, tuple[int, int]]:
     """Phase and index pair with ``W(n, m)^dag == phase * W(idx2)``.
 
-    The phase is ``exp(2j*pi*n*m/d)`` and ``idx2 = (-n mod d, -m mod d)``.
+    The phase is ``exp(2j*pi*n*m/d)``, the conjugate of ``fourier(d)[n, m]``,
+    and ``idx2 = (-n mod d, -m mod d)``.
     """
     n %= d
     m %= d
-    phase = complex(np.exp(2j * np.pi * ((n * m) % d) / d))
-    return phase, ((-n) % d, (-m) % d)
+    return complex(fourier(d)[n, m].conj()), ((-n) % d, (-m) % d)
 
 
 @dataclass(frozen=True)
@@ -134,3 +134,18 @@ def weyl_assemble(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
     out = np.empty(dim * dim, dtype=complex)
     out[cyclic_index(da, db).reshape(-1)] = g.reshape(-1) / dim
     return out.reshape(dim, dim)
+
+
+def adjoint_defect(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
+    """Entrywise ``|conj(T[s, t]) - F_s F_t T[-s, -t]|`` of a :func:`weyl_coefficients` table.
+
+    ``F_s = fourier(d)[n, m]`` for ``s = (n, m)`` and ``-s = (-n, -m)`` mod d.
+    The adjoint rule ``W(n, m)^dag = conj(F[n, m]) W(-n, -m)`` gives
+    ``conj(T_M[s, t]) = F_s F_t T_{M^dag}[-s, -t]``, so the defect is
+    ``|T_{M^dag - M}|`` read at the negated indices: zero exactly when M
+    is Hermitian.
+    """
+    na, nb = -np.arange(da) % da, -np.arange(db) % db
+    partner = table.reshape(da, da, db, db)[np.ix_(na, na, nb, nb)].reshape(table.shape)
+    phase = np.outer(fourier(da), fourier(db)).reshape(table.shape)
+    return np.abs(table.conj() - phase * partner)

@@ -20,7 +20,7 @@ from weylsep import (
     validate_density,
     weyl_separability_criterion,
 )
-from weylsep.bipartite import symmetry_defects
+from weylsep.bipartite import correlation_verdict, symmetry_defects
 from weylsep.states import bell_diagonal, haar_unitary, isotropic, max_entangled, ppt_3x3
 from weylsep.weyl import weyl_basis
 
@@ -204,11 +204,22 @@ def test_product_test_rejects_mixed_input():
 def test_reconstruct_bipartite_zero_coefficients():
     from weylsep.bipartite import BipartiteDecomposition
 
-    dec = BipartiteDecomposition(
-        2, 3, np.zeros(3, dtype=complex), np.zeros(8, dtype=complex),
-        np.zeros((3, 8), dtype=complex),
-    )
+    table = np.zeros((4, 9), dtype=complex)
+    table[0, 0] = 1.0
+    dec = BipartiteDecomposition(2, 3, table)
     np.testing.assert_allclose(reconstruct_bipartite(dec), np.eye(6) / 6, atol=1e-15)
+
+
+def test_decompositions_are_read_only():
+    rho = isotropic(3, 0.3)
+    dec = decompose_bipartite(rho)
+    before = correlation_verdict(dec)
+    coeffs = decompose(partial_trace(rho, 0)).coeffs
+    for target in [dec.alpha, dec.beta, dec.correlation, dec.table, coeffs]:
+        with pytest.raises(ValueError):
+            target[...] = 0.0
+    assert correlation_verdict(dec) == before
+    assert kyfan_norm(dec.correlation) == pytest.approx(before.statistic, abs=1e-12)
 
 
 # Asymmetric shapes catch a swap of the two factors in the gather index.

@@ -288,13 +288,17 @@ def run_main(*args):
         ("basis", "--d", "100000"),
         ("scan", "--family", "isotropic", "--d", "33", "--from", "0", "--to", "1",
          "--step", "0.5", "--out", "-"),
+        ("check-sep", "--state", "random-separable:da=2,db=2,k=10000000000000,seed=0"),
+        ("check-sep", "--state", "random-separable:da=2,db=2,k=1025,seed=0"),
+        ("scan", "--family", "isotropic", "--d", "2", "--from", "0", "--to", "1",
+         "--step", "1e-6", "--out", "-"),
     ],
     ids=[
         "non-utf8-file", "budget-0", "negative-seed", "tele-1x1", "scan-nan", "scan-inf-step",
         "scan-d-1", "scan-p-below-0", "isotropic-d-0", "file-and-state", "bell-diagonal-inf",
         "scan-direction-inf", "isotropic-d-oversized", "random-mixed-d-33",
         "random-mixed-db-oversized", "product-pure-da-oversized", "basis-d-oversized",
-        "scan-d-33",
+        "scan-d-33", "separable-k-huge", "separable-k-1025", "scan-rows-1000001",
     ],
 )
 def test_input_errors_exit_two(tmp_path, args):
@@ -328,6 +332,16 @@ def test_dimension_cap_is_inclusive():
     spec = f"random-mixed:d={cli.MAX_DIM},rank=1,seed=0"
     assert run_main("decompose", "--state", spec, "--no-timestamp")[0] == 0
     assert run_main("check-sep", "--state", "random-mixed:da=16,db=16,rank=2,seed=0")[0] == 0
+    assert run_main("check-sep", "--state", "random-separable:da=2,db=2,k=1024,seed=0")[0] == 0
+
+
+def test_scan_direction_error_names_the_input():
+    rc, out, err = run_main(
+        "scan", "--family", "bell-diagonal", "--direction=inf,0,0", "--from", "0", "--to", "1",
+        "--step", "0.5", "--out", "-",
+    )
+    assert (rc, out) == (2, "")
+    assert "inf" in err and "nan" not in err
 
 
 @pytest.mark.parametrize("command", ["check-sep", "decompose"])
