@@ -343,22 +343,23 @@ def cmd_scan(args) -> int:
     else:
         raise UsageError(f"unknown scan family {args.family!r}")
 
+    # Both families are affine in the parameter and density matrices form a
+    # convex set, so valid end points make every row valid: build them before
+    # --out is opened, then write each row as it is computed.
+    ends = {grid[0]: make(grid[0]), grid[-1]: make(grid[-1])}
     header = ["param", "kyfan", "threshold", "verdict"] + (["ppt_min_eig"] if args.ppt else [])
-    rows = []
-    for param in grid:
-        rho = make(param)
-        verdict = weyl_separability_criterion(rho)
-        row = [param, verdict.statistic, verdict.threshold, verdict.outcome]
-        if args.ppt:
-            row.append(ppt_criterion(rho).statistic)
-        rows.append(row)
-
     with (
         contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="")
     ) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for param in grid:
+            rho = ends.pop(param) if param in ends else make(param)
+            verdict = weyl_separability_criterion(rho)
+            row = [param, verdict.statistic, verdict.threshold, verdict.outcome]
+            if args.ppt:
+                row.append(ppt_criterion(rho).statistic)
+            writer.writerow(row)
     return 0
 
 

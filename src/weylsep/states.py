@@ -143,11 +143,16 @@ def random_separable(da: int, db: int, k: int, seed) -> DensityMatrix:
         raise ValidationError(f"mixture size must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k))
-    m = np.zeros((da * db, da * db), dtype=complex)
-    for w in weights:
-        ket = np.kron(_random_pure_ket(rng, da), _random_pure_ket(rng, db))
-        m += w * np.outer(ket, ket.conj())
-    return validate_density(m, [da, db])
+    # the normals of k successive _random_pure_ket(da), _random_pure_ket(db)
+    # pairs, in draw order: real then imaginary parts of a, then of b
+    z = rng.standard_normal((k, 2 * (da + db)))
+    a = z[:, :da] + 1j * z[:, da : 2 * da]
+    b = z[:, 2 * da : 2 * da + db] + 1j * z[:, 2 * da + db :]
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    kets = (a[:, :, None] * b[:, None, :]).reshape(k, da * db)
+    m = (kets.T * weights) @ kets.conj()
+    return validate_density((m + m.conj().T) / 2, [da, db])
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

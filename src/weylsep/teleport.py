@@ -36,6 +36,16 @@ so the bound holds unchanged. The shift pins the polar factor where G is
 singular (for a product pure state G has rank one): a point with
 ``U^dag G`` PSD is then a strict fixed point, where without it the SVD
 completes the null space from round-off and U never settles.
+
+All starts of one search run as a ``(budget, d, d)`` stack: each step is
+one stacked ``rho vec U`` product, one batched SVD and one stacked
+``W V^dag`` over the starts still active, and a start leaves the stack at
+its own fixed point. The products are stacked matrix-vector products,
+one BLAS call per start, never one matrix product over the whole stack.
+That keeps every start's arithmetic independent of which other starts
+share the stack, so a start's path, and hence the search value, is
+bit-for-bit the same at every budget, and the value is exactly
+nondecreasing in the budget rather than only up to round-off.
 """
 
 from __future__ import annotations
@@ -135,20 +145,36 @@ def optimal_fidelity(f: float, d: int) -> float:
     return (d * f + 1.0) / (d + 1.0)
 
 
-def _polar_ascent(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Iterate ``U <- polar(reshape(rho vec U) + SHIFT U)`` from ``u`` to a fixed point.
+def _polar_ascent_stack(
+    rho: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Iterate ``U <- polar(reshape(rho vec U) + SHIFT U)`` on a ``(k, d, d)`` start stack.
 
-    Returns the last unitary, the number of steps taken and whether a step
-    left every entry of U within ``FIXED_POINT_TOL`` before the cap.
+    Each step refines, in one call per operation, the starts still active;
+    a start whose step moves no entry by ``FIXED_POINT_TOL`` or more leaves
+    the active set there. Returns the last unitary of every start, its
+    step count, and whether it reached a fixed point before
+    ``MAX_ITERATIONS`` steps.
     """
-    d = u.shape[0]
+    k, d, _ = starts.shape
+    u = np.array(starts, dtype=complex)
+    steps = np.full(k, MAX_ITERATIONS)
+    fixed = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    cur = u
     for step in range(1, MAX_ITERATIONS + 1):
-        w, _, vh = np.linalg.svd((rho @ u.reshape(-1)).reshape(d, d) + SHIFT * u)
+        # stacked matvecs: one BLAS call per slice, never one gemm over the stack
+        g = np.matmul(rho, cur.reshape(-1, d * d, 1)).reshape(cur.shape)
+        w, _, vh = np.linalg.svd(g + SHIFT * cur)
         nxt = w @ vh
-        if np.max(np.abs(nxt - u)) < FIXED_POINT_TOL:
-            return nxt, step, True
-        u = nxt
-    return u, MAX_ITERATIONS, False
+        done = np.max(np.abs(nxt - cur), axis=(1, 2)) < FIXED_POINT_TOL
+        u[active] = nxt
+        steps[active[done]] = step
+        fixed[active[done]] = True
+        active, cur = active[~done], nxt[~done]
+        if not active.size:
+            break
+    return u, steps, fixed
 
 
 def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
@@ -158,37 +184,33 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     first (identity, then every Weyl unitary); remaining slots are Haar
     samples, each drawn from a private stream derived from
     ``(seed, start index)`` so results are reproducible and nondecreasing
-    in the budget. Every start is refined by polar iteration (see the
-    module docstring) until a step moves no entry of U by
-    ``FIXED_POINT_TOL`` or more, or ``MAX_ITERATIONS`` steps are taken.
+    in the budget. All starts are refined together as one stack by polar
+    iteration, each start with arithmetic of its own so that a larger
+    budget cannot perturb the starts of a smaller one (see the module
+    docstring); each stops when a step moves no entry of its U by
+    ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS`` steps.
     ``evaluations`` is the total number of steps over all starts, and
-    ``converged`` says every start reached a fixed point.
+    ``converged`` says every start reached a fixed point. Ties go to the
+    first start with the largest value.
     """
     da, db = _require_square(rho)
     d = da
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    basis = weyl_basis(d)
-    best_val = -1.0
-    best_u = np.eye(d, dtype=complex)
-    steps = 0
-    all_fixed = True
-    for idx in range(budget):
-        if idx < d * d:
-            # ops[0] is the identity, so it always leads the start set
-            start = basis.ops[idx].astype(complex)
-        else:
-            start = haar_unitary(d, (seed, idx))
-        u, taken, fixed = _polar_ascent(rho.matrix, start)
-        steps += taken
-        all_fixed = all_fixed and fixed
-        v = u.reshape(-1)
-        val = float(np.real(v.conj() @ (rho.matrix @ v))) / d
-        if val > best_val:
-            best_val, best_u = val, u
-    best_u = best_u.copy()
+    starts = np.empty((budget, d, d), dtype=complex)
+    # ops[0] is the identity, so it always leads the start set
+    n_weyl = min(budget, d * d)
+    starts[:n_weyl] = weyl_basis(d).ops[:n_weyl]
+    for idx in range(n_weyl, budget):
+        starts[idx] = haar_unitary(d, (seed, idx))
+    u, steps, fixed = _polar_ascent_stack(rho.matrix, starts)
+    vecs = u.reshape(budget, d * d, 1)
+    overlaps = np.matmul(vecs.conj().transpose(0, 2, 1), np.matmul(rho.matrix, vecs))
+    values = overlaps.real.reshape(budget) / d
+    best = int(np.argmax(values))
+    best_u = u[best].copy()
     best_u.flags.writeable = False
-    return FefEstimate(best_val, best_u, steps, all_fixed)
+    return FefEstimate(float(values[best]), best_u, int(steps.sum()), bool(fixed.all()))
 
 
 def verdict_from_estimate(est: FefEstimate, d: int) -> Verdict:

@@ -270,3 +270,43 @@ def fef_magic_2x2(rho: np.ndarray) -> float:
     """
     m = _MAGIC.conj().T @ np.asarray(rho, dtype=complex) @ _MAGIC
     return float(np.linalg.eigvalsh(m.real)[-1])
+
+
+# The polar search's stopping rule and shift, as the teleport module
+# docstring states them.
+POLAR_MAX_ITERATIONS = 1000
+POLAR_FIXED_POINT_TOL = 1e-8
+POLAR_SHIFT = 1e-6
+
+
+def fef_one_start_at_a_time(rho: np.ndarray, starts: np.ndarray):
+    """Polar search refined one start at a time, in start order.
+
+    From each U in ``starts`` iterate ``U <- W V^dag``, the polar factor of
+    ``reshape(rho vec U) + SHIFT U``, until a step moves no entry by the
+    tolerance or the cap is reached; the objective is
+    ``vec(U)^dag rho vec(U) / d``. Returns ``(value, best_unitary,
+    evaluations, converged)`` with ties going to the first start, to
+    compare against the library's stacked iteration.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = starts.shape[-1]
+    best_val, best_u, steps, converged = -np.inf, None, 0, True
+    for u in starts:
+        u = np.array(u, dtype=complex)
+        for step in range(1, POLAR_MAX_ITERATIONS + 1):
+            g = (rho @ u.reshape(-1)).reshape(d, d)
+            w, _, vh = np.linalg.svd(g + POLAR_SHIFT * u)
+            nxt = w @ vh
+            moved = np.max(np.abs(nxt - u))
+            u = nxt
+            if moved < POLAR_FIXED_POINT_TOL:
+                break
+        else:
+            converged = False
+        steps += step
+        v = u.reshape(-1)
+        val = float(np.real(v.conj() @ (rho @ v))) / d
+        if val > best_val:
+            best_val, best_u = val, u
+    return best_val, best_u, steps, converged

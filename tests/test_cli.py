@@ -344,6 +344,17 @@ def test_scan_direction_error_names_the_input():
     assert "inf" in err and "nan" not in err
 
 
+def test_scan_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "weyl_separability_criterion", calls.append)
+    rc, out, err = run_main(
+        "scan", "--family", "isotropic", "--d", "3", "--from", "0", "--to", "1",
+        "--step", "0.01", "--out", str(tmp_path / "missing" / "scan.csv"),
+    )
+    assert (rc, out, calls) == (2, "", [])
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("command", ["check-sep", "decompose"])
 @pytest.mark.parametrize(
     "spec", ["random-mixed:da=2,db=3,rank=3,seed=1", "random-mixed:da=4,db=4,rank=5,seed=2"]

@@ -21,7 +21,7 @@ from weylsep import teleport
 from weylsep.states import example4, haar_unitary, isotropic
 from weylsep.weyl import weyl_op
 
-from oracles import fef_magic_2x2, weyl_sum_operator
+from oracles import fef_magic_2x2, fef_one_start_at_a_time, weyl_sum_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -160,26 +160,43 @@ def test_fef_search_monotone_in_budget():
 def test_fef_search_budget_prefix(monkeypatch):
     # each Haar start is drawn from (seed, start index) alone, so a larger
     # budget first runs every start of a smaller one, in the same order
-    polar = teleport._polar_ascent
+    polar = teleport._polar_ascent_stack
 
     def starts(budget):
         seen = []
 
-        def recording(rho, u):
-            seen.append(u.copy())
-            return polar(rho, u)
+        def recording(rho, stack):
+            seen.append(stack.copy())
+            return polar(rho, stack)
 
-        monkeypatch.setattr(teleport, "_polar_ascent", recording)
+        monkeypatch.setattr(teleport, "_polar_ascent_stack", recording)
         fef_search(rho, budget=budget, seed=4)
-        return seen
+        (stack,) = seen
+        return stack
 
     rho = validate_density(random_mixed(9, 3, seed=5).matrix, [3, 3])
     k, n = 12, 20  # both past the d^2 = 9 Weyl starts, so Haar starts are compared
     short, long = starts(k), starts(n)
-    assert len(short) == k and len(long) == n
-    for a, b in zip(short, long):
-        np.testing.assert_array_equal(a, b)
+    assert short.shape == (k, 3, 3) and long.shape == (n, 3, 3)
+    np.testing.assert_array_equal(short, long[:k])
     assert not np.allclose(long[k - 1], long[k])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fef_search_matches_one_start_at_a_time(d):
+    # no start's arithmetic may depend on which other starts share the stack
+    for rank in (1, 2, d, d * d):
+        seed = 100 * d + rank
+        rho = validate_density(random_mixed(d * d, rank, seed=seed).matrix, [d, d])
+        for budget in (1, 3, 8, 20):
+            weyl = [weyl_op(d, n, m) for n in range(d) for m in range(d)]
+            haar = [haar_unitary(d, (seed, idx)) for idx in range(d * d, budget)]
+            starts = np.array((weyl + haar)[:budget], dtype=complex)
+            value, best_u, evaluations, converged = fef_one_start_at_a_time(rho.matrix, starts)
+            est = fef_search(rho, budget, seed=seed)
+            assert (est.evaluations, est.converged) == (evaluations, converged)
+            assert abs(est.value - value) <= 1e-15
+            assert np.max(np.abs(est.best_unitary - best_u)) <= 1e-14
 
 
 def test_fef_search_bounds_and_identity_start():
