@@ -298,6 +298,8 @@ def cmd_check_tele(args) -> int:
         "optimal_fidelity": optimal_fidelity(est.value, d),
         "evaluations": est.evaluations,
         "converged": est.converged,
+        "upper_bound": est.upper_bound,
+        "starts_used": est.starts_used,
         "best_unitary": matrix_entries(est.best_unitary),
     }
     report["verdicts"] = [_verdict_record(verdict_from_estimate(est, d))]

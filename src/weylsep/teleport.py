@@ -46,6 +46,29 @@ That keeps every start's arithmetic independent of which other starts
 share the stack, so a start's path, and hence the search value, is
 bit-for-bit the same at every budget, and the value is exactly
 nondecreasing in the budget rather than only up to round-off.
+
+The search also has a free upper bound: ``F(rho) <= lambda_max(rho)``.
+Every ``psi_U = (U (x) I)|psi+>`` is a unit vector, since U is unitary,
+and ``<psi|rho|psi> <= lambda_max(rho)`` for every unit vector psi (expand
+psi in the eigenbasis of rho: the overlap is a convex combination of the
+eigenvalues). So ``f(U) <= lambda_max(rho)`` for every U, and a start
+whose value reaches the cap is optimal; on isotropic states the identity
+start reaches it in one step. A start *reaches the cap* when it arrives
+at its fixed point with a value of at least ``lambda_max - CAP_TOL``.
+The first such start, j*, ends the search for the starts after it, which
+leave the stack at once; the starts before it run on to their own ends.
+The result is the best of starts ``0..j*``, which is exactly what a search
+that refines one start at a time and stops at its first start at the cap
+returns. Whether start j reaches the cap depends only on start j's own
+arithmetic, so j* is the same at every budget that includes it. A
+budget b below j* + 1 runs starts ``0..b-1``, a prefix of the starts of
+any larger budget; at and above j* + 1 every budget runs the same
+starts ``0..j*``.
+Either way a larger budget runs a superset of the starts, each bit for
+bit the same, and the value stays exactly nondecreasing in the budget.
+Stopping the whole stack at the first start at the cap would not keep
+this: the earlier starts would end at a step that depends on which later
+starts share the stack.
 """
 
 from __future__ import annotations
@@ -56,13 +79,14 @@ import numpy as np
 
 from .bipartite import INCONCLUSIVE, STATISTIC_MARGIN, USEFUL, Verdict
 from .linalg import DensityMatrix, DimensionMismatchError, hermiticity_defect
-from .states import haar_unitary
+from .states import haar_unitaries
 from .weyl import weyl_basis
 
 UNITARITY_TOL = 1e-10
 MEAN_IMAG_TOL = 1e-8
 MAX_ITERATIONS = 1000
 FIXED_POINT_TOL = 1e-8
+CAP_TOL = 1e-12
 SHIFT = 1e-6
 
 
@@ -77,12 +101,18 @@ class DetectionOperator:
 
 @dataclass(frozen=True)
 class FefEstimate:
-    """Best fully-entangled-fraction lower bound found by the search."""
+    """Best fully-entangled-fraction lower bound found by the search.
+
+    ``upper_bound`` is the cap ``lambda_max(rho) >= F(rho)``, and
+    ``starts_used`` the number of starts the search ran before it stopped.
+    """
 
     value: float
     best_unitary: np.ndarray
     evaluations: int
     converged: bool
+    upper_bound: float
+    starts_used: int
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -145,21 +175,36 @@ def optimal_fidelity(f: float, d: int) -> float:
     return (d * f + 1.0) / (d + 1.0)
 
 
+def _values(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Objective ``vec(U)^dag rho vec(U) / d`` of every unitary in a ``(k, d, d)`` stack."""
+    k, d, _ = u.shape
+    vecs = u.reshape(k, d * d, 1)
+    overlaps = np.matmul(vecs.conj().transpose(0, 2, 1), np.matmul(rho, vecs))
+    return overlaps.real.reshape(k) / d
+
+
 def _polar_ascent_stack(
     rho: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Iterate ``U <- polar(reshape(rho vec U) + SHIFT U)`` on a ``(k, d, d)`` start stack.
 
     Each step refines, in one call per operation, the starts still active;
     a start whose step moves no entry by ``FIXED_POINT_TOL`` or more leaves
-    the active set there. Returns the last unitary of every start, its
-    step count, and whether it reached a fixed point before
-    ``MAX_ITERATIONS`` steps.
+    the active set there. A start that leaves with a value of at least
+    ``cap - CAP_TOL``, where ``cap = lambda_max(rho)``, reaches the cap:
+    every later start leaves the stack with it, and earlier starts run on.
+    Returns, for the starts up to the first that reaches the cap (all
+    starts when none does), the last unitary of each, its step count,
+    whether it reached a fixed point before ``MAX_ITERATIONS`` steps and
+    its value; then the cap.
     """
     k, d, _ = starts.shape
+    cap = float(np.linalg.eigvalsh(rho)[-1])
     u = np.array(starts, dtype=complex)
     steps = np.full(k, MAX_ITERATIONS)
     fixed = np.zeros(k, dtype=bool)
+    values = np.empty(k)
+    used = k
     active = np.arange(k)
     cur = u
     for step in range(1, MAX_ITERATIONS + 1):
@@ -168,13 +213,25 @@ def _polar_ascent_stack(
         w, _, vh = np.linalg.svd(g + SHIFT * cur)
         nxt = w @ vh
         done = np.max(np.abs(nxt - cur), axis=(1, 2)) < FIXED_POINT_TOL
-        u[active] = nxt
-        steps[active[done]] = step
-        fixed[active[done]] = True
-        active, cur = active[~done], nxt[~done]
+        if not done.any():
+            cur = nxt
+            continue
+        finished, arrived = active[done], nxt[done]
+        u[finished] = arrived
+        steps[finished] = step
+        fixed[finished] = True
+        values[finished] = _values(rho, arrived)
+        hits = finished[values[finished] >= cap - CAP_TOL]
+        if hits.size:
+            used = min(used, int(hits[0]) + 1)
+        keep = ~done & (active < used)
+        active, cur = active[keep], nxt[keep]
         if not active.size:
             break
-    return u, steps, fixed
+    else:
+        u[active] = cur
+        values[active] = _values(rho, cur)
+    return u[:used], steps[:used], fixed[:used], values[:used], cap
 
 
 def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
@@ -188,10 +245,14 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     iteration, each start with arithmetic of its own so that a larger
     budget cannot perturb the starts of a smaller one (see the module
     docstring); each stops when a step moves no entry of its U by
-    ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS`` steps.
-    ``evaluations`` is the total number of steps over all starts, and
-    ``converged`` says every start reached a fixed point. Ties go to the
-    first start with the largest value.
+    ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS`` steps. The
+    first start that stops at ``lambda_max(rho) - CAP_TOL`` or above ends
+    the search for every later start. ``upper_bound`` is that cap,
+    ``lambda_max(rho)``, and ``starts_used`` counts the starts up to and
+    including that first start at the cap (``budget`` when none reaches
+    it). ``evaluations`` is the total number of steps over the starts
+    used, and ``converged`` says every start used reached a fixed point.
+    Ties go to the first start with the largest value.
     """
     da, db = _require_square(rho)
     d = da
@@ -201,16 +262,15 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     # ops[0] is the identity, so it always leads the start set
     n_weyl = min(budget, d * d)
     starts[:n_weyl] = weyl_basis(d).ops[:n_weyl]
-    for idx in range(n_weyl, budget):
-        starts[idx] = haar_unitary(d, (seed, idx))
-    u, steps, fixed = _polar_ascent_stack(rho.matrix, starts)
-    vecs = u.reshape(budget, d * d, 1)
-    overlaps = np.matmul(vecs.conj().transpose(0, 2, 1), np.matmul(rho.matrix, vecs))
-    values = overlaps.real.reshape(budget) / d
+    if budget > n_weyl:
+        starts[n_weyl:] = haar_unitaries(d, [(seed, idx) for idx in range(n_weyl, budget)])
+    u, steps, fixed, values, cap = _polar_ascent_stack(rho.matrix, starts)
     best = int(np.argmax(values))
     best_u = u[best].copy()
     best_u.flags.writeable = False
-    return FefEstimate(float(values[best]), best_u, int(steps.sum()), bool(fixed.all()))
+    return FefEstimate(
+        float(values[best]), best_u, int(steps.sum()), bool(fixed.all()), cap, len(u)
+    )
 
 
 def verdict_from_estimate(est: FefEstimate, d: int) -> Verdict:

@@ -277,22 +277,28 @@ def fef_magic_2x2(rho: np.ndarray) -> float:
 POLAR_MAX_ITERATIONS = 1000
 POLAR_FIXED_POINT_TOL = 1e-8
 POLAR_SHIFT = 1e-6
+POLAR_CAP_TOL = 1e-12
 
 
-def fef_one_start_at_a_time(rho: np.ndarray, starts: np.ndarray):
+def fef_one_start_at_a_time(rho: np.ndarray, starts: np.ndarray, cap=None, tol=POLAR_CAP_TOL):
     """Polar search refined one start at a time, in start order.
 
     From each U in ``starts`` iterate ``U <- W V^dag``, the polar factor of
     ``reshape(rho vec U) + SHIFT U``, until a step moves no entry by the
-    tolerance or the cap is reached; the objective is
+    tolerance or the step limit is reached; the objective is
     ``vec(U)^dag rho vec(U) / d``. Returns ``(value, best_unitary,
     evaluations, converged)`` with ties going to the first start, to
     compare against the library's stacked iteration.
+
+    With ``cap`` (an upper bound on the objective), the search stops after
+    the first start that reaches a fixed point with a value of at least
+    ``cap - tol``, and the number of starts run is appended to the result:
+    the one-start-at-a-time form of the library's stopping rule.
     """
     rho = np.asarray(rho, dtype=complex)
     d = starts.shape[-1]
     best_val, best_u, steps, converged = -np.inf, None, 0, True
-    for u in starts:
+    for used, u in enumerate(starts, 1):
         u = np.array(u, dtype=complex)
         for step in range(1, POLAR_MAX_ITERATIONS + 1):
             g = (rho @ u.reshape(-1)).reshape(d, d)
@@ -301,12 +307,17 @@ def fef_one_start_at_a_time(rho: np.ndarray, starts: np.ndarray):
             moved = np.max(np.abs(nxt - u))
             u = nxt
             if moved < POLAR_FIXED_POINT_TOL:
+                fixed = True
                 break
         else:
-            converged = False
+            fixed = converged = False
         steps += step
         v = u.reshape(-1)
         val = float(np.real(v.conj() @ (rho @ v))) / d
         if val > best_val:
             best_val, best_u = val, u
-    return best_val, best_u, steps, converged
+        if cap is not None and fixed and val >= cap - tol:
+            break
+    if cap is None:
+        return best_val, best_u, steps, converged
+    return best_val, best_u, steps, converged, used

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylsep import (
     ENTANGLED,
@@ -132,6 +134,18 @@ def test_criterion_never_flags_random_separable_mixtures():
         for seed in range(100):
             rho = random_separable(da, db, 1 + seed % 5, seed=seed)
             assert weyl_separability_criterion(rho).outcome == INCONCLUSIVE
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    da=st.integers(2, 4),
+    db=st.integers(2, 4),
+    k=st.integers(1, 32),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_kyfan_bound_on_separable_mixtures(da, db, k, seed):
+    dec = decompose_bipartite(random_separable(da, db, k, seed=seed))
+    assert kyfan_norm(dec.correlation) <= np.sqrt((da - 1) * (db - 1)) + 1e-12
 
 
 def test_ppt_concordance_at_low_dimensions():

@@ -77,6 +77,22 @@ def test_check_tele_inconclusive():
     assert report["verdicts"][0]["outcome"] == "INCONCLUSIVE"
 
 
+def test_check_tele_reports_the_cap_and_the_starts_used():
+    # example4's lambda_max is p, reached by the last of the four Weyl starts
+    rc, out, _ = run_main("check-tele", "--state", "example4:p=0.8", "--seed", "7")
+    fef = json.loads(out)["fef"]
+    assert rc == 0
+    assert fef["upper_bound"] == pytest.approx(0.8, abs=1e-12)
+    assert fef["starts_used"] == 4
+    assert fef["value"] == pytest.approx(0.8, abs=1e-12)
+    spec = "random-mixed:da=2,db=2,rank=3,seed=4"
+    rc, out, _ = run_main("check-tele", "--state", spec, "--seed", "1", "--budget", "6")
+    fef = json.loads(out)["fef"]
+    assert rc == 0
+    assert fef["starts_used"] == 6
+    assert fef["value"] < fef["upper_bound"]
+
+
 def test_check_tele_requires_seed():
     proc = run_cli("check-tele", "--state", "example4:p=0.8")
     assert proc.returncode == 2

@@ -18,7 +18,7 @@ from weylsep import (
     validate_density,
 )
 from weylsep import teleport
-from weylsep.states import example4, haar_unitary, isotropic
+from weylsep.states import bell_diagonal, example4, haar_unitary, isotropic
 from weylsep.weyl import weyl_op
 
 from oracles import fef_magic_2x2, fef_one_start_at_a_time, weyl_sum_operator
@@ -197,6 +197,69 @@ def test_fef_search_matches_one_start_at_a_time(d):
             assert (est.evaluations, est.converged) == (evaluations, converged)
             assert abs(est.value - value) <= 1e-15
             assert np.max(np.abs(est.best_unitary - best_u)) <= 1e-14
+
+
+def _states_at_the_cap(d):
+    """States whose fully entangled fraction equals lambda_max, so that a
+    search reaches the cap, at a Weyl start or after some steps."""
+    # a rotation near the last Weyl operator: that start tends to reach the
+    # cap while earlier starts still climb, which a search that stops the
+    # whole stack at the first start at the cap gets wrong
+    w, _, vh = np.linalg.svd(weyl_op(d, d - 1, d - 1) + 0.2 * haar_unitary(d, seed=80 + d))
+    near_last_weyl = w @ vh
+    iso = isotropic(d, 0.7).matrix
+    states = [
+        isotropic(d, 0.3),
+        isotropic(d, 0.9),
+        max_entangled(d),
+        validate_density(np.eye(d * d) / d**2, [d, d]),
+    ]
+    for v in (haar_unitary(d, seed=70 + d), near_last_weyl):
+        rotate = np.kron(v, np.eye(d))
+        states.append(validate_density(rotate @ iso @ rotate.conj().T, [d, d]))
+    if d == 2:
+        states += [example4(p) for p in (0.5, 0.8, 1.0)]
+        states.append(bell_diagonal(0.6, 0.6, -0.6))  # peaked on (X (x) I)|psi+>
+    return states
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fef_search_stops_like_one_start_at_a_time(d):
+    # a start at the cap ends the search for the later starts only: the
+    # result is that of a one-start-at-a-time search stopped at that start
+    for k, rho in enumerate(_states_at_the_cap(d)):
+        seed = 10 * d + k
+        cap = float(np.linalg.eigvalsh(rho.matrix)[-1])
+        for budget in (1, 3, 8, 20):
+            weyl = [weyl_op(d, n, m) for n in range(d) for m in range(d)]
+            haar = [haar_unitary(d, (seed, idx)) for idx in range(d * d, budget)]
+            starts = np.array((weyl + haar)[:budget], dtype=complex)
+            value, best_u, evaluations, converged, used = fef_one_start_at_a_time(
+                rho.matrix, starts, cap=cap
+            )
+            est = fef_search(rho, budget, seed=seed)
+            assert (est.evaluations, est.converged, est.starts_used) == (evaluations, converged, used)
+            assert abs(est.value - value) <= 1e-15
+            assert np.max(np.abs(est.best_unitary - best_u)) <= 1e-14
+        assert est.value >= cap - 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fef_search_isotropic_stops_at_the_identity(d):
+    for p in (0.05, 0.5, 1.0):
+        rho = isotropic(d, p)
+        est = fef_search(rho, budget=64, seed=d)
+        assert (est.starts_used, est.evaluations) == (1, 1)
+        assert est.value == pytest.approx(p + (1 - p) / d**2, abs=1e-12)
+        assert est.upper_bound == np.linalg.eigvalsh(rho.matrix)[-1]
+
+
+def test_fef_search_uses_every_start_below_the_cap():
+    rho = validate_density(random_mixed(9, 9, seed=12).matrix, [3, 3])
+    for budget in (1, 5, 12):
+        est = fef_search(rho, budget, seed=3)
+        assert est.starts_used == budget
+        assert est.value < est.upper_bound
 
 
 def test_fef_search_bounds_and_identity_start():

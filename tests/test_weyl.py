@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylsep import weyl_basis, weyl_dagger_index, weyl_op
-from weylsep.weyl import adjoint_defect, cyclic_index, fourier, weyl_coefficients
+from weylsep.weyl import adjoint_defect, cyclic_index, fourier, weyl_assemble, weyl_coefficients
 
 DIMS = [2, 3, 4, 5]
 
@@ -161,3 +163,19 @@ def test_adjoint_defect_is_the_anti_hermitian_table(da, db):
     expected = np.abs(weyl_coefficients(m.conj().T - m, da, db))
     assert defect.shape == expected.shape
     assert np.max(np.abs(np.sort(defect, axis=None) - np.sort(expected, axis=None))) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    da=st.integers(1, 5),
+    db=st.integers(1, 5),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_weyl_roundtrip_on_random_matrices(da, db, scale, seed):
+    # any square matrix, not only a state: the tables are a basis change
+    rng = np.random.default_rng(seed)
+    dim = da * db
+    m = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    back = weyl_assemble(weyl_coefficients(m, da, db), da, db)
+    assert np.max(np.abs(back - m)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
