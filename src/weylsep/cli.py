@@ -9,9 +9,9 @@ Exit codes: 0 success; 2 usage or input error (:class:`UsageError`,
 :class:`~weylsep.linalg.ValidationError` or :class:`OSError`); 1 any other
 failure, which is a fault in the program. Every dimension given on the
 command line (the ``d``, ``da`` and ``db`` state keys, ``basis --d`` and
-``scan --d``) is capped at :data:`MAX_DIM` before anything is allocated, as
-are the ``random-separable`` mixture size (:data:`MAX_MIXTURE`) and the
-``scan`` row count (:data:`MAX_SCAN_ROWS`).
+``scan --d``) must lie in ``[1, MAX_DIM]`` (:data:`MAX_DIM`), checked
+before anything is allocated, as are the ``random-separable`` mixture size
+(``[1, MAX_MIXTURE]``) and the ``scan`` row count (:data:`MAX_SCAN_ROWS`).
 Reports are JSON on stdout; identical invocations (including ``--seed``)
 are byte-identical apart from the timestamp, which ``--no-timestamp``
 removes. Seeds are never read from the environment.
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -39,7 +40,7 @@ from .bipartite import (
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
 from .fileio import load_state, matrix_entries
-from .linalg import DensityMatrix, ValidationError, validate_density
+from .linalg import DensityMatrix, ValidationError
 from .states import (
     bell_diagonal,
     example4,
@@ -69,12 +70,12 @@ class UsageError(ValueError):
 
 
 def _capped(limit: int, what: str):
-    """Integer converter for a command-line value, capped at ``limit`` before any allocation."""
+    """Integer converter for a command-line value in ``[1, limit]``, checked before any allocation."""
 
     def convert(value) -> int:
         n = int(value)
-        if n > limit:
-            raise UsageError(f"{what} {n} exceeds the maximum {limit}")
+        if not 1 <= n <= limit:
+            raise UsageError(f"{what} {n} is outside [1, {limit}]")
         return n
 
     return convert
@@ -146,8 +147,8 @@ def state_from_spec(spec: str) -> DensityMatrix:
                 db = _take(params, "db", _dim)
                 rank = _take(params, "rank", int)
                 seed = _take(params, "seed", int)
-                single = random_mixed(da * db, rank, seed)
-                rho = validate_density(single.matrix, [da, db])
+                # da and db passed _dim, so relabelling the validated state is safe
+                rho = dataclasses.replace(random_mixed(da * db, rank, seed), dims=(da, db))
         elif family == "random-product-pure":
             rho = random_product_pure(
                 _take(params, "da", _dim),
@@ -196,15 +197,6 @@ def _report_header(args, descriptor: dict) -> dict:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     report["input"] = descriptor
     return report
-
-
-def _verdict_record(v) -> dict:
-    return {
-        "criterion": v.criterion,
-        "outcome": v.outcome,
-        "statistic": float(v.statistic),
-        "threshold": float(v.threshold),
-    }
 
 
 def _emit(report) -> None:
@@ -277,7 +269,7 @@ def cmd_check_sep(args) -> int:
         verdicts.append(ppt_criterion(rho))
     report = _report_header(args, descriptor)
     report["decomposition"] = summary
-    report["verdicts"] = [_verdict_record(v) for v in verdicts]
+    report["verdicts"] = [dataclasses.asdict(v) for v in verdicts]
     _emit(report)
     return 0
 
@@ -302,7 +294,7 @@ def cmd_check_tele(args) -> int:
         "starts_used": est.starts_used,
         "best_unitary": matrix_entries(est.best_unitary),
     }
-    report["verdicts"] = [_verdict_record(verdict_from_estimate(est, d))]
+    report["verdicts"] = [dataclasses.asdict(verdict_from_estimate(est, d))]
     _emit(report)
     return 0
 

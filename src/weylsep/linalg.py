@@ -41,13 +41,20 @@ class NotPositiveSemidefiniteError(ValidationError):
 class DensityMatrix:
     """A validated trace-one Hermitian PSD matrix plus subsystem dimensions.
 
-    Construct through :func:`validate_density`; the dataclass itself does
-    not re-check the invariants. Instances are immutable (the stored array
-    is marked read-only) and safe to share between threads.
+    ``spectrum`` holds the ascending eigenvalues of the Hermitian part
+    ``(rho + rho^dag) / 2``, solved once during validation. Construct
+    through :func:`validate_density`; the dataclass itself does not
+    re-check the invariants. The one other construction is a dims
+    relabel, ``dataclasses.replace(rho, dims=...)``: the same matrix and
+    spectrum under dims with the same product, after the caller has
+    checked those dims (as the CLI does for its ``random-mixed`` pairs).
+    Instances are immutable (both stored arrays are marked read-only) and
+    safe to share between threads.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    spectrum: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -66,13 +73,29 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2)."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+    """Tr(rho^2), the sum of the squared eigenvalues of the state."""
+    return float(np.sum(rho.spectrum**2))
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values in nonincreasing order."""
     return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+
+
+def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part ``(h + h^dagger) / 2``.
+
+    Inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL`` are
+    rejected. The halves are summed rather than halving the sum, which is
+    the same number bit for bit except where the sum would overflow.
+    """
+    defect = hermiticity_defect(h)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"not Hermitian: max |m - m^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    half = h / 2
+    return np.linalg.eigvalsh(half + half.conj().T)
 
 
 def min_eigenvalue(h: np.ndarray) -> float:
@@ -82,13 +105,7 @@ def min_eigenvalue(h: np.ndarray) -> float:
     damp roundoff asymmetry; inputs whose Hermiticity defect exceeds
     ``HERMITICITY_TOL`` are rejected.
     """
-    h = np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(h)
-    if defect > HERMITICITY_TOL:
-        raise NotHermitianError(
-            f"not Hermitian: max |h - h^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0])
+    return float(_hermitian_spectrum(np.asarray(h, dtype=complex))[0])
 
 
 def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
@@ -139,7 +156,8 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
 
     Raises a distinct :class:`ValidationError` subclass per violated
     invariant (dimension bookkeeping, finiteness, Hermiticity, unit trace,
-    positivity); the message carries the measured violation.
+    positivity); the message carries the measured violation. The spectrum
+    that decides positivity is kept as ``DensityMatrix.spectrum``.
     """
     m = np.array(m, dtype=complex)
     dims = tuple(int(x) for x in dims)
@@ -154,18 +172,14 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
         )
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError("matrix contains non-finite entries")
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise NotHermitianError(
-            f"not Hermitian: max |rho - rho^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
+    spectrum = _hermitian_spectrum(m)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL:
         raise WrongTraceError(f"trace is {tr.real:.12g}{tr.imag:+.3e}j, expected 1")
-    lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-    if lo < -POSITIVITY_TOL:
+    if spectrum[0] < -POSITIVITY_TOL:
         raise NotPositiveSemidefiniteError(
-            f"negative eigenvalue {lo:.3e} below -{POSITIVITY_TOL:.0e}"
+            f"negative eigenvalue {spectrum[0]:.3e} below -{POSITIVITY_TOL:.0e}"
         )
     m.flags.writeable = False
-    return DensityMatrix(m, dims)
+    spectrum.flags.writeable = False
+    return DensityMatrix(m, dims, spectrum)

@@ -53,7 +53,12 @@ and ``<psi|rho|psi> <= lambda_max(rho)`` for every unit vector psi (expand
 psi in the eigenbasis of rho: the overlap is a convex combination of the
 eigenvalues). So ``f(U) <= lambda_max(rho)`` for every U, and a start
 whose value reaches the cap is optimal; on isotropic states the identity
-start reaches it in one step. A start *reaches the cap* when it arrives
+start reaches it in one step. The cap is read from the state, as the last
+entry of ``DensityMatrix.spectrum``: lambda_max of the Hermitian part
+``(rho + rho^dag) / 2``, which validation has already solved. The real
+part of ``vec(U)^dag rho vec(U)`` is exactly the quadratic form of that
+Hermitian part, so the cap stays exact on inputs that carry a small
+Hermiticity defect. A start *reaches the cap* when it arrives
 at its fixed point with a value of at least ``lambda_max - CAP_TOL``.
 The first such start, j*, ends the search for the starts after it, which
 leave the stack at once; the starts before it run on to their own ends.
@@ -184,14 +189,14 @@ def _values(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _polar_ascent_stack(
-    rho: np.ndarray, starts: np.ndarray
+    state: DensityMatrix, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Iterate ``U <- polar(reshape(rho vec U) + SHIFT U)`` on a ``(k, d, d)`` start stack.
 
     Each step refines, in one call per operation, the starts still active;
     a start whose step moves no entry by ``FIXED_POINT_TOL`` or more leaves
     the active set there. A start that leaves with a value of at least
-    ``cap - CAP_TOL``, where ``cap = lambda_max(rho)``, reaches the cap:
+    ``cap - CAP_TOL``, where ``cap = state.spectrum[-1]``, reaches the cap:
     every later start leaves the stack with it, and earlier starts run on.
     Returns, for the starts up to the first that reaches the cap (all
     starts when none does), the last unitary of each, its step count,
@@ -199,7 +204,7 @@ def _polar_ascent_stack(
     its value; then the cap.
     """
     k, d, _ = starts.shape
-    cap = float(np.linalg.eigvalsh(rho)[-1])
+    rho, cap = state.matrix, float(state.spectrum[-1])
     u = np.array(starts, dtype=complex)
     steps = np.full(k, MAX_ITERATIONS)
     fixed = np.zeros(k, dtype=bool)
@@ -248,10 +253,11 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS`` steps. The
     first start that stops at ``lambda_max(rho) - CAP_TOL`` or above ends
     the search for every later start. ``upper_bound`` is that cap,
-    ``lambda_max(rho)``, and ``starts_used`` counts the starts up to and
-    including that first start at the cap (``budget`` when none reaches
-    it). ``evaluations`` is the total number of steps over the starts
-    used, and ``converged`` says every start used reached a fixed point.
+    ``lambda_max(rho)``, read from ``rho.spectrum``; ``starts_used``
+    counts the starts up to and including that first start at the cap
+    (``budget`` when none reaches it). ``evaluations`` is the total number
+    of steps over the starts used, and ``converged`` says every start used
+    reached a fixed point.
     Ties go to the first start with the largest value.
     """
     da, db = _require_square(rho)
@@ -264,7 +270,7 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     starts[:n_weyl] = weyl_basis(d).ops[:n_weyl]
     if budget > n_weyl:
         starts[n_weyl:] = haar_unitaries(d, [(seed, idx) for idx in range(n_weyl, budget)])
-    u, steps, fixed, values, cap = _polar_ascent_stack(rho.matrix, starts)
+    u, steps, fixed, values, cap = _polar_ascent_stack(rho, starts)
     best = int(np.argmax(values))
     best_u = u[best].copy()
     best_u.flags.writeable = False

@@ -15,12 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 
-def _root_phases(d: int, n: int) -> np.ndarray:
-    # Reduce k*n mod d before the trig call; keeps phases exact for small d.
-    ks = np.arange(d)
-    return np.exp(2j * np.pi * ((ks * n) % d) / d)
-
-
 def weyl_op(d: int, n: int, m: int) -> np.ndarray:
     """The (n, m) clock-and-shift operator on a d-dimensional space.
 
@@ -32,7 +26,9 @@ def weyl_op(d: int, n: int, m: int) -> np.ndarray:
     m %= d
     w = np.zeros((d, d), dtype=complex)
     ks = np.arange(d)
-    w[ks, (ks + m) % d] = _root_phases(d, n)
+    # conj gives the zero phases a -0 imaginary part; + 0 makes it +0, so
+    # printed operators read 0.0 there
+    w[ks, (ks + m) % d] = fourier(d)[n].conj() + 0
     return w
 
 
@@ -102,7 +98,7 @@ def cyclic_index(da: int, db: int = 1) -> np.ndarray:
 def fourier(d: int) -> np.ndarray:
     """Read-only DFT matrix ``F[n, k] = exp(-2j*pi*n*k/d)``."""
     ks = np.arange(d)
-    # Reduce n*k mod d before the trig call, as _root_phases does.
+    # Reduce n*k mod d before the trig call; keeps phases exact for small d.
     f = np.exp(-2j * np.pi * (np.outer(ks, ks) % d) / d)
     f.flags.writeable = False
     return f

@@ -9,8 +9,10 @@ code with the library, or by hand from the state's definition.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,8 +272,13 @@ def test_detection_operator_two_route_identity():
 
 
 def _run_cli(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "weylsep", *args], capture_output=True, text=True
+        [sys.executable, "-m", "weylsep", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

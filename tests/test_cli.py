@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,16 @@ from weylsep.states import max_entangled, random_mixed
 from weylsep.weyl import weyl_basis
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "weylsep", *args], capture_output=True, text=True
+        [sys.executable, "-m", "weylsep", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -308,6 +317,8 @@ def run_main(*args):
         ("check-sep", "--state", "random-separable:da=2,db=2,k=1025,seed=0"),
         ("scan", "--family", "isotropic", "--d", "2", "--from", "0", "--to", "1",
          "--step", "1e-6", "--out", "-"),
+        ("check-sep", "--state", "random-mixed:da=-1,db=-1,rank=1,seed=0"),
+        ("check-sep", "--state", "random-mixed:da=-2,db=-3,rank=1,seed=0"),
     ],
     ids=[
         "non-utf8-file", "budget-0", "negative-seed", "tele-1x1", "scan-nan", "scan-inf-step",
@@ -315,6 +326,7 @@ def run_main(*args):
         "scan-direction-inf", "isotropic-d-oversized", "random-mixed-d-33",
         "random-mixed-db-oversized", "product-pure-da-oversized", "basis-d-oversized",
         "scan-d-33", "separable-k-huge", "separable-k-1025", "scan-rows-1000001",
+        "random-mixed-da-db-minus-1", "random-mixed-da-db-negative",
     ],
 )
 def test_input_errors_exit_two(tmp_path, args):
@@ -393,6 +405,30 @@ def test_one_decomposition_and_one_svd_per_report(monkeypatch, command, spec):
     rc, out, err = run_main(command, "--state", spec, "--no-timestamp")
     assert (rc, err) == (0, "")
     assert calls == {"svd": 1, "decompose": 1}
+
+
+@pytest.mark.parametrize(
+    "args, solves",
+    [
+        (("check-tele", "--state", "isotropic:d=3,p=0.5", "--seed", "1"), 1),
+        (("decompose", "--state", "random-mixed:da=4,db=4,rank=5,seed=2"), 1),
+        # one to validate the state, one for the PPT test's partial transpose
+        (("check-sep", "--state", "random-mixed:da=2,db=3,rank=3,seed=1"), 2),
+    ],
+    ids=["check-tele", "decompose-pair", "check-sep-ppt"],
+)
+def test_one_spectrum_per_state(monkeypatch, args, solves):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(*a, **kw):
+        calls.append(1)
+        return eigvalsh(*a, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    rc, out, err = run_main(*args, "--no-timestamp")
+    assert (rc, err) == (0, "")
+    assert len(calls) == solves
 
 
 # |v| <= 6 keeps every state at most 36 x 36; junk has no digits, so it

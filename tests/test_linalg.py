@@ -10,6 +10,7 @@ from weylsep import (
     min_eigenvalue,
     partial_trace,
     partial_transpose,
+    purity,
     random_mixed,
     singular_values,
     validate_density,
@@ -169,3 +170,35 @@ def test_density_matrix_is_read_only():
     rho = validate_density(np.eye(2) / 2, [2])
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
+
+
+def test_spectrum_is_the_read_only_ascending_hermitian_part_spectrum():
+    rng = np.random.default_rng(31)
+    for d, rank in ((2, 1), (3, 2), (4, 4), (6, 36)):
+        m = random_mixed(d * d, rank, seed=d).matrix.copy()
+        # a defect well inside HERMITICITY_TOL, so validation keeps it
+        m += 1e-12 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+        m /= np.trace(m).real
+        rho = validate_density(m, [d, d])
+        expected = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        np.testing.assert_array_equal(rho.spectrum, expected)
+        assert np.all(np.diff(rho.spectrum) >= 0)
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 1.0
+        # purity is read from the spectrum: Tr rho^2 as a sum of squares
+        assert abs(purity(rho) - np.trace(m @ m).real) <= 1e-14
+
+
+def test_validation_error_order_is_hermiticity_trace_positivity():
+    with pytest.raises(NotHermitianError):
+        validate_density(np.array([[2.0, 1.0], [0.0, -3.0]]), [2])
+    with pytest.raises(WrongTraceError):
+        validate_density(np.diag([2.0, -3.0]), [2])
+
+
+def test_validate_density_huge_entries_fail_their_invariant():
+    # the symmetrized sum of these entries would overflow; the halves do not
+    with pytest.raises(WrongTraceError):
+        validate_density(np.diag([1.7e308, -1.7e308]), [2])
+    with pytest.raises(NotPositiveSemidefiniteError):
+        validate_density(np.array([[0.5, 1.7e308], [1.7e308, 0.5]]), [2])

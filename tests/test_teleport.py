@@ -347,3 +347,18 @@ def test_optimal_fidelity_map():
         optimal_fidelity(1.2, 2)
     with pytest.raises(ValueError):
         optimal_fidelity(-0.1, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fef_search_cap_is_lambda_max_of_the_hermitian_part(d):
+    # the objective Re(v^dag rho v) / d is the quadratic form of (rho + rho^dag) / 2,
+    # so the cap is that matrix's lambda_max even when rho carries a Hermiticity defect
+    rng = np.random.default_rng(600 + d)
+    for rank in (1, 2, d, d * d):
+        m = random_mixed(d * d, rank, seed=700 + 10 * d + rank).matrix.copy()
+        m += 1e-12 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+        m /= np.trace(m).real
+        rho = validate_density(m, [d, d])
+        est = fef_search(rho, budget=8, seed=rank)
+        assert est.upper_bound == np.linalg.eigvalsh((m + m.conj().T) / 2)[-1]
+        assert est.value <= est.upper_bound
