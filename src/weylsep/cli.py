@@ -11,7 +11,9 @@ failure, which is a fault in the program. Every dimension given on the
 command line (the ``d``, ``da`` and ``db`` state keys, ``basis --d`` and
 ``scan --d``) must lie in ``[1, MAX_DIM]`` (:data:`MAX_DIM`), checked
 before anything is allocated, as are the ``random-separable`` mixture size
-(``[1, MAX_MIXTURE]``) and the ``scan`` row count (:data:`MAX_SCAN_ROWS`).
+(``[1, MAX_MIXTURE]``), the ``check-tele --budget`` (``[1, MAX_BUDGET]``)
+and the ``scan`` row count (:data:`MAX_SCAN_ROWS`). The ``--state``
+families and keys are the tables :data:`FAMILIES` and ``_KEYS``.
 Reports are JSON on stdout; identical invocations (including ``--seed``)
 are byte-identical apart from the timestamp, which ``--no-timestamp``
 removes. Seeds are never read from the environment.
@@ -61,6 +63,9 @@ MAX_DIM = 32
 #: Largest ``random-separable`` mixture size ``k`` the command line accepts.
 MAX_MIXTURE = MAX_DIM**2
 
+#: Most ``check-tele`` search starts: one per Weyl unitary at ``d = MAX_DIM``.
+MAX_BUDGET = MAX_DIM**2
+
 #: Most rows one ``scan`` may write: a 1e-5 step over [0, 1].
 MAX_SCAN_ROWS = 100_001
 
@@ -107,8 +112,41 @@ def _parse_params(text: str) -> dict[str, list[str]]:
     return params
 
 
-def _take(params: dict, key: str, kind, length: int = 1):
-    """Pop ``key`` and convert its ``length`` values; one value comes back bare."""
+def _random_mixed_pair(da: int, db: int, rank: int, seed: int) -> DensityMatrix:
+    """A ``random_mixed`` state of dimension ``da * db``, relabelled as a ``da x db`` pair."""
+    # da and db passed _dim, so relabelling the validated state is safe
+    return dataclasses.replace(random_mixed(da * db, rank, seed), dims=(da, db))
+
+
+#: Each ``--state`` key: its converter and how many comma-joined values it takes.
+_KEYS = {
+    "d": (_dim, 1),
+    "da": (_dim, 1),
+    "db": (_dim, 1),
+    "k": (_mixture_size, 1),
+    "p": (float, 1),
+    "t": (float, 3),
+    "rank": (int, 1),
+    "seed": (int, 1),
+}
+
+#: Each ``--state`` family: its constructor and its keys, in argument order.
+#: ``random-mixed`` without a ``d`` key builds a pair, ``_random_mixed_pair``.
+FAMILIES = {
+    "isotropic": (isotropic, ("d", "p")),
+    "bell-diagonal": (bell_diagonal, ("t",)),
+    "max-entangled": (max_entangled, ("d",)),
+    "ppt-3x3": (ppt_3x3, ()),
+    "example4": (example4, ("p",)),
+    "random-mixed": (random_mixed, ("d", "rank", "seed")),
+    "random-product-pure": (random_product_pure, ("da", "db", "seed")),
+    "random-separable": (random_separable, ("da", "db", "k", "seed")),
+}
+
+
+def _take(params: dict, key: str) -> list:
+    """Pop ``key`` and convert its values as ``_KEYS`` says."""
+    kind, length = _KEYS[key]
     if key not in params:
         raise UsageError(f"missing state parameter {key!r}")
     values = params.pop(key)
@@ -116,10 +154,9 @@ def _take(params: dict, key: str, kind, length: int = 1):
         expects = "a single value" if length == 1 else f"{length} comma-joined values"
         raise UsageError(f"state parameter {key!r} expects {expects}")
     try:
-        converted = [kind(v) for v in values]
+        return [kind(v) for v in values]
     except ValueError as exc:
         raise UsageError(f"bad value for state parameter {key!r}: {exc}") from exc
-    return converted[0] if length == 1 else converted
 
 
 def state_from_spec(spec: str) -> DensityMatrix:
@@ -127,43 +164,13 @@ def state_from_spec(spec: str) -> DensityMatrix:
     family, _, rest = spec.partition(":")
     family = family.strip()
     params = _parse_params(rest) if rest else {}
+    if family not in FAMILIES:
+        raise UsageError(f"unknown state family {family!r}")
+    make, keys = FAMILIES[family]
+    if family == "random-mixed" and "d" not in params:
+        make, keys = _random_mixed_pair, ("da", "db", "rank", "seed")
     try:
-        if family == "isotropic":
-            rho = isotropic(_take(params, "d", _dim), _take(params, "p", float))
-        elif family == "bell-diagonal":
-            rho = bell_diagonal(*_take(params, "t", float, 3))
-        elif family == "max-entangled":
-            rho = max_entangled(_take(params, "d", _dim))
-        elif family == "ppt-3x3":
-            rho = ppt_3x3()
-        elif family == "example4":
-            rho = example4(_take(params, "p", float))
-        elif family == "random-mixed":
-            if "d" in params:
-                d = _take(params, "d", _dim)
-                rho = random_mixed(d, _take(params, "rank", int), _take(params, "seed", int))
-            else:
-                da = _take(params, "da", _dim)
-                db = _take(params, "db", _dim)
-                rank = _take(params, "rank", int)
-                seed = _take(params, "seed", int)
-                # da and db passed _dim, so relabelling the validated state is safe
-                rho = dataclasses.replace(random_mixed(da * db, rank, seed), dims=(da, db))
-        elif family == "random-product-pure":
-            rho = random_product_pure(
-                _take(params, "da", _dim),
-                _take(params, "db", _dim),
-                _take(params, "seed", int),
-            )
-        elif family == "random-separable":
-            rho = random_separable(
-                _take(params, "da", _dim),
-                _take(params, "db", _dim),
-                _take(params, "k", _mixture_size),
-                _take(params, "seed", int),
-            )
-        else:
-            raise UsageError(f"unknown state family {family!r}")
+        rho = make(*(value for key in keys for value in _take(params, key)))
     except ValueError as exc:
         if isinstance(exc, UsageError):
             raise
@@ -193,7 +200,7 @@ def _load_input(args) -> tuple[DensityMatrix, dict]:
 
 def _report_header(args, descriptor: dict) -> dict:
     report = {"tool": "weylsep", "version": __version__}
-    if not getattr(args, "no_timestamp", False):
+    if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     report["input"] = descriptor
     return report
@@ -275,8 +282,7 @@ def cmd_check_sep(args) -> int:
 
 
 def cmd_check_tele(args) -> int:
-    if args.budget < 1:
-        raise UsageError(f"budget must be >= 1, got {args.budget}")
+    _capped(MAX_BUDGET, "budget")(args.budget)
     if args.seed < 0:
         raise UsageError(f"seed must be >= 0, got {args.seed}")
     rho, descriptor = _load_input(args)
@@ -322,7 +328,7 @@ def cmd_scan(args) -> int:
             raise UsageError("isotropic scan requires --d")
         d = _dim(args.d)
         make = lambda p: isotropic(d, p)  # noqa: E731
-    elif args.family == "bell-diagonal":
+    else:
         if args.direction is None:
             raise UsageError("bell-diagonal scan requires --direction t1,t2,t3")
         try:
@@ -334,8 +340,6 @@ def cmd_scan(args) -> int:
         if not np.isfinite(direction).all():
             raise UsageError(f"--direction must be finite, got {args.direction}")
         make = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
-    else:
-        raise UsageError(f"unknown scan family {args.family!r}")
 
     # Both families are affine in the parameter and density matrices form a
     # convex set, so valid end points make every row valid: build them before
@@ -379,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--state",
             help="state spec, family:key=value,..., instead of an input file "
-            "(families: isotropic, bell-diagonal, max-entangled, ppt-3x3, "
-            "example4, random-mixed, random-product-pure, random-separable)",
+            f"(families: {', '.join(FAMILIES)})",
         )
         p.add_argument(
             "--no-timestamp",

@@ -8,6 +8,7 @@ JSON parser.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +47,11 @@ def load_state(path) -> DensityMatrix:
         )
     dims = payload.get("dims")
     if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and d >= 1 for d in dims
+        type(d) is int and d >= 1 for d in dims  # bool is an int subclass: JSON true is not a dim
     ):
         raise ValidationError(f"dims must be a list of positive integers, got {dims!r}")
     entries = payload.get("entries")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if not isinstance(entries, list) or len(entries) != total * total:
         raise ValidationError(
             f"entries must hold {total * total} [re, im] pairs, got "
@@ -58,6 +59,6 @@ def load_state(path) -> DensityMatrix:
         )
     try:
         flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed entry pair: {exc}") from exc
     return validate_density(flat.reshape(total, total), dims)

@@ -8,6 +8,7 @@ index ``i * dB + j``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,16 +166,17 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if not dims or any(d < 1 for d in dims):
         raise DimensionMismatchError(f"subsystem dims must be positive, got {dims}")
-    if int(np.prod(dims)) != m.shape[0]:
+    if math.prod(dims) != m.shape[0]:
         raise DimensionMismatchError(
-            f"subsystem dims {dims} multiply to {int(np.prod(dims))}, "
+            f"subsystem dims {dims} multiply to {math.prod(dims)}, "
             f"matrix dimension is {m.shape[0]}"
         )
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError("matrix contains non-finite entries")
     spectrum = _hermitian_spectrum(m)
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
+        tr = complex(np.trace(m))
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise WrongTraceError(f"trace is {tr.real:.12g}{tr.imag:+.3e}j, expected 1")
     if spectrum[0] < -POSITIVITY_TOL:
         raise NotPositiveSemidefiniteError(

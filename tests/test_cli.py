@@ -319,6 +319,14 @@ def run_main(*args):
          "--step", "1e-6", "--out", "-"),
         ("check-sep", "--state", "random-mixed:da=-1,db=-1,rank=1,seed=0"),
         ("check-sep", "--state", "random-mixed:da=-2,db=-3,rank=1,seed=0"),
+        ("check-tele", "--state", "isotropic:d=2,p=0.5", "--seed", "1", "--budget", "1025"),
+        ("check-tele", "--state", "isotropic:d=2,p=0.5", "--seed", "1", "--budget",
+         "1000000000000"),
+        ("decompose", "{wrapped_dims}"),
+        ("check-sep", "{wrapped_dims}"),
+        ("decompose", "{empty_entries}"),
+        ("decompose", "{huge_int_entry}"),
+        ("decompose", "{bool_dims}"),
     ],
     ids=[
         "non-utf8-file", "budget-0", "negative-seed", "tele-1x1", "scan-nan", "scan-inf-step",
@@ -326,7 +334,9 @@ def run_main(*args):
         "scan-direction-inf", "isotropic-d-oversized", "random-mixed-d-33",
         "random-mixed-db-oversized", "product-pure-da-oversized", "basis-d-oversized",
         "scan-d-33", "separable-k-huge", "separable-k-1025", "scan-rows-1000001",
-        "random-mixed-da-db-minus-1", "random-mixed-da-db-negative",
+        "random-mixed-da-db-minus-1", "random-mixed-da-db-negative", "budget-1025",
+        "budget-huge", "decompose-dims-wrap-int64", "check-sep-dims-wrap-int64",
+        "dims-square-wraps-to-0", "entry-int-overflows-float", "bool-dims",
     ],
 )
 def test_input_errors_exit_two(tmp_path, args):
@@ -340,6 +350,17 @@ def test_input_errors_exit_two(tmp_path, args):
         '{"format": "weylsep-matrix-v1", "dims": [1, 1], "entries": [[1, 0]]}'
     )
     save_state(files["{state_file}"], max_entangled(3))
+    # 3 * 6148914691236517206 and 2**32 * 2**32 wrap in int64 to 2 and 0
+    for name, dims, entries in [
+        ("{wrapped_dims}", "[3, 6148914691236517206]", "[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]"),
+        ("{empty_entries}", "[4294967296, 4294967296]", "[]"),
+        ("{huge_int_entry}", "[1]", f"[[{'1' * 401}, 0]]"),
+        ("{bool_dims}", "[true, true]", "[[1, 0]]"),
+    ]:
+        files[name] = tmp_path / f"{name[1:-1]}.json"
+        files[name].write_text(
+            f'{{"format": "weylsep-matrix-v1", "dims": {dims}, "entries": {entries}}}'
+        )
     rc, out, err = run_main(*(str(files.get(a, a)) for a in args))
     assert rc == 2
     assert out == ""
@@ -361,6 +382,9 @@ def test_dimension_cap_is_inclusive():
     assert run_main("decompose", "--state", spec, "--no-timestamp")[0] == 0
     assert run_main("check-sep", "--state", "random-mixed:da=16,db=16,rank=2,seed=0")[0] == 0
     assert run_main("check-sep", "--state", "random-separable:da=2,db=2,k=1024,seed=0")[0] == 0
+    budget = str(cli.MAX_BUDGET)
+    assert run_main("check-tele", "--state", "isotropic:d=2,p=0.5", "--seed", "1",
+                    "--budget", budget)[0] == 0
 
 
 def test_scan_direction_error_names_the_input():

@@ -63,3 +63,20 @@ def test_load_rejects_bad_dims(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValidationError, match="dims"):
         load_state(path)
+
+
+@pytest.mark.parametrize(
+    "dims, entries, match",
+    [
+        ([3, 6148914691236517206], [[0.5, 0], [0, 0], [0, 0], [0.5, 0]], "entries"),
+        ([4294967296, 4294967296], [], "entries"),
+        ([True, True], [[1, 0]], "dims"),
+        ([1], [[10**400, 0]], "entry pair"),
+    ],
+    ids=["dims-wrap-int64", "dims-square-wraps-to-0", "bool-dims", "int-overflows-float"],
+)
+def test_load_rejects_files_that_overflow(tmp_path, dims, entries, match):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"format": MATRIX_FORMAT, "dims": dims, "entries": entries}))
+    with pytest.raises(ValidationError, match=match):
+        load_state(path)

@@ -156,6 +156,9 @@ def test_validate_density_rejects_non_hermitian():
 def test_validate_density_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         validate_density(np.eye(4) / 4, [2, 3])
+    # 3 * 6148914691236517206 = 2**64 + 2, which wraps to 2 in int64
+    with pytest.raises(DimensionMismatchError, match="18446744073709551618"):
+        validate_density(np.eye(2) / 2, [3, 6148914691236517206])
 
 
 def test_validate_density_rejects_non_finite():
@@ -202,3 +205,6 @@ def test_validate_density_huge_entries_fail_their_invariant():
         validate_density(np.diag([1.7e308, -1.7e308]), [2])
     with pytest.raises(NotPositiveSemidefiniteError):
         validate_density(np.array([[0.5, 1.7e308], [1.7e308, 0.5]]), [2])
+    # an overflowed trace is an error, not a RuntimeWarning (pytest raises those)
+    with pytest.raises(WrongTraceError, match="trace is inf"):
+        validate_density(np.diag([1.7e308, 1.7e308]), [2])
