@@ -39,6 +39,8 @@ def load_state(path) -> DensityMatrix:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ValidationError(f"JSON nested too deeply: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError("top-level JSON value must be an object")
     if payload.get("format") != MATRIX_FORMAT:

@@ -47,33 +47,99 @@ share the stack, so a start's path, and hence the search value, is
 bit-for-bit the same at every budget, and the value is exactly
 nondecreasing in the budget rather than only up to round-off.
 
-The search also has a free upper bound: ``F(rho) <= lambda_max(rho)``.
+The search also has upper bounds, so it can stop once no start can do
+better. The first is free: ``F(rho) <= lambda_max(rho)``.
 Every ``psi_U = (U (x) I)|psi+>`` is a unit vector, since U is unitary,
 and ``<psi|rho|psi> <= lambda_max(rho)`` for every unit vector psi (expand
 psi in the eigenbasis of rho: the overlap is a convex combination of the
-eigenvalues). So ``f(U) <= lambda_max(rho)`` for every U, and a start
-whose value reaches the cap is optimal; on isotropic states the identity
-start reaches it in one step. The cap is read from the state, as the last
-entry of ``DensityMatrix.spectrum``: lambda_max of the Hermitian part
-``(rho + rho^dag) / 2``, which validation has already solved. The real
-part of ``vec(U)^dag rho vec(U)`` is exactly the quadratic form of that
-Hermitian part, so the cap stays exact on inputs that carry a small
-Hermiticity defect. A start *reaches the cap* when it arrives
-at its fixed point with a value of at least ``lambda_max - CAP_TOL``.
-The first such start, j*, ends the search for the starts after it, which
-leave the stack at once; the starts before it run on to their own ends.
-The result is the best of starts ``0..j*``, which is exactly what a search
-that refines one start at a time and stops at its first start at the cap
-returns. Whether start j reaches the cap depends only on start j's own
-arithmetic, so j* is the same at every budget that includes it. A
-budget b below j* + 1 runs starts ``0..b-1``, a prefix of the starts of
-any larger budget; at and above j* + 1 every budget runs the same
-starts ``0..j*``.
-Either way a larger budget runs a superset of the starts, each bit for
-bit the same, and the value stays exactly nondecreasing in the budget.
-Stopping the whole stack at the first start at the cap would not keep
-this: the earlier starts would end at a step that depends on which later
-starts share the stack.
+eigenvalues). So ``f(U) <= lambda_max(rho)`` for every U; on isotropic
+states the identity start reaches this cap in one step. The cap is read
+from the state, as the last entry of ``DensityMatrix.spectrum``:
+lambda_max of the Hermitian part ``h = (rho + rho^dag) / 2``, which
+validation has already solved. The real part of ``vec(U)^dag rho vec(U)``
+is exactly the quadratic form of h, so the bounds stay exact on inputs
+that carry a small Hermiticity defect.
+
+The second is the dual certificate, the SDP relaxation of F (Horodecki,
+Horodecki and Horodecki, PRA 60, 1888, 1999). Every psi_U has both
+marginals ``I/d``, so for any Hermitian H_A and H_B
+
+    <psi_U| H_A (x) I |psi_U> = Tr(H_A) / d,   <psi_U| I (x) H_B |psi_U> = Tr(H_B) / d,
+
+and hence, with ``M = h - H_A (x) I - I (x) H_B``,
+
+    f(U) = <psi_U|M|psi_U> + (Tr H_A + Tr H_B) / d <= lambda_max(M) + (Tr H_A + Tr H_B) / d
+
+for every U: each such number bounds F. The pair is built traceless, and
+the trace term only absorbs its round-off; soundness does not rest on
+how the pair was chosen, only on how tight the bound is. At d = 2 the
+least such bound equals F.
+
+A good pair comes from a start's end point U with value f. Let
+``G = reshape(h vec U)`` and ``X = Herm(G U^dag) - f I``, which is
+traceless because ``Tr(G U^dag) = d f``. For each traceless Hermitian K
+(the gauge) take
+
+    H_A = X/2 + K,    H_B = (U^dag (X/2 - K) U)^T.
+
+Row-major vec turns ``(A (x) B) vec(Y)`` into ``vec(A Y B^T)``, so
+``M vec(U) = vec(G - H_A U - U H_B^T) = vec(G - X U)``, which is
+``f vec(U)`` when ``G U^dag`` is Hermitian, as it is at a fixed point of
+the polar step (``G U^dag = W (S - SHIFT) W^dag``). So psi_U stays an
+eigenvector of M(K) with eigenvalue f for every K, and the bound reaches
+f exactly when some K makes f the top eigenvalue. ``lambda_max(M(K))``
+is convex in K; with v the top eigenvector of M and ``V = reshape(v)``
+its derivative along a traceless Hermitian direction D is
+``-Tr(D (V V^dag - U V^dag V U^dag))``, the two partial traces of vv^dag.
+So from ``K = 0`` the certificate takes Polyak subgradient steps on K
+with target f: step ``(lambda_max - f) / ||grad||^2`` along the traceless
+Hermitian part of ``V V^dag - U V^dag V U^dag``, the later steps
+lengthened by ``POLYAK_FACTOR``, within Polyak's (0, 2), which closes
+the slow tail that plain steps leave near the optimum. Every
+``lambda_max`` evaluated gives a bound, and the least one is kept.
+
+Round-off: each bound adds the margin ``ROUNDOFF_ULPS * D * eps * s``
+with ``D = d^2`` and ``s = ||h||_F + sqrt(d) (||H_A||_F + ||H_B||_F)``,
+which bounds ``||M||_F``. Forming M costs at most two roundings per
+entry, ``2 eps s`` in norm, and ``eigh`` returns the eigenvalues of a
+matrix within ``O(D eps ||M||)`` of the one it was given (backward
+stability, with the factor D for the Householder reduction). H_A and H_B
+are Hermitian bit for bit (each is ``(Y + Y^dag) / 2``), and so is M,
+so ``eigh``, which reads one triangle, solves M itself.
+
+A certificate costs one ``eigh`` of a D x D matrix per step, ``O(d^6)``,
+against ``O(d^4)`` per start for a polar step, so it is rationed: only a
+start that sets a new best value is certified, and only when that value
+is at least the best mean value over the d^2 Weyl unitaries (no
+certificate can close below that, since every bound is at least F); one
+search spends at most ``DUAL_STEPS`` calls; a certificate ends early
+when two steps have not halved its distance to f, or when the step would
+be longer than ``||h||_F`` (K is then near a stationary point whose
+bound stays above f, as at a start that is not a global maximum); and
+above ``DUAL_MAX_D`` no certificate runs, so there the search is the
+cap-only search. The cutoff is measured: with one BLAS thread, budget-64
+searches over six random states per d took 4-15% less time with
+certificates at d = 3-6, and 15% more at d = 8, where each certificate
+that cannot close spends its ``eigh`` calls on 64 x 64 matrices.
+
+The stop rule reads the starts in start order. After start j ends, with
+``best_j`` the best value of starts ``0..j`` and ``bound_j`` the least of
+the cap and the certificates of starts ``0..j``, the search stops at the
+first j with ``best_j >= bound_j - GAP_TOL``; the starts after j leave
+the stack at once. In the stack, start j is read only once starts
+``0..j-1`` have ended, so the rule acts at the same j, and the results
+are those of a search that refines one start at a time. Whether it stops
+at j, and what each certificate spends, depends only on starts ``0..j``,
+each bit for bit the same at every budget that includes them, so j is
+the same at every budget larger than j. A budget b at or below j runs
+starts ``0..b-1``, a prefix of the starts of any larger budget; above it
+every budget runs the same starts ``0..j``. Either way a larger budget
+runs a superset of the starts, each bit for bit the same, and the value
+stays exactly nondecreasing in the budget. A start that ends at the cap
+stops the search even before the starts ahead of it have ended: the rule
+stops there or earlier whatever they do. Stopping the whole stack when
+a later start closes the gap would not keep this: the earlier starts
+would end at a step that depends on which later starts share the stack.
 """
 
 from __future__ import annotations
@@ -91,8 +157,13 @@ UNITARITY_TOL = 1e-10
 MEAN_IMAG_TOL = 1e-8
 MAX_ITERATIONS = 1000
 FIXED_POINT_TOL = 1e-8
-CAP_TOL = 1e-12
+GAP_TOL = 1e-12
 SHIFT = 1e-6
+DUAL_STEPS = 24
+DUAL_MAX_D = 6
+POLYAK_FACTOR = 1.9
+ROUNDOFF_ULPS = 4
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -108,8 +179,11 @@ class DetectionOperator:
 class FefEstimate:
     """Best fully-entangled-fraction lower bound found by the search.
 
-    ``upper_bound`` is the cap ``lambda_max(rho) >= F(rho)``, and
-    ``starts_used`` the number of starts the search ran before it stopped.
+    ``upper_bound >= F(rho)`` is the least certified bound: the cap
+    ``lambda_max(rho)``, or a dual certificate below it (module
+    docstring). ``starts_used`` counts the starts through the one that
+    closed the gap between ``value`` and ``upper_bound`` to ``GAP_TOL``,
+    or every start when none did.
     """
 
     value: float
@@ -188,28 +262,96 @@ def _values(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return overlaps.real.reshape(k) / d
 
 
+def _herm(m: np.ndarray) -> np.ndarray:
+    """``(m + m^dag) / 2``, Hermitian bit for bit."""
+    return (m + m.conj().T) / 2
+
+
+def _gauge_pair(
+    h: np.ndarray, u: np.ndarray, f: float, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``H_A = X/2 + K`` and ``H_B = (U^dag (X/2 - K) U)^T``, ``X = Herm(G U^dag) - f I``."""
+    d = u.shape[0]
+    g = (h @ u.reshape(-1)).reshape(d, d)
+    half = (_herm(g @ u.conj().T) - f * np.eye(d)) / 2
+    return half + k, _herm((u.conj().T @ (half - k) @ u).T)
+
+
+def _dual_matrix(h: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """``h - H_A (x) I - I (x) H_B``, the Kronecker products formed by broadcasting."""
+    d = ha.shape[0]
+    eye = np.eye(d)
+    m = h - (ha[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
+    m -= (eye[:, None, :, None] * hb[None, :, None, :]).reshape(d * d, d * d)
+    return m
+
+
+def _dual_bound(h: np.ndarray, u: np.ndarray, f: float, calls: int) -> tuple[float, int]:
+    """Least certified bound on F from the gauge family at U, and the ``eigh`` calls spent.
+
+    ``h`` is the Hermitian part of rho and ``f`` the search value at U. The
+    first bound is at ``K = 0``; each further one follows a Polyak step on
+    K with target f. Stops when a bound is within ``GAP_TOL`` of f, when
+    two steps have not halved the distance of the least bound to f, when
+    the step would be longer than ``||h||_F`` (K is then near a stationary
+    point whose bound stays above f), or after ``calls`` calls.
+    """
+    d = u.shape[0]
+    k = np.zeros((d, d), dtype=complex)
+    scale = float(np.linalg.norm(h))
+    bounds = [np.inf, np.inf]
+    for spent in range(1, calls + 1):
+        ha, hb = _gauge_pair(h, u, f, k)
+        lam, vecs = np.linalg.eigh(_dual_matrix(h, ha, hb))
+        top = float(lam[-1])
+        slack = (np.trace(ha).real + np.trace(hb).real) / d
+        margin = ROUNDOFF_ULPS * d * d * EPS * (
+            scale + np.sqrt(d) * (np.linalg.norm(ha) + np.linalg.norm(hb))
+        )
+        bounds.append(min(bounds[-1], top + slack + margin))
+        if bounds[-1] - f <= GAP_TOL or bounds[-1] - f > (bounds[-3] - f) / 2:
+            break
+        v = vecs[:, -1].reshape(d, d)
+        grad = _herm(v @ v.conj().T - u @ (v.conj().T @ v) @ u.conj().T)
+        grad -= np.trace(grad).real / d * np.eye(d)
+        norm = float(np.linalg.norm(grad))
+        if top - f > scale * norm:
+            break
+        k = k + ((1.0 if spent == 1 else POLYAK_FACTOR) * (top - f) / norm**2) * grad
+    return float(bounds[-1]), spent
+
+
 def _polar_ascent_stack(
     state: DensityMatrix, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Iterate ``U <- polar(reshape(rho vec U) + SHIFT U)`` on a ``(k, d, d)`` start stack.
 
     Each step refines, in one call per operation, the starts still active;
-    a start whose step moves no entry by ``FIXED_POINT_TOL`` or more leaves
-    the active set there. A start that leaves with a value of at least
-    ``cap - CAP_TOL``, where ``cap = state.spectrum[-1]``, reaches the cap:
-    every later start leaves the stack with it, and earlier starts run on.
-    Returns, for the starts up to the first that reaches the cap (all
-    starts when none does), the last unitary of each, its step count,
-    whether it reached a fixed point before ``MAX_ITERATIONS`` steps and
-    its value; then the cap.
+    a start whose step moves no entry by ``FIXED_POINT_TOL`` or more, or
+    that has taken ``MAX_ITERATIONS`` steps, leaves the active set there.
+    Finished starts are read in start order: each start j that sets a new
+    best value, not below the best Weyl-unitary value, gets a dual
+    certificate from the budget of ``DUAL_STEPS`` ``eigh`` calls (for
+    ``d <= DUAL_MAX_D``), and the search stops at the
+    first j whose best value over starts ``0..j`` is within ``GAP_TOL`` of
+    the least bound, the smaller of ``state.spectrum[-1]`` and the
+    certificates of starts ``0..j``. The starts after j leave the stack at
+    once; a start that ends at the cap stops the search there even before
+    the starts ahead of it have ended.
+    Returns, for the starts up to the stop (all starts when the gap stays
+    open), the last unitary of each, its step count, whether it reached a
+    fixed point and its value; then the least bound.
     """
     k, d, _ = starts.shape
-    rho, cap = state.matrix, float(state.spectrum[-1])
+    rho, bound = state.matrix, float(state.spectrum[-1])
+    cap = bound
     u = np.array(starts, dtype=complex)
-    steps = np.full(k, MAX_ITERATIONS)
+    steps = np.zeros(k, dtype=int)  # 0 until the start ends
     fixed = np.zeros(k, dtype=bool)
     values = np.empty(k)
-    used = k
+    used, read, best = k, 0, -np.inf
+    dual_left = DUAL_STEPS if d <= DUAL_MAX_D else 0
+    herm = floor = None
     active = np.arange(k)
     cur = u
     for step in range(1, MAX_ITERATIONS + 1):
@@ -218,25 +360,37 @@ def _polar_ascent_stack(
         w, _, vh = np.linalg.svd(g + SHIFT * cur)
         nxt = w @ vh
         done = np.max(np.abs(nxt - cur), axis=(1, 2)) < FIXED_POINT_TOL
-        if not done.any():
+        last = step == MAX_ITERATIONS
+        if not (last or done.any()):
             cur = nxt
             continue
-        finished, arrived = active[done], nxt[done]
+        out = done | last
+        finished, arrived = active[out], nxt[out]
         u[finished] = arrived
         steps[finished] = step
-        fixed[finished] = True
+        fixed[finished] = done[out]
         values[finished] = _values(rho, arrived)
-        hits = finished[values[finished] >= cap - CAP_TOL]
+        hits = finished[values[finished] >= cap - GAP_TOL]
         if hits.size:
             used = min(used, int(hits[0]) + 1)
-        keep = ~done & (active < used)
+        # the stop rule, read over the ended prefix of starts in start order
+        while read < used and steps[read]:
+            if values[read] > best:
+                best = float(values[read])
+                if dual_left and best < bound - GAP_TOL:
+                    if floor is None:
+                        herm, floor = _herm(rho), float(np.max(_values(rho, weyl_basis(d).ops)))
+                    if best >= floor - GAP_TOL:
+                        cert, spent = _dual_bound(herm, u[read], best, dual_left)
+                        bound, dual_left = min(bound, cert), dual_left - spent
+            read += 1
+            if best >= bound - GAP_TOL:
+                used = read
+        keep = ~out & (active < used)
         active, cur = active[keep], nxt[keep]
         if not active.size:
             break
-    else:
-        u[active] = cur
-        values[active] = _values(rho, cur)
-    return u[:used], steps[:used], fixed[:used], values[:used], cap
+    return u[:used], steps[:used], fixed[:used], values[:used], bound
 
 
 def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
@@ -251,13 +405,14 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     budget cannot perturb the starts of a smaller one (see the module
     docstring); each stops when a step moves no entry of its U by
     ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS`` steps. The
-    first start that stops at ``lambda_max(rho) - CAP_TOL`` or above ends
-    the search for every later start. ``upper_bound`` is that cap,
-    ``lambda_max(rho)``, read from ``rho.spectrum``; ``starts_used``
-    counts the starts up to and including that first start at the cap
-    (``budget`` when none reaches it). ``evaluations`` is the total number
-    of steps over the starts used, and ``converged`` says every start used
-    reached a fixed point.
+    search stops at the first start j whose best value over starts
+    ``0..j`` is within ``GAP_TOL`` of the least certified bound of starts
+    ``0..j``: the cap ``lambda_max(rho)``, read from ``rho.spectrum``, or
+    a dual certificate built at a start that set a new best value.
+    ``upper_bound`` is that least bound and ``starts_used`` is j + 1
+    (``budget`` when the gap stays open). ``evaluations`` is the total
+    number of polar steps over the starts used, and ``converged`` says
+    every start used reached a fixed point.
     Ties go to the first start with the largest value.
     """
     da, db = _require_square(rho)
@@ -270,12 +425,12 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     starts[:n_weyl] = weyl_basis(d).ops[:n_weyl]
     if budget > n_weyl:
         starts[n_weyl:] = haar_unitaries(d, [(seed, idx) for idx in range(n_weyl, budget)])
-    u, steps, fixed, values, cap = _polar_ascent_stack(rho, starts)
+    u, steps, fixed, values, bound = _polar_ascent_stack(rho, starts)
     best = int(np.argmax(values))
     best_u = u[best].copy()
     best_u.flags.writeable = False
     return FefEstimate(
-        float(values[best]), best_u, int(steps.sum()), bool(fixed.all()), cap, len(u)
+        float(values[best]), best_u, int(steps.sum()), bool(fixed.all()), bound, len(u)
     )
 
 

@@ -280,7 +280,9 @@ POLAR_SHIFT = 1e-6
 POLAR_CAP_TOL = 1e-12
 
 
-def fef_one_start_at_a_time(rho: np.ndarray, starts: np.ndarray, cap=None, tol=POLAR_CAP_TOL):
+def fef_one_start_at_a_time(
+    rho: np.ndarray, starts: np.ndarray, cap=None, tol=POLAR_CAP_TOL, upper=None
+):
     """Polar search refined one start at a time, in start order.
 
     From each U in ``starts`` iterate ``U <- W V^dag``, the polar factor of
@@ -291,13 +293,18 @@ def fef_one_start_at_a_time(rho: np.ndarray, starts: np.ndarray, cap=None, tol=P
     compare against the library's stacked iteration.
 
     With ``cap`` (an upper bound on the objective), the search stops after
-    the first start that reaches a fixed point with a value of at least
-    ``cap - tol``, and the number of starts run is appended to the result:
-    the one-start-at-a-time form of the library's stopping rule.
+    the first start j whose best value over starts ``0..j`` is at least
+    ``bound - tol``, and the number of starts run is appended to the
+    result: the one-start-at-a-time form of the library's stopping rule.
+    ``bound`` is the least of ``cap`` and the certificates of starts
+    ``0..j``: ``upper(u, value)`` is called on each start that sets a new
+    best value still below ``bound - tol``, and returns an upper bound on
+    the objective or None.
     """
     rho = np.asarray(rho, dtype=complex)
     d = starts.shape[-1]
     best_val, best_u, steps, converged = -np.inf, None, 0, True
+    bound = np.inf if cap is None else cap
     for used, u in enumerate(starts, 1):
         u = np.array(u, dtype=complex)
         for step in range(1, POLAR_MAX_ITERATIONS + 1):
@@ -307,16 +314,18 @@ def fef_one_start_at_a_time(rho: np.ndarray, starts: np.ndarray, cap=None, tol=P
             moved = np.max(np.abs(nxt - u))
             u = nxt
             if moved < POLAR_FIXED_POINT_TOL:
-                fixed = True
                 break
         else:
-            fixed = converged = False
+            converged = False
         steps += step
         v = u.reshape(-1)
         val = float(np.real(v.conj() @ (rho @ v))) / d
         if val > best_val:
             best_val, best_u = val, u
-        if cap is not None and fixed and val >= cap - tol:
+            if upper is not None and best_val < bound - tol:
+                cert = upper(u, best_val)
+                bound = bound if cert is None else min(bound, cert)
+        if best_val >= bound - tol:
             break
     if cap is None:
         return best_val, best_u, steps, converged

@@ -94,12 +94,20 @@ def test_check_tele_reports_the_cap_and_the_starts_used():
     assert fef["upper_bound"] == pytest.approx(0.8, abs=1e-12)
     assert fef["starts_used"] == 4
     assert fef["value"] == pytest.approx(0.8, abs=1e-12)
+    # a two-qubit state below its cap: the certificate of the first start closes the gap
     spec = "random-mixed:da=2,db=2,rank=3,seed=4"
     rc, out, _ = run_main("check-tele", "--state", spec, "--seed", "1", "--budget", "6")
     fef = json.loads(out)["fef"]
     assert rc == 0
+    assert fef["starts_used"] == 1
+    assert 0 <= fef["upper_bound"] - fef["value"] <= 1e-12
+    # a 3x3 state whose gap no certificate closes runs every start
+    spec = "random-mixed:da=3,db=3,rank=4,seed=3"
+    rc, out, _ = run_main("check-tele", "--state", spec, "--seed", "3", "--budget", "6")
+    fef = json.loads(out)["fef"]
+    assert rc == 0
     assert fef["starts_used"] == 6
-    assert fef["value"] < fef["upper_bound"]
+    assert fef["upper_bound"] - fef["value"] == pytest.approx(6.476418e-5, abs=1e-9)
 
 
 def test_check_tele_requires_seed():
@@ -327,6 +335,8 @@ def run_main(*args):
         ("decompose", "{empty_entries}"),
         ("decompose", "{huge_int_entry}"),
         ("decompose", "{bool_dims}"),
+        ("decompose", "{deep_nesting}"),
+        ("check-sep", "{deep_nesting}"),
     ],
     ids=[
         "non-utf8-file", "budget-0", "negative-seed", "tele-1x1", "scan-nan", "scan-inf-step",
@@ -337,6 +347,7 @@ def run_main(*args):
         "random-mixed-da-db-minus-1", "random-mixed-da-db-negative", "budget-1025",
         "budget-huge", "decompose-dims-wrap-int64", "check-sep-dims-wrap-int64",
         "dims-square-wraps-to-0", "entry-int-overflows-float", "bool-dims",
+        "decompose-deep-nesting", "check-sep-deep-nesting",
     ],
 )
 def test_input_errors_exit_two(tmp_path, args):
@@ -344,7 +355,9 @@ def test_input_errors_exit_two(tmp_path, args):
         "{non_utf8}": tmp_path / "latin1.json",
         "{one_by_one}": tmp_path / "one.json",
         "{state_file}": tmp_path / "state.json",
+        "{deep_nesting}": tmp_path / "deep.json",
     }
+    files["{deep_nesting}"].write_text("[" * 100_000)
     files["{non_utf8}"].write_bytes(b'{"format": "weylsep-matrix-v1\xff"}')
     files["{one_by_one}"].write_text(
         '{"format": "weylsep-matrix-v1", "dims": [1, 1], "entries": [[1, 0]]}'

@@ -182,21 +182,52 @@ def test_fef_search_budget_prefix(monkeypatch):
     assert not np.allclose(long[k - 1], long[k])
 
 
+def _library_certificates(rho):
+    """The search's certificate rule as an ``upper`` callable for the oracle.
+
+    A start is certified while the shared budget of ``eigh`` calls lasts and
+    its value is not below the best Weyl-unitary value; every bound is
+    appended to the returned list.
+    """
+    d = rho.dims[0]
+    h = teleport._herm(rho.matrix)
+    floor = float(np.max(teleport._values(rho.matrix, np.array(
+        [weyl_op(d, n, m) for n in range(d) for m in range(d)]))))
+    left = [teleport.DUAL_STEPS if d <= teleport.DUAL_MAX_D else 0]
+    bounds = []
+
+    def upper(u, value):
+        if not left[0] or value < floor - teleport.GAP_TOL:
+            return None
+        bound, spent = teleport._dual_bound(h, u, value, left[0])
+        left[0] -= spent
+        bounds.append(bound)
+        return bound
+
+    return upper, bounds
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_fef_search_matches_one_start_at_a_time(d):
-    # no start's arithmetic may depend on which other starts share the stack
+    # no start's arithmetic may depend on which other starts share the stack,
+    # and the stack stops where the one-start-at-a-time form of the rule stops
     for rank in (1, 2, d, d * d):
         seed = 100 * d + rank
         rho = validate_density(random_mixed(d * d, rank, seed=seed).matrix, [d, d])
+        cap = float(rho.spectrum[-1])
         for budget in (1, 3, 8, 20):
             weyl = [weyl_op(d, n, m) for n in range(d) for m in range(d)]
             haar = [haar_unitary(d, (seed, idx)) for idx in range(d * d, budget)]
             starts = np.array((weyl + haar)[:budget], dtype=complex)
-            value, best_u, evaluations, converged = fef_one_start_at_a_time(rho.matrix, starts)
+            upper, bounds = _library_certificates(rho)
+            value, best_u, evaluations, converged, used = fef_one_start_at_a_time(
+                rho.matrix, starts, cap=cap, upper=upper
+            )
             est = fef_search(rho, budget, seed=seed)
-            assert (est.evaluations, est.converged) == (evaluations, converged)
+            assert (est.evaluations, est.converged, est.starts_used) == (evaluations, converged, used)
             assert abs(est.value - value) <= 1e-15
             assert np.max(np.abs(est.best_unitary - best_u)) <= 1e-14
+            assert abs(est.upper_bound - min([cap, *bounds])) <= 1e-14
 
 
 def _states_at_the_cap(d):
@@ -255,11 +286,14 @@ def test_fef_search_isotropic_stops_at_the_identity(d):
 
 
 def test_fef_search_uses_every_start_below_the_cap():
-    rho = validate_density(random_mixed(9, 9, seed=12).matrix, [3, 3])
-    for budget in (1, 5, 12):
+    # no start of this state reaches the cap, and no certificate closes the
+    # gap: the certificates only lower the bound from lambda_max = 0.5508
+    rho = validate_density(random_mixed(9, 4, seed=3).matrix, [3, 3])
+    for budget, gap in ((1, 4.576453e-4), (5, 4.576453e-4), (12, 6.476418e-5)):
         est = fef_search(rho, budget, seed=3)
         assert est.starts_used == budget
-        assert est.value < est.upper_bound
+        assert est.upper_bound - est.value == pytest.approx(gap, abs=1e-9)
+        assert est.upper_bound < rho.spectrum[-1] - 0.2
 
 
 def test_fef_search_bounds_and_identity_start():
@@ -274,10 +308,12 @@ def test_fef_search_bounds_and_identity_start():
 
 
 def test_fef_search_matches_two_qubit_closed_form():
+    # the dual relaxation is exact at d = 2, so the certified bound meets F too
     for seed in range(300):
         rho = _random_bipartite_2x2(seed + 2000, rank=1 + seed % 4)
         est = fef_search(rho, budget=8, seed=seed)
         assert abs(est.value - fef_magic_2x2(rho.matrix)) <= 1e-10
+        assert abs(est.upper_bound - fef_magic_2x2(rho.matrix)) <= 1e-10
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -349,8 +385,119 @@ def test_optimal_fidelity_map():
         optimal_fidelity(-0.1, 2)
 
 
+def test_dual_bound_is_never_below_the_two_qubit_fef():
+    # every certificate bounds F from above at any unitary, not only at fixed points
+    for seed in range(300):
+        rho = _random_bipartite_2x2(seed + 3000, rank=1 + seed % 4)
+        h = teleport._herm(rho.matrix)
+        u = haar_unitary(2, seed=seed)
+        value = float(teleport._values(rho.matrix, u[None])[0])
+        fef = fef_magic_2x2(rho.matrix)
+        for calls in (1, teleport.DUAL_STEPS):
+            bound, spent = teleport._dual_bound(h, u, value, calls)
+            assert 1 <= spent <= calls
+            assert bound >= fef - 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    d=st.integers(2, 4),
+    rank=st.integers(1, 16),
+    seed=st.integers(0, 2**31 - 1),
+    budget=st.integers(1, 12),
+)
+def test_fef_search_value_is_below_its_upper_bound(d, rank, seed, budget):
+    rho = validate_density(random_mixed(d * d, min(rank, d * d), seed=seed).matrix, [d, d])
+    est = fef_search(rho, budget=budget, seed=seed)
+    assert est.value <= est.upper_bound <= rho.spectrum[-1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gauge_family_keeps_psi_u_an_eigenvector(d):
+    # M(K) psi_U = f psi_U for every traceless Hermitian K, at a fixed point U
+    rng = np.random.default_rng(40 + d)
+    for rank in (1, 2, d * d):
+        rho = validate_density(random_mixed(d * d, rank, seed=50 * d + rank).matrix, [d, d])
+        est = fef_search(rho, budget=4, seed=rank)
+        assert est.converged
+        u, f = est.best_unitary, est.value
+        h = teleport._herm(rho.matrix)
+        psi = u.reshape(-1) / np.sqrt(d)
+        for _ in range(3):
+            k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            k = k + k.conj().T
+            k -= np.trace(k).real / d * np.eye(d)
+            ha, hb = teleport._gauge_pair(h, u, f, k)
+            for op in (ha, hb):
+                assert np.array_equal(op, op.conj().T)
+                assert abs(np.trace(op)) <= 1e-12
+            m = teleport._dual_matrix(h, ha, hb)
+            np.testing.assert_array_equal(m, h - np.kron(ha, np.eye(d)) - np.kron(np.eye(d), hb))
+            assert np.max(np.abs(m @ psi - f * psi)) <= 1e-7
+
+
+def test_certificate_closes_the_gap_after_polyak_steps():
+    # at K = 0 these bounds sit 6e-3 to 5e-2 above the value of start 0;
+    # the Polyak steps on K bring them within GAP_TOL, so start 0 ends the search
+    for d, rank in ((4, 3), (4, 4), (5, 5), (5, 25)):
+        rho = validate_density(random_mixed(d * d, rank, seed=1000 * d + rank).matrix, [d, d])
+        est = fef_search(rho, budget=8, seed=rank)
+        assert est.starts_used == 1
+        assert est.upper_bound - est.value <= teleport.GAP_TOL
+        h = teleport._herm(rho.matrix)
+        at_zero, _ = teleport._dual_bound(h, est.best_unitary, est.value, 1)
+        assert at_zero - est.value > 5e-3
+
+
+@pytest.mark.parametrize("p", [0.322, 0.342, 0.3362])
+def test_fef_search_closes_the_gap_on_example4_near_one_third(p):
+    # F = max(p, (1 - p) / 2) has two near branches here, where Haar starts
+    # take thousands of polar steps; the Weyl starts reach both branches in
+    # one step each, and the certificate of the better one closes the gap
+    est = fef_search(example4(p), budget=8, seed=9901)
+    assert est.starts_used <= 4 and est.evaluations <= 4
+    assert est.value == pytest.approx(max(p, (1 - p) / 2), abs=1e-12)
+    assert est.upper_bound - est.value <= teleport.GAP_TOL
+
+
+def test_fef_search_above_the_dual_cutoff_runs_no_certificate(monkeypatch):
+    # above DUAL_MAX_D the search is the cap-only search: no eigh of the
+    # d^2 x d^2 dual runs, and the one-start-at-a-time form of the cap rule
+    # gives the same starts, steps, value and unitary
+    def refused(*args):
+        raise AssertionError("a certificate ran above DUAL_MAX_D")
+
+    monkeypatch.setattr(teleport, "_dual_bound", refused)
+    d = teleport.DUAL_MAX_D + 1
+    for rank in (1, 3):
+        rho = validate_density(random_mixed(d * d, rank, seed=rank).matrix, [d, d])
+        cap = float(rho.spectrum[-1])
+        weyl = [weyl_op(d, n, m) for n in range(d) for m in range(d)]
+        for budget in (1, 3):
+            starts = np.array(weyl[:budget], dtype=complex)
+            value, best_u, evaluations, converged, used = fef_one_start_at_a_time(
+                rho.matrix, starts, cap=cap
+            )
+            est = fef_search(rho, budget, seed=rank)
+            assert (est.evaluations, est.converged, est.starts_used) == (evaluations, converged, used)
+            assert abs(est.value - value) <= 1e-15
+            assert np.max(np.abs(est.best_unitary - best_u)) <= 1e-14
+            assert est.upper_bound == cap
+
+
+def _recording(dual_bound, bounds):
+    """``dual_bound`` that appends every certified bound to ``bounds``."""
+
+    def recorded(*args):
+        bound, spent = dual_bound(*args)
+        bounds.append(bound)
+        return bound, spent
+
+    return recorded
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_fef_search_cap_is_lambda_max_of_the_hermitian_part(d):
+def test_fef_search_cap_is_lambda_max_of_the_hermitian_part(d, monkeypatch):
     # the objective Re(v^dag rho v) / d is the quadratic form of (rho + rho^dag) / 2,
     # so the cap is that matrix's lambda_max even when rho carries a Hermiticity defect
     rng = np.random.default_rng(600 + d)
@@ -359,6 +506,15 @@ def test_fef_search_cap_is_lambda_max_of_the_hermitian_part(d):
         m += 1e-12 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
         m /= np.trace(m).real
         rho = validate_density(m, [d, d])
-        est = fef_search(rho, budget=8, seed=rank)
-        assert est.upper_bound == np.linalg.eigvalsh((m + m.conj().T) / 2)[-1]
+        cap = np.linalg.eigvalsh((m + m.conj().T) / 2)[-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(teleport, "DUAL_STEPS", 0)  # no certificate: the bound is the cap
+            est = fef_search(rho, budget=8, seed=rank)
+        assert est.upper_bound == cap
+        assert est.value <= est.upper_bound
+        bounds = []
+        with monkeypatch.context() as patch:
+            patch.setattr(teleport, "_dual_bound", _recording(teleport._dual_bound, bounds))
+            est = fef_search(rho, budget=8, seed=rank)
+        assert est.upper_bound == min([cap, *bounds])
         assert est.value <= est.upper_bound
