@@ -155,25 +155,16 @@ def random_separable(da: int, db: int, k: int, seed) -> DensityMatrix:
     return validate_density((m + m.conj().T) / 2, [da, db])
 
 
-def haar_unitaries(d: int, seeds) -> np.ndarray:
-    """Stack of Haar-distributed unitaries, one per seed, via QR of Ginibre matrices.
+def haar_unitary(d: int, seed) -> np.ndarray:
+    """Haar-distributed unitary from one seed, via QR of a Ginibre matrix.
 
-    Each matrix is drawn from its own seed's stream, then the whole stack
-    goes through one batched QR. The diagonal of each triangular factor is
-    rephased to positive reals, which removes the QR gauge freedom and makes
-    the distribution exactly Haar. Deterministic given the seeds: entry i
-    is ``haar_unitary(d, seeds[i])`` bit for bit.
+    The diagonal of the triangular factor is rephased to positive reals,
+    which removes the QR gauge freedom and makes the distribution exactly
+    Haar. Deterministic given the seed.
     """
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
-    z = np.empty((len(seeds), d, d), dtype=complex)
-    for i, seed in enumerate(seeds):
-        z[i] = _ginibre(np.random.default_rng(seed), d, d)
+    z = _ginibre(np.random.default_rng(seed), d, d)
     q, r = np.linalg.qr(z / np.sqrt(2.0))
-    ph = np.diagonal(r, axis1=1, axis2=2)
-    return q * (ph / np.abs(ph))[:, None, :]
-
-
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary from one seed; see :func:`haar_unitaries`."""
-    return haar_unitaries(d, [seed])[0]
+    ph = np.diagonal(r)
+    return q * (ph / np.abs(ph))

@@ -37,15 +37,10 @@ singular (for a product pure state G has rank one): a point with
 ``U^dag G`` PSD is then a strict fixed point, where without it the SVD
 completes the null space from round-off and U never settles.
 
-All starts of one search run as a ``(budget, d, d)`` stack: each step is
-one stacked ``rho vec U`` product, one batched SVD and one stacked
-``W V^dag`` over the starts still active, and a start leaves the stack at
-its own fixed point. The products are stacked matrix-vector products,
-one BLAS call per start, never one matrix product over the whole stack.
-That keeps every start's arithmetic independent of which other starts
-share the stack, so a start's path, and hence the search value, is
-bit-for-bit the same at every budget, and the value is exactly
-nondecreasing in the budget rather than only up to round-off.
+The search refines its starts one at a time, in start order: the
+identity, the other Weyl unitaries, then Haar unitaries, each drawn from
+a stream of its own, ``(seed, start index)``, only when the search
+reaches it. A start's path depends on that start alone.
 
 The search also has upper bounds, so it can stop once no start can do
 better. The first is free: ``F(rho) <= lambda_max(rho)``.
@@ -117,29 +112,25 @@ when two steps have not halved its distance to f, or when the step would
 be longer than ``||h||_F`` (K is then near a stationary point whose
 bound stays above f, as at a start that is not a global maximum); and
 above ``DUAL_MAX_D`` no certificate runs, so there the search is the
-cap-only search. The cutoff is measured: with one BLAS thread, budget-64
-searches over six random states per d took 4-15% less time with
-certificates at d = 3-6, and 15% more at d = 8, where each certificate
-that cannot close spends its ``eigh`` calls on 64 x 64 matrices.
+cap-only search. The cutoff is measured on budget-64 searches over six
+random states per d (one BLAS thread, best of 5). Certificates take
+36-98% off the time at d = 3-6, since a closed gap spares every later
+start. At d = 16, with budget 16, they add 53%: one 256 x 256 ``eigh``
+takes longer than a whole pure-state search. At d = 7 and 8 they take
+24% and 4% off: they close the gap at start 0 on the states of rank 1-3
+(1-2 at d = 8) and move the others by -2% to +8%. The cutoff stays at 6
+all the same: moving it changes the reported bound at d = 7 and 8, an
+output change of its own.
 
-The stop rule reads the starts in start order. After start j ends, with
-``best_j`` the best value of starts ``0..j`` and ``bound_j`` the least of
-the cap and the certificates of starts ``0..j``, the search stops at the
-first j with ``best_j >= bound_j - GAP_TOL``; the starts after j leave
-the stack at once. In the stack, start j is read only once starts
-``0..j-1`` have ended, so the rule acts at the same j, and the results
-are those of a search that refines one start at a time. Whether it stops
-at j, and what each certificate spends, depends only on starts ``0..j``,
-each bit for bit the same at every budget that includes them, so j is
-the same at every budget larger than j. A budget b at or below j runs
-starts ``0..b-1``, a prefix of the starts of any larger budget; above it
-every budget runs the same starts ``0..j``. Either way a larger budget
-runs a superset of the starts, each bit for bit the same, and the value
-stays exactly nondecreasing in the budget. A start that ends at the cap
-stops the search even before the starts ahead of it have ended: the rule
-stops there or earlier whatever they do. Stopping the whole stack when
-a later start closes the gap would not keep this: the earlier starts
-would end at a step that depends on which later starts share the stack.
+The stop rule: after start j ends, with ``best_j`` the best value of
+starts ``0..j`` and ``bound_j`` the least of the cap and the certificates
+of starts ``0..j``, the search stops at the first j with
+``best_j >= bound_j - GAP_TOL``. A start that ends at the cap needs no
+rule of its own, since its value is within ``GAP_TOL`` of every bound.
+Whether the search stops at j, and what each certificate spends, depends
+only on starts ``0..j``. So a larger budget runs the starts of a smaller
+one first, each bit for bit the same, and the value is exactly
+nondecreasing in the budget.
 """
 
 from __future__ import annotations
@@ -150,7 +141,7 @@ import numpy as np
 
 from .bipartite import INCONCLUSIVE, STATISTIC_MARGIN, USEFUL, Verdict
 from .linalg import DensityMatrix, DimensionMismatchError, hermiticity_defect
-from .states import haar_unitaries
+from .states import haar_unitary
 from .weyl import weyl_basis
 
 UNITARITY_TOL = 1e-10
@@ -321,117 +312,74 @@ def _dual_bound(h: np.ndarray, u: np.ndarray, f: float, calls: int) -> tuple[flo
     return float(bounds[-1]), spent
 
 
-def _polar_ascent_stack(
-    state: DensityMatrix, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Iterate ``U <- polar(reshape(rho vec U) + SHIFT U)`` on a ``(k, d, d)`` start stack.
+def _polar_ascent(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Iterate ``U <- polar(reshape(rho vec U) + SHIFT U)`` from one start.
 
-    Each step refines, in one call per operation, the starts still active;
-    a start whose step moves no entry by ``FIXED_POINT_TOL`` or more, or
-    that has taken ``MAX_ITERATIONS`` steps, leaves the active set there.
-    Finished starts are read in start order: each start j that sets a new
-    best value, not below the best Weyl-unitary value, gets a dual
-    certificate from the budget of ``DUAL_STEPS`` ``eigh`` calls (for
-    ``d <= DUAL_MAX_D``), and the search stops at the
-    first j whose best value over starts ``0..j`` is within ``GAP_TOL`` of
-    the least bound, the smaller of ``state.spectrum[-1]`` and the
-    certificates of starts ``0..j``. The starts after j leave the stack at
-    once; a start that ends at the cap stops the search there even before
-    the starts ahead of it have ended.
-    Returns, for the starts up to the stop (all starts when the gap stays
-    open), the last unitary of each, its step count, whether it reached a
-    fixed point and its value; then the least bound.
+    Stops at the first step that moves no entry by ``FIXED_POINT_TOL`` or
+    more, or after ``MAX_ITERATIONS`` steps. Returns the last unitary, the
+    number of steps and whether the last step was a fixed point.
     """
-    k, d, _ = starts.shape
-    rho, bound = state.matrix, float(state.spectrum[-1])
-    cap = bound
-    u = np.array(starts, dtype=complex)
-    steps = np.zeros(k, dtype=int)  # 0 until the start ends
-    fixed = np.zeros(k, dtype=bool)
-    values = np.empty(k)
-    used, read, best = k, 0, -np.inf
-    dual_left = DUAL_STEPS if d <= DUAL_MAX_D else 0
-    herm = floor = None
-    active = np.arange(k)
-    cur = u
+    d = u.shape[0]
     for step in range(1, MAX_ITERATIONS + 1):
-        # stacked matvecs: one BLAS call per slice, never one gemm over the stack
-        g = np.matmul(rho, cur.reshape(-1, d * d, 1)).reshape(cur.shape)
-        w, _, vh = np.linalg.svd(g + SHIFT * cur)
+        g = (rho @ u.reshape(d * d, 1)).reshape(d, d)
+        w, _, vh = np.linalg.svd(g + SHIFT * u)
         nxt = w @ vh
-        done = np.max(np.abs(nxt - cur), axis=(1, 2)) < FIXED_POINT_TOL
-        last = step == MAX_ITERATIONS
-        if not (last or done.any()):
-            cur = nxt
-            continue
-        out = done | last
-        finished, arrived = active[out], nxt[out]
-        u[finished] = arrived
-        steps[finished] = step
-        fixed[finished] = done[out]
-        values[finished] = _values(rho, arrived)
-        hits = finished[values[finished] >= cap - GAP_TOL]
-        if hits.size:
-            used = min(used, int(hits[0]) + 1)
-        # the stop rule, read over the ended prefix of starts in start order
-        while read < used and steps[read]:
-            if values[read] > best:
-                best = float(values[read])
-                if dual_left and best < bound - GAP_TOL:
-                    if floor is None:
-                        herm, floor = _herm(rho), float(np.max(_values(rho, weyl_basis(d).ops)))
-                    if best >= floor - GAP_TOL:
-                        cert, spent = _dual_bound(herm, u[read], best, dual_left)
-                        bound, dual_left = min(bound, cert), dual_left - spent
-            read += 1
-            if best >= bound - GAP_TOL:
-                used = read
-        keep = ~out & (active < used)
-        active, cur = active[keep], nxt[keep]
-        if not active.size:
+        fixed = bool(np.max(np.abs(nxt - u)) < FIXED_POINT_TOL)
+        u = nxt
+        if fixed:
             break
-    return u[:used], steps[:used], fixed[:used], values[:used], bound
+    return u, step, fixed
 
 
 def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     """Multi-start lower-bound search for the fully entangled fraction.
 
-    ``budget`` counts refinement starts. The deterministic starts come
-    first (identity, then every Weyl unitary); remaining slots are Haar
-    samples, each drawn from a private stream derived from
-    ``(seed, start index)`` so results are reproducible and nondecreasing
-    in the budget. All starts are refined together as one stack by polar
-    iteration, each start with arithmetic of its own so that a larger
-    budget cannot perturb the starts of a smaller one (see the module
-    docstring); each stops when a step moves no entry of its U by
-    ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS`` steps. The
-    search stops at the first start j whose best value over starts
-    ``0..j`` is within ``GAP_TOL`` of the least certified bound of starts
-    ``0..j``: the cap ``lambda_max(rho)``, read from ``rho.spectrum``, or
-    a dual certificate built at a start that set a new best value.
+    ``budget`` counts refinement starts and ``seed`` must be a non-negative
+    integer. The deterministic starts come first (identity, then every
+    Weyl unitary); remaining slots are Haar samples, each drawn from a
+    private stream derived from ``(seed, start index)`` when the search
+    reaches it. The starts are refined one at a time, in start order, by
+    polar iteration; each stops when a step moves no entry of its U by
+    ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS`` steps. Each
+    start that sets a new best value, not below the best Weyl-unitary
+    value, gets a dual certificate from the shared budget of
+    ``DUAL_STEPS`` ``eigh`` calls (for ``d <= DUAL_MAX_D``). The search
+    stops after the first start j whose best value over starts ``0..j``
+    is within ``GAP_TOL`` of the least bound of starts ``0..j``: the cap
+    ``lambda_max(rho)``, read from ``rho.spectrum``, or a certificate.
     ``upper_bound`` is that least bound and ``starts_used`` is j + 1
     (``budget`` when the gap stays open). ``evaluations`` is the total
     number of polar steps over the starts used, and ``converged`` says
     every start used reached a fixed point.
     Ties go to the first start with the largest value.
     """
-    da, db = _require_square(rho)
-    d = da
+    d, _ = _require_square(rho)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    starts = np.empty((budget, d, d), dtype=complex)
-    # ops[0] is the identity, so it always leads the start set
-    n_weyl = min(budget, d * d)
-    starts[:n_weyl] = weyl_basis(d).ops[:n_weyl]
-    if budget > n_weyl:
-        starts[n_weyl:] = haar_unitaries(d, [(seed, idx) for idx in range(n_weyl, budget)])
-    u, steps, fixed, values, bound = _polar_ascent_stack(rho, starts)
-    best = int(np.argmax(values))
-    best_u = u[best].copy()
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    m, bound = rho.matrix, float(rho.spectrum[-1])
+    ops = weyl_basis(d).ops  # ops[0] is the identity, so it always leads
+    dual_left = DUAL_STEPS if d <= DUAL_MAX_D else 0
+    herm = floor = None
+    best, best_u, evaluations, converged = -np.inf, None, 0, True
+    for j in range(budget):
+        u, steps, fixed = _polar_ascent(m, ops[j] if j < d * d else haar_unitary(d, (seed, j)))
+        evaluations += steps
+        converged = converged and fixed
+        value = float(_values(m, u[None])[0])
+        if value > best:
+            best, best_u = value, u
+            if dual_left and best < bound - GAP_TOL:
+                if floor is None:
+                    herm, floor = _herm(m), float(np.max(_values(m, ops)))
+                if best >= floor - GAP_TOL:
+                    cert, spent = _dual_bound(herm, u, best, dual_left)
+                    bound, dual_left = min(bound, cert), dual_left - spent
+        if best >= bound - GAP_TOL:
+            break
     best_u.flags.writeable = False
-    return FefEstimate(
-        float(values[best]), best_u, int(steps.sum()), bool(fixed.all()), bound, len(u)
-    )
+    return FefEstimate(best, best_u, evaluations, converged, bound, j + 1)
 
 
 def verdict_from_estimate(est: FefEstimate, d: int) -> Verdict:

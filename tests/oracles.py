@@ -290,7 +290,7 @@ def fef_one_start_at_a_time(
     tolerance or the step limit is reached; the objective is
     ``vec(U)^dag rho vec(U) / d``. Returns ``(value, best_unitary,
     evaluations, converged)`` with ties going to the first start, to
-    compare against the library's stacked iteration.
+    compare against the library's search.
 
     With ``cap`` (an upper bound on the objective), the search stops after
     the first start j whose best value over starts ``0..j`` is at least

@@ -19,7 +19,6 @@ from weylsep import (
 from weylsep.states import (
     bell_diagonal,
     example4,
-    haar_unitaries,
     haar_unitary,
     isotropic,
     max_entangled,
@@ -238,18 +237,16 @@ def test_haar_unitary_determinism():
     assert np.array_equal(haar_unitary(3, 9), haar_unitary(3, 9))
 
 
-def test_haar_unitaries_match_one_draw_at_a_time():
-    # the batched QR gives each seed the unitary of its own QR and rephase
+def test_haar_unitary_is_the_rephased_qr_of_one_ginibre_draw():
+    # one Ginibre draw from the seed's stream, one QR, and the diagonal of R
+    # rephased to positive reals
     for d in (2, 3, 5):
-        seeds = [(4, idx) for idx in range(12)]
-        for seed, u in zip(seeds, haar_unitaries(d, seeds)):
+        for seed in [(4, idx) for idx in range(12)]:
             rng = np.random.default_rng(seed)
             z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             q, r = np.linalg.qr(z / np.sqrt(2.0))
             ph = np.diagonal(r)
-            assert np.array_equal(u, q * (ph / np.abs(ph)))
-            assert np.array_equal(u, haar_unitary(d, seed))
-    assert haar_unitaries(3, []).shape == (0, 3, 3)
+            assert np.array_equal(haar_unitary(d, seed), q * (ph / np.abs(ph)))
 
 
 def test_all_factories_validate():

@@ -159,27 +159,70 @@ def test_fef_search_monotone_in_budget():
 
 def test_fef_search_budget_prefix(monkeypatch):
     # each Haar start is drawn from (seed, start index) alone, so a larger
-    # budget first runs every start of a smaller one, in the same order
-    polar = teleport._polar_ascent_stack
+    # budget first runs every start of a smaller one, in the same order; the
+    # gap of this state stays open, so every start of either budget runs
+    polar = teleport._polar_ascent
 
     def starts(budget):
         seen = []
 
-        def recording(rho, stack):
-            seen.append(stack.copy())
-            return polar(rho, stack)
+        def recording(rho, u):
+            seen.append(np.array(u))
+            return polar(rho, u)
 
-        monkeypatch.setattr(teleport, "_polar_ascent_stack", recording)
-        fef_search(rho, budget=budget, seed=4)
-        (stack,) = seen
-        return stack
+        monkeypatch.setattr(teleport, "_polar_ascent", recording)
+        assert fef_search(rho, budget=budget, seed=4).starts_used == budget
+        return np.array(seen)
 
-    rho = validate_density(random_mixed(9, 3, seed=5).matrix, [3, 3])
+    rho = validate_density(random_mixed(9, 4, seed=3).matrix, [3, 3])
     k, n = 12, 20  # both past the d^2 = 9 Weyl starts, so Haar starts are compared
     short, long = starts(k), starts(n)
     assert short.shape == (k, 3, 3) and long.shape == (n, 3, 3)
     np.testing.assert_array_equal(short, long[:k])
     assert not np.allclose(long[k - 1], long[k])
+
+
+def test_fef_search_draws_and_refines_only_the_starts_it_uses(monkeypatch):
+    # starts are refined one at a time and a Haar start is drawn only when the
+    # search reaches it: isotropic(3, 0.5) stops at the identity and draws
+    # none of its 55 Haar starts, while the open gap of the random state runs
+    # and draws them all
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(teleport, "_polar_ascent", counted("polar", teleport._polar_ascent))
+    monkeypatch.setattr(teleport, "haar_unitary", counted("haar", teleport.haar_unitary))
+    open_gap = validate_density(random_mixed(9, 4, seed=3).matrix, [3, 3])
+    for rho, budget, used in ((isotropic(3, 0.5), 64, 1), (open_gap, 20, 20)):
+        calls.update(polar=0, haar=0)
+        est = fef_search(rho, budget, seed=5)
+        assert est.starts_used == used
+        assert calls == {"polar": used, "haar": max(0, used - 9)}
+
+
+def test_fef_search_rejects_a_bad_seed_at_every_budget():
+    # the seed is checked before the first start, so a budget that ends
+    # within the d^2 Weyl starts, or a search that stops before its first
+    # Haar start, rejects it too
+    rho = isotropic(3, 0.5)
+    for seed in (None, -1, True, False, 1.5, "1", (1, 2), np.float64(2.0), np.bool_(True)):
+        for budget in (1, 8, 16, 64):
+            with pytest.raises(ValueError, match="seed"):
+                fef_search(rho, budget, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        teleportation_verdict(rho, 8, seed=-1)
+    open_gap = validate_density(random_mixed(9, 4, seed=3).matrix, [3, 3])
+    est = fef_search(open_gap, 12, seed=7)
+    for seed in (np.int64(7), np.uint8(7)):
+        other = fef_search(open_gap, 12, seed=seed)
+        assert (other.value, other.evaluations) == (est.value, est.evaluations)
+    assert fef_search(rho, 16, seed=0).starts_used == 1
 
 
 def _library_certificates(rho):
@@ -209,8 +252,8 @@ def _library_certificates(rho):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_fef_search_matches_one_start_at_a_time(d):
-    # no start's arithmetic may depend on which other starts share the stack,
-    # and the stack stops where the one-start-at-a-time form of the rule stops
+    # the library's search, certificates included, gives the starts, steps,
+    # value and unitary of the independent one-start-at-a-time oracle
     for rank in (1, 2, d, d * d):
         seed = 100 * d + rank
         rho = validate_density(random_mixed(d * d, rank, seed=seed).matrix, [d, d])
@@ -234,8 +277,8 @@ def _states_at_the_cap(d):
     """States whose fully entangled fraction equals lambda_max, so that a
     search reaches the cap, at a Weyl start or after some steps."""
     # a rotation near the last Weyl operator: that start tends to reach the
-    # cap while earlier starts still climb, which a search that stops the
-    # whole stack at the first start at the cap gets wrong
+    # cap in fewer steps than earlier starts take to climb, and the search
+    # must still run those earlier starts to their own ends
     w, _, vh = np.linalg.svd(weyl_op(d, d - 1, d - 1) + 0.2 * haar_unitary(d, seed=80 + d))
     near_last_weyl = w @ vh
     iso = isotropic(d, 0.7).matrix
