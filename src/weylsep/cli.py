@@ -17,6 +17,12 @@ families and keys are the tables :data:`FAMILIES` and ``_KEYS``.
 Reports are JSON on stdout; identical invocations (including ``--seed``)
 are byte-identical apart from the timestamp, which ``--no-timestamp``
 removes. Seeds are never read from the environment.
+
+:func:`main` may be called many times in one process. The calls share one
+parser, which :func:`build_parser` builds on the first call and never at
+import: argparse keeps no state from one ``parse_args`` to the next, and it
+looks up ``sys.stdout``, ``sys.stderr`` and the terminal width when it
+prints help, the version or a usage error, not when it is built.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -365,7 +372,9 @@ def cmd_scan(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``weylsep`` parser, built once per process and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="weylsep",
         description="Entanglement and teleportation-resource detection "

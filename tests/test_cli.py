@@ -20,14 +20,19 @@ from weylsep.weyl import weyl_basis
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args):
+def run_python(*args):
+    """Run a fresh interpreter with ``src`` on its path."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "weylsep", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "weylsep", *args)
 
 
 def test_check_sep_isotropic_example():
@@ -294,6 +299,58 @@ def run_main(*args):
     return rc, out.getvalue(), err.getvalue()
 
 
+#: Every subcommand, help, the version and three usage errors, with their exit codes.
+_MAIN_SEQUENCE = [
+    (("basis", "--d", "2"), 0),
+    (("decompose", "--state", "isotropic:d=2,p=0.5", "--no-timestamp"), 0),
+    (("check-sep", "--state", "isotropic:d=3,p=0.3", "--no-timestamp"), 0),
+    (("check-tele", "--state", "example4:p=0.8", "--seed", "1", "--budget", "4", "--no-timestamp"), 0),
+    (("scan", "--family", "isotropic", "--d", "2", "--from", "0", "--to", "1", "--step", "0.5",
+      "--out", "-"), 0),
+    (("--help",), 0),
+    (("check-sep", "--help"), 0),
+    (("--version",), 0),
+    (("frobnicate",), 2),
+    (("check-tele", "--state", "example4:p=0.8"), 2),
+    (("check-sep", "--state", "isotropic:d=3,p=x"), 2),
+]
+
+
+def test_shared_parser_gives_the_outputs_of_a_fresh_one(monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = {args: run_main(*args) for args, _ in _MAIN_SEQUENCE}
+    assert [fresh[args][0] for args, _ in _MAIN_SEQUENCE] == [rc for _, rc in _MAIN_SEQUENCE]
+    for sequence in (_MAIN_SEQUENCE, _MAIN_SEQUENCE[::-1]):
+        for args, _ in sequence:
+            assert run_main(*args) == fresh[args], args
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_is_built_on_the_first_call_not_at_import():
+    # counts the ArgumentParser objects (the parser and its five subparsers)
+    # made by the import and by each of two main calls, in a fresh process
+    code = (
+        "import argparse, contextlib, io\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import weylsep.cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert weylsep.cli.main(['basis', '--d', '2']) == 0\n"
+        "    counts.append(len(made))\n"
+        "print(*counts)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "6", "6"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -384,6 +441,8 @@ def test_internal_failure_exits_one(monkeypatch):
     def broken(m):
         raise ValueError("kernel failure")
 
+    # the shared parser exists before the patch, whatever ran first
+    assert run_main("check-sep", "--state", "isotropic:d=3,p=0.3")[0] == 0
     monkeypatch.setattr(cli, "decompose_bipartite", broken)
     rc, out, err = run_main("check-sep", "--state", "isotropic:d=3,p=0.3")
     assert rc == 1

@@ -503,6 +503,18 @@ def test_fef_search_closes_the_gap_on_example4_near_one_third(p):
     assert est.upper_bound - est.value <= teleport.GAP_TOL
 
 
+@pytest.mark.parametrize("d", [7, 8])
+def test_fef_search_certifies_up_to_the_dual_cutoff(d):
+    # certificates run through d = DUAL_MAX_D: on this rank-2 state the
+    # cap-only search leaves the gap open over all 64 starts, while the
+    # certificate of start 0 closes it
+    assert d <= teleport.DUAL_MAX_D
+    rho = validate_density(random_mixed(d * d, 2, seed=1000 * d + 2).matrix, [d, d])
+    est = fef_search(rho, 64, seed=1)
+    assert est.starts_used == 1
+    assert est.upper_bound - est.value <= teleport.GAP_TOL
+
+
 def test_fef_search_above_the_dual_cutoff_runs_no_certificate(monkeypatch):
     # above DUAL_MAX_D the search is the cap-only search: no eigh of the
     # d^2 x d^2 dual runs, and the one-start-at-a-time form of the cap rule
