@@ -153,17 +153,27 @@ def kyfan_norm(m: np.ndarray) -> float:
     return float(np.sum(singular_values(m)))
 
 
+def kyfan_bound(da: int, db: int) -> float:
+    """The separable bound ``sqrt((dA-1)*(dB-1))`` on the Ky Fan norm of the correlation matrix."""
+    return float(np.sqrt((da - 1) * (db - 1)))
+
+
+def correlation_outcome(statistic: float, threshold: float) -> str:
+    """ENTANGLED when the Ky Fan statistic exceeds the threshold beyond the roundoff margin."""
+    return ENTANGLED if statistic > threshold + STATISTIC_MARGIN else INCONCLUSIVE
+
+
 def correlation_verdict(dec: BipartiteDecomposition) -> Verdict:
     """Correlation-matrix trace-norm test on a decomposition already built.
 
     ENTANGLED when the Ky Fan norm of the correlation matrix exceeds
-    ``sqrt((dA-1)*(dB-1))`` beyond the roundoff margin; INCONCLUSIVE
+    :func:`kyfan_bound` beyond the roundoff margin; INCONCLUSIVE
     otherwise. The bound is only necessary for separability, so this
     criterion never answers SEPARABLE.
     """
     statistic = float(np.sum(dec.singular_values))
-    threshold = float(np.sqrt((dec.da - 1) * (dec.db - 1)))
-    outcome = ENTANGLED if statistic > threshold + STATISTIC_MARGIN else INCONCLUSIVE
+    threshold = kyfan_bound(dec.da, dec.db)
+    outcome = correlation_outcome(statistic, threshold)
     return Verdict("weyl-correlation", outcome, statistic, threshold)
 
 

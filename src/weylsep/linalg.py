@@ -63,9 +63,12 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs entry of ``m - m^dagger``."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
+    """Max-abs entry of ``m - m^dagger``, per matrix of a stack ``(..., D, D)``.
+
+    A single matrix gives a float, a stack an array of its leading shape.
+    """
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,30 +86,38 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
 
 
-def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part ``(h + h^dagger) / 2``.
+def _any(flags: np.ndarray) -> bool:
+    """``flags.any()``, without its microsecond of fixed cost on a single matrix's 0-d flag."""
+    return bool(flags) if flags.ndim == 0 else bool(flags.any())
 
-    Inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL`` are
-    rejected. The halves are summed rather than halving the sum, which is
-    the same number bit for bit except where the sum would overflow.
+
+def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part ``(h + h^dagger) / 2``, per matrix of a stack.
+
+    A stack is rejected when any of its matrices has a Hermiticity defect
+    above ``HERMITICITY_TOL``; the message carries the largest. The halves
+    are summed rather than halving the sum, which is the same number bit
+    for bit except where the sum would overflow.
     """
     defect = hermiticity_defect(h)
-    if defect > HERMITICITY_TOL:
+    if _any(defect > HERMITICITY_TOL):
         raise NotHermitianError(
-            f"not Hermitian: max |m - m^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+            f"not Hermitian: max |m - m^dag| = {np.max(defect):.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     half = h / 2
-    return np.linalg.eigvalsh(half + half.conj().T)
+    return np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
+def min_eigenvalue(h: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of a Hermitian matrix, or of each matrix of a stack.
 
     The input is symmetrized as ``(h + h^dagger) / 2`` before the solve to
     damp roundoff asymmetry; inputs whose Hermiticity defect exceeds
-    ``HERMITICITY_TOL`` are rejected.
+    ``HERMITICITY_TOL`` are rejected. A single matrix gives a float, a
+    stack an array of its leading shape.
     """
-    return float(_hermitian_spectrum(np.asarray(h, dtype=complex))[0])
+    low = _hermitian_spectrum(np.asarray(h, dtype=complex))[..., 0]
+    return float(low) if low.ndim == 0 else low
 
 
 def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
@@ -142,23 +153,54 @@ def partial_transpose(rho: DensityMatrix, sys: int) -> np.ndarray:
     bare array rather than a :class:`DensityMatrix`.
     """
     da, db = _require_bipartite(rho)
+    return transpose_factor(rho.matrix, da, db, sys)
+
+
+def transpose_factor(m: np.ndarray, da: int, db: int, sys: int) -> np.ndarray:
+    """Transpose on factor ``sys`` of a ``(da*db)``-square matrix, or of each matrix of a stack."""
     if sys not in (0, 1):
         raise ValueError(f"sys must be 0 or 1, got {sys}")
-    r4 = rho.matrix.reshape(da, db, da, db)
-    if sys == 0:
-        out = r4.transpose(2, 1, 0, 3)
-    else:
-        out = r4.transpose(0, 3, 2, 1)
-    return out.reshape(da * db, da * db)
+    lead = m.shape[:-2]
+    r4 = m.reshape(*lead, da, db, da, db)
+    out = r4.swapaxes(-4, -2) if sys == 0 else r4.swapaxes(-3, -1)
+    return out.reshape(*lead, da * db, da * db)
+
+
+def check_density(m: np.ndarray) -> np.ndarray:
+    """Check the density-matrix invariants of a complex square matrix, or of each matrix of a stack.
+
+    Raises a distinct :class:`ValidationError` subclass per violated
+    invariant (finiteness, Hermiticity, unit trace, positivity), in that
+    order; the message carries the measured violation of the first matrix
+    that breaks the invariant (the largest, for Hermiticity). Returns the
+    ascending spectra of the Hermitian parts, shape ``(..., D)``.
+    """
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix contains non-finite entries")
+    spectrum = _hermitian_spectrum(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
+        traces = m.trace(axis1=-2, axis2=-1)
+        wrong = ~(abs(traces - 1.0) <= TRACE_TOL)
+    if _any(wrong):
+        tr = complex(np.extract(wrong, traces)[0])
+        raise WrongTraceError(f"trace is {tr.real:.12g}{tr.imag:+.3e}j, expected 1")
+    lowest = spectrum[..., 0]
+    negative = lowest < -POSITIVITY_TOL
+    if _any(negative):
+        low = np.extract(negative, lowest)[0]
+        raise NotPositiveSemidefiniteError(
+            f"negative eigenvalue {low:.3e} below -{POSITIVITY_TOL:.0e}"
+        )
+    return spectrum
 
 
 def validate_density(m: np.ndarray, dims) -> DensityMatrix:
     """Check the density-matrix invariants and wrap the result.
 
-    Raises a distinct :class:`ValidationError` subclass per violated
-    invariant (dimension bookkeeping, finiteness, Hermiticity, unit trace,
-    positivity); the message carries the measured violation. The spectrum
-    that decides positivity is kept as ``DensityMatrix.spectrum``.
+    Checks the dimension bookkeeping, then :func:`check_density`; each
+    violated invariant raises its own :class:`ValidationError` subclass,
+    whose message carries the measured violation. The spectrum that
+    decides positivity is kept as ``DensityMatrix.spectrum``.
     """
     m = np.array(m, dtype=complex)
     dims = tuple(int(x) for x in dims)
@@ -171,17 +213,7 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
             f"subsystem dims {dims} multiply to {math.prod(dims)}, "
             f"matrix dimension is {m.shape[0]}"
         )
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValidationError("matrix contains non-finite entries")
-    spectrum = _hermitian_spectrum(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
-        tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise WrongTraceError(f"trace is {tr.real:.12g}{tr.imag:+.3e}j, expected 1")
-    if spectrum[0] < -POSITIVITY_TOL:
-        raise NotPositiveSemidefiniteError(
-            f"negative eigenvalue {spectrum[0]:.3e} below -{POSITIVITY_TOL:.0e}"
-        )
+    spectrum = check_density(m)
     m.flags.writeable = False
     spectrum.flags.writeable = False
     return DensityMatrix(m, dims, spectrum)

@@ -37,10 +37,15 @@ def isotropic(d: int, p: float) -> DensityMatrix:
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
+    return validate_density(isotropic_matrix(d, p), [d, d])
+
+
+def isotropic_matrix(d: int, p) -> np.ndarray:
+    """The unchecked :func:`isotropic` matrix, or a ``(..., d*d, d*d)`` stack for an array ``p``."""
     ket = max_entangled_ket(d)
-    m = (1.0 - p) / (d * d) * np.eye(d * d, dtype=complex)
-    m += p * np.outer(ket, ket.conj())
-    return validate_density(m, [d, d])
+    m = np.multiply.outer((1.0 - p) / (d * d), np.eye(d * d, dtype=complex))
+    m += np.multiply.outer(p, np.outer(ket, ket.conj()))
+    return m
 
 
 _PAULI = {
@@ -59,10 +64,15 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     """
     if not np.all(np.isfinite([t1, t2, t3])):
         raise ValidationError(f"correlation parameters must be finite, got {(t1, t2, t3)}")
+    return validate_density(bell_diagonal_matrix(t1, t2, t3), [2, 2])
+
+
+def bell_diagonal_matrix(t1, t2, t3) -> np.ndarray:
+    """The unchecked :func:`bell_diagonal` matrix, or a ``(..., 4, 4)`` stack for arrays ``t``."""
     m = np.eye(4, dtype=complex)
     for t, i in ((t1, 1), (t2, 2), (t3, 3)):
-        m += t * kron(_PAULI[i], _PAULI[i])
-    return validate_density(m / 4.0, [2, 2])
+        m = m + np.multiply.outer(t, kron(_PAULI[i], _PAULI[i]))
+    return m / 4.0
 
 
 def ppt_3x3() -> DensityMatrix:

@@ -113,12 +113,15 @@ def weyl_coefficients(matrix: np.ndarray, da: int, db: int = 1) -> np.ndarray:
     ``W(n, m)`` has the single entry ``exp(2j*pi*k*n/d)`` in row ``k``, each
     coefficient is a discrete Fourier transform of a cyclic diagonal: the
     diagonals are gathered once, then transformed over ``a`` and over ``b``,
-    in O(D^2 (da + db)) operations with ``D = da*db``.
+    in O(D^2 (da + db)) operations with ``D = da*db``. A stack of matrices,
+    shape ``(..., D, D)``, gives a stack of tables, each the table of its
+    matrix bit for bit: the transforms are matrix products per matrix.
     """
-    g = matrix.reshape(-1)[cyclic_index(da, db)]  # (a, b, m1, m2)
-    g = fourier(da) @ g.reshape(da, -1)  # (n1, b, m1, m2)
-    g = fourier(db) @ g.reshape(da, db, -1)  # (n1, n2, m1, m2)
-    return g.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    lead = matrix.shape[:-2]
+    g = matrix.reshape(*lead, -1).take(cyclic_index(da, db), axis=-1)  # (..., a, b, m1, m2)
+    g = fourier(da) @ g.reshape(*lead, da, -1)  # (..., n1, b, m1, m2)
+    g = fourier(db) @ g.reshape(*lead, da, db, -1)  # (..., n1, n2, m1, m2)
+    return g.reshape(*lead, da, db, da, db).swapaxes(-3, -2).reshape(*lead, da * da, db * db)
 
 
 def weyl_assemble(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:

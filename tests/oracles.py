@@ -1,10 +1,15 @@
 """Independent brute-force oracles and test ensembles.
 
 Nothing here goes through the library's search or decomposition paths, so
-these values can certify them.
+these values can certify them. The one exception is
+:func:`scan_one_row_at_a_time`, which pins the stacked ``scan`` to the
+library's single-state functions.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 import numpy as np
 
@@ -330,3 +335,31 @@ def fef_one_start_at_a_time(
     if cap is None:
         return best_val, best_u, steps, converged
     return best_val, best_u, steps, converged, used
+
+
+def scan_one_row_at_a_time(start, stop, step, ppt=False, d=None, direction=None) -> str:
+    """The CSV of ``weylsep scan``, one state, one verdict and one PPT test per row.
+
+    Each row builds its state through the family constructor (isotropic
+    with ``d``, Bell-diagonal along ``direction`` otherwise) and runs the
+    public single-state criteria on it.
+    """
+    from weylsep import bell_diagonal, isotropic, ppt_criterion, weyl_separability_criterion
+
+    if d is not None:
+        make = lambda p: isotropic(d, p)  # noqa: E731
+    else:
+        make = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
+    count = int(np.floor((stop - start) / step + 1e-6)) + 1
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["param", "kyfan", "threshold", "verdict"] + (["ppt_min_eig"] if ppt else []))
+    for i in range(count):
+        param = min(start + i * step, stop)
+        rho = make(param)
+        verdict = weyl_separability_criterion(rho)
+        row = [param, verdict.statistic, verdict.threshold, verdict.outcome]
+        if ppt:
+            row.append(ppt_criterion(rho).statistic)
+        writer.writerow(row)
+    return out.getvalue()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scan_one_row_at_a_time
 from weylsep import bipartite, cli, validate_density
 from weylsep.fileio import save_state
 from weylsep.states import max_entangled, random_mixed
@@ -394,6 +395,10 @@ def test_parser_is_built_on_the_first_call_not_at_import():
         ("decompose", "{bool_dims}"),
         ("decompose", "{deep_nesting}"),
         ("check-sep", "{deep_nesting}"),
+        ("scan", "--family", "bell-diagonal", "--d", "2", "--direction=1,1,1", "--from", "0",
+         "--to", "0.3", "--step", "0.1", "--out", "-"),
+        ("scan", "--family", "isotropic", "--d", "2", "--direction=1,1,1", "--from", "0",
+         "--to", "1", "--step", "0.5", "--out", "-"),
     ],
     ids=[
         "non-utf8-file", "budget-0", "negative-seed", "tele-1x1", "scan-nan", "scan-inf-step",
@@ -404,7 +409,8 @@ def test_parser_is_built_on_the_first_call_not_at_import():
         "random-mixed-da-db-minus-1", "random-mixed-da-db-negative", "budget-1025",
         "budget-huge", "decompose-dims-wrap-int64", "check-sep-dims-wrap-int64",
         "dims-square-wraps-to-0", "entry-int-overflows-float", "bool-dims",
-        "decompose-deep-nesting", "check-sep-deep-nesting",
+        "decompose-deep-nesting", "check-sep-deep-nesting", "scan-bell-diagonal-with-d",
+        "scan-isotropic-with-direction",
     ],
 )
 def test_input_errors_exit_two(tmp_path, args):
@@ -469,14 +475,81 @@ def test_scan_direction_error_names_the_input():
 
 
 def test_scan_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path):
+    # the end points are checked through states.isotropic; every row of the
+    # sweep starts with the stacked build that the cli imports
     calls = []
-    monkeypatch.setattr(cli, "weyl_separability_criterion", calls.append)
+    monkeypatch.setattr(cli, "isotropic_matrix", lambda d, ps: calls.append(ps))
     rc, out, err = run_main(
         "scan", "--family", "isotropic", "--d", "3", "--from", "0", "--to", "1",
         "--step", "0.01", "--out", str(tmp_path / "missing" / "scan.csv"),
     )
     assert (rc, out, calls) == (2, "", [])
     assert err.startswith("error:")
+
+
+_SCAN_CASES = [
+    *((("isotropic", d), 0.0, 1.0, step) for d in (2, 3, 4, 5) for step in (0.1, 0.05, 0.013)),
+    (("isotropic", 3), 0.5, 0.5, 0.1),
+    (("isotropic", 2), 0.0, 1.0, 1.0),
+    (("bell-diagonal", (1.0, 1.0, -1.0)), 0.0, 1.0, 0.01),
+    (("bell-diagonal", (-1.0, -1.0, -1.0)), 0.0, 1.0, 0.05),
+    (("bell-diagonal", (1.0, 1.0, 1.0)), 0.0, 0.3333333333, 0.0333333333),
+]
+
+
+def _scan_argv(family, start, stop, step, ppt, out="-"):
+    kind, value = family
+    if kind == "isotropic":
+        flags = ["--d", str(value)]
+    else:
+        flags = ["--direction=" + ",".join(map(str, value))]
+    argv = ["scan", "--family", kind, *flags, "--from", str(start), "--to", str(stop)]
+    return argv + ["--step", str(step), "--out", out] + (["--ppt"] if ppt else [])
+
+
+def _one_row_at_a_time(family, start, stop, step, ppt):
+    kind, value = family
+    key = "d" if kind == "isotropic" else "direction"
+    return scan_one_row_at_a_time(start, stop, step, ppt, **{key: value})
+
+
+@pytest.mark.parametrize("ppt", [False, True])
+@pytest.mark.parametrize("family,start,stop,step", _SCAN_CASES)
+def test_scan_csv_is_the_one_row_at_a_time_csv(family, start, stop, step, ppt):
+    rc, out, err = run_main(*_scan_argv(family, start, stop, step, ppt))
+    assert (rc, err) == (0, "")
+    assert out == _one_row_at_a_time(family, start, stop, step, ppt)
+
+
+@pytest.mark.parametrize("ppt", [False, True])
+@pytest.mark.parametrize(
+    "family,start,stop,step,rows",
+    [
+        (("isotropic", 3), 0.0, 1.0, 0.05, 4),
+        (("bell-diagonal", (1.0, 1.0, -1.0)), 0.0, 1.0, 0.1, 3),
+    ],
+)
+def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, family, start, stop,
+                                                       step, rows, ppt):
+    dim = 9 if family[0] == "isotropic" else 4
+    monkeypatch.setattr(cli, "SCAN_BLOCK_BYTES", rows * 16 * dim**2)
+    built, checked = [], []
+    build = cli.isotropic_matrix if family[0] == "isotropic" else cli.bell_diagonal_matrix
+    check = cli.check_density
+    monkeypatch.setattr(
+        cli, build.__name__, lambda *args: built.append(len(args[-1])) or build(*args)
+    )
+    monkeypatch.setattr(cli, "check_density", lambda m: checked.append(len(m)) or check(m))
+    path = tmp_path / "scan.csv"
+    assert run_main(*_scan_argv(family, start, stop, step, ppt, out=str(path))) == (0, "", "")
+    expected = _one_row_at_a_time(family, start, stop, step, ppt)
+    assert path.read_bytes() == expected.encode()
+    # every row is built in blocks of the capped size, and every row but
+    # the two end points, which the family constructor checks, is
+    # validated with its block
+    assert len(built) >= 3 and set(built[:-1]) == {rows}
+    assert sum(built) == expected.count("\n") - 1
+    assert checked == [built[0] - 1, *built[1:-1], built[-1] - 1]
 
 
 @pytest.mark.parametrize("command", ["check-sep", "decompose"])

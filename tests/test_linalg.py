@@ -5,6 +5,7 @@ from weylsep import (
     DimensionMismatchError,
     NotHermitianError,
     NotPositiveSemidefiniteError,
+    ValidationError,
     WrongTraceError,
     kron,
     min_eigenvalue,
@@ -15,6 +16,7 @@ from weylsep import (
     singular_values,
     validate_density,
 )
+from weylsep.linalg import _hermitian_spectrum, check_density, hermiticity_defect, transpose_factor
 from weylsep.states import example4, isotropic, max_entangled
 from weylsep.weyl import weyl_op
 
@@ -208,3 +210,59 @@ def test_validate_density_huge_entries_fail_their_invariant():
     # an overflowed trace is an error, not a RuntimeWarning (pytest raises those)
     with pytest.raises(WrongTraceError, match="trace is inf"):
         validate_density(np.diag([1.7e308, 1.7e308]), [2])
+
+
+def _state_stack(d: int, n: int) -> np.ndarray:
+    """n random d-level states, each with a Hermiticity defect well inside tolerance."""
+    rng = np.random.default_rng(d * 10 + n)
+    stack = np.stack([random_mixed(d, 1 + k % d, seed=k).matrix for k in range(n)])
+    noise = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+    return stack + 1e-13 * noise
+
+
+@pytest.mark.parametrize("d", [2, 4, 9, 16])
+def test_stacked_hermitian_kernels_match_per_matrix_calls(d):
+    stack = _state_stack(d, 6)
+    defects = hermiticity_defect(stack)
+    spectra = _hermitian_spectrum(stack)
+    lowest = min_eigenvalue(stack)
+    assert defects.shape == lowest.shape == (6,) and spectra.shape == (6, d)
+    for k, m in enumerate(stack):
+        assert defects[k] == hermiticity_defect(m) > 0
+        np.testing.assert_array_equal(spectra[k], _hermitian_spectrum(m))
+        assert lowest[k] == min_eigenvalue(m)
+    nested = check_density(stack.reshape(2, 3, d, d))
+    np.testing.assert_array_equal(nested, spectra.reshape(2, 3, d))
+
+
+def test_transpose_factor_of_a_stack_matches_partial_transpose():
+    stack = np.stack([random_mixed(6, 3, seed=k).matrix for k in range(4)])
+    for sys in (0, 1):
+        out = transpose_factor(stack, 2, 3, sys)
+        for k, m in enumerate(stack):
+            rho = validate_density(m, [2, 3])
+            np.testing.assert_array_equal(out[k], partial_transpose(rho, sys))
+
+
+def test_a_bad_matrix_inside_a_stack_is_rejected_with_its_own_message():
+    stack = np.stack([np.eye(3, dtype=complex) / 3] * 5)
+    cases = [
+        ((0, 1), 1e-6, NotHermitianError),
+        ((1, 1), 0.5, WrongTraceError),
+        ((0, 0), 0.0, ValidationError),
+    ]
+    for (i, j), value, error in cases:
+        bad = stack.copy()
+        bad[3, i, j] += value if value else np.inf
+        with pytest.raises(error) as alone:
+            validate_density(bad[3], [3])
+        with pytest.raises(error) as stacked:
+            check_density(bad)
+        assert str(stacked.value) == str(alone.value)
+    # the first failing matrix names the violation; positivity reads its spectrum
+    bad = stack.copy()
+    bad[2] = np.diag([1.5, -0.25, -0.25])
+    bad[4] = np.diag([2.0, -0.5, -0.5])
+    with pytest.raises(NotPositiveSemidefiniteError) as stacked:
+        check_density(bad)
+    assert str(stacked.value) == "negative eigenvalue -2.500e-01 below -1e-10"

@@ -18,9 +18,11 @@ from weylsep import (
 )
 from weylsep.states import (
     bell_diagonal,
+    bell_diagonal_matrix,
     example4,
     haar_unitary,
     isotropic,
+    isotropic_matrix,
     max_entangled,
     max_entangled_ket,
     ppt_3x3,
@@ -60,6 +62,24 @@ def test_isotropic_verdict_flips_at_one_over_d_plus_one(d):
         else:
             lo = mid
     assert abs(hi - 1.0 / (d + 1)) <= 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_isotropic_matrix_stack_is_the_constructors_matrices(d):
+    ps = np.linspace(0.0, 1.0, 7)
+    stack = isotropic_matrix(d, ps)
+    assert stack.shape == (7, d * d, d * d)
+    for p, m in zip(ps.tolist(), stack):
+        np.testing.assert_array_equal(m, isotropic(d, p).matrix)
+
+
+def test_bell_diagonal_matrix_stack_is_the_constructors_matrices():
+    ss = np.linspace(-0.3, 0.9, 5)
+    ray = (0.3, -0.2, 0.5)
+    stack = bell_diagonal_matrix(*(ss * t for t in ray))
+    assert stack.shape == (5, 4, 4)
+    for s, m in zip(ss.tolist(), stack):
+        np.testing.assert_array_equal(m, bell_diagonal(*(s * t for t in ray)).matrix)
 
 
 def test_bell_diagonal_trivials():

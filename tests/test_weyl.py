@@ -179,3 +179,15 @@ def test_weyl_roundtrip_on_random_matrices(da, db, scale, seed):
     m = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     back = weyl_assemble(weyl_coefficients(m, da, db), da, db)
     assert np.max(np.abs(back - m)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 3), (2, 4), (5, 1), (8, 8)])
+@pytest.mark.parametrize("lead", [(4,), (2, 3)])
+def test_weyl_coefficients_of_a_stack_match_per_matrix_calls(da, db, lead):
+    rng = np.random.default_rng(da * 100 + db * 10 + len(lead))
+    dim = da * db
+    stack = rng.standard_normal((*lead, dim, dim)) + 1j * rng.standard_normal((*lead, dim, dim))
+    tables = weyl_coefficients(stack, da, db)
+    assert tables.shape == (*lead, da * da, db * db)
+    for i in np.ndindex(*lead):
+        np.testing.assert_array_equal(tables[i], weyl_coefficients(stack[i], da, db))
