@@ -26,8 +26,6 @@ import numpy as np
 from .linalg import DensityMatrix, DimensionMismatchError
 from .weyl import adjoint_defect, weyl_assemble, weyl_coefficients
 
-SYMMETRY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class BlochVector:

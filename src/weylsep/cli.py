@@ -6,7 +6,8 @@ micro-grammar ``family:key=value,...`` (vector values are comma-joined,
 e.g. ``bell-diagonal:t=0.2,0.2,0.2``).
 
 Exit codes: 0 success; 2 usage or input error (:class:`UsageError`,
-:class:`~weylsep.linalg.ValidationError` or :class:`OSError`); 1 any other
+:class:`~weylsep.linalg.ValidationError` or :class:`OSError`); 141 (128 +
+SIGPIPE), silently, when stdout's reader has closed it; 1 any other
 failure, which is a fault in the program. Every dimension given on the
 command line (the ``d``, ``da`` and ``db`` state keys, ``basis --d`` and
 ``scan --d``) must lie in ``[1, MAX_DIM]`` (:data:`MAX_DIM`), checked
@@ -33,6 +34,7 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -466,6 +468,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader left; keep the exit-time flush from failing again
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())  # skipped for a stdout without a descriptor
+        return 141
     except (UsageError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

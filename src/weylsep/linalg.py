@@ -42,8 +42,8 @@ class NotPositiveSemidefiniteError(ValidationError):
 class DensityMatrix:
     """A validated trace-one Hermitian PSD matrix plus subsystem dimensions.
 
-    ``spectrum`` holds the ascending eigenvalues of the Hermitian part
-    ``(rho + rho^dag) / 2``, solved once during validation. Construct
+    ``matrix`` is Hermitian bit for bit and ``spectrum`` holds its
+    ascending eigenvalues, solved once during validation. Construct
     through :func:`validate_density`; the dataclass itself does not
     re-check the invariants. The one other construction is a dims
     relabel, ``dataclasses.replace(rho, dims=...)``: the same matrix and
@@ -91,32 +91,33 @@ def _any(flags: np.ndarray) -> bool:
     return bool(flags) if flags.ndim == 0 else bool(flags.any())
 
 
-def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part ``(h + h^dagger) / 2``, per matrix of a stack.
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^dagger) / 2`` as a fresh array, Hermitian bit for bit, per matrix of a stack.
 
-    A stack is rejected when any of its matrices has a Hermiticity defect
-    above ``HERMITICITY_TOL``; the message carries the largest. The halves
-    are summed rather than halving the sum, which is the same number bit
-    for bit except where the sum would overflow.
+    The halves are summed rather than halving the sum, which is the same
+    number bit for bit except where the sum would overflow.
     """
-    defect = hermiticity_defect(h)
+    half = m / 2
+    return half + half.conj().swapaxes(-1, -2)
+
+
+def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_part`, after rejecting a stack whose largest defect exceeds ``HERMITICITY_TOL``."""
+    defect = hermiticity_defect(m)
     if _any(defect > HERMITICITY_TOL):
         raise NotHermitianError(
             f"not Hermitian: max |m - m^dag| = {np.max(defect):.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
-    half = h / 2
-    return np.linalg.eigvalsh(half + half.conj().swapaxes(-1, -2))
+    return hermitian_part(m)
 
 
 def min_eigenvalue(h: np.ndarray) -> float | np.ndarray:
-    """Smallest eigenvalue of a Hermitian matrix, or of each matrix of a stack.
+    """Smallest eigenvalue of the Hermitian part of a matrix, or of each matrix of a stack.
 
-    The input is symmetrized as ``(h + h^dagger) / 2`` before the solve to
-    damp roundoff asymmetry; inputs whose Hermiticity defect exceeds
-    ``HERMITICITY_TOL`` are rejected. A single matrix gives a float, a
-    stack an array of its leading shape.
+    Inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL`` are
+    rejected. A single matrix gives a float, a stack an array.
     """
-    low = _hermitian_spectrum(np.asarray(h, dtype=complex))[..., 0]
+    low = np.linalg.eigvalsh(_checked_hermitian_part(np.asarray(h, dtype=complex)))[..., 0]
     return float(low) if low.ndim == 0 else low
 
 
@@ -166,18 +167,19 @@ def transpose_factor(m: np.ndarray, da: int, db: int, sys: int) -> np.ndarray:
     return out.reshape(*lead, da * db, da * db)
 
 
-def check_density(m: np.ndarray) -> np.ndarray:
+def check_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check the density-matrix invariants of a complex square matrix, or of each matrix of a stack.
 
     Raises a distinct :class:`ValidationError` subclass per violated
     invariant (finiteness, Hermiticity, unit trace, positivity), in that
     order; the message carries the measured violation of the first matrix
-    that breaks the invariant (the largest, for Hermiticity). Returns the
-    ascending spectra of the Hermitian parts, shape ``(..., D)``.
+    that breaks the invariant (the largest, for Hermiticity); the trace is
+    read from m. Returns the Hermitian parts and their ascending spectra.
     """
     if not np.isfinite(m).all():
         raise ValidationError("matrix contains non-finite entries")
-    spectrum = _hermitian_spectrum(m)
+    h = _checked_hermitian_part(m)
+    spectrum = np.linalg.eigvalsh(h)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
         traces = m.trace(axis1=-2, axis2=-1)
         wrong = ~(abs(traces - 1.0) <= TRACE_TOL)
@@ -191,7 +193,7 @@ def check_density(m: np.ndarray) -> np.ndarray:
         raise NotPositiveSemidefiniteError(
             f"negative eigenvalue {low:.3e} below -{POSITIVITY_TOL:.0e}"
         )
-    return spectrum
+    return h, spectrum
 
 
 def validate_density(m: np.ndarray, dims) -> DensityMatrix:
@@ -199,10 +201,10 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
 
     Checks the dimension bookkeeping, then :func:`check_density`; each
     violated invariant raises its own :class:`ValidationError` subclass,
-    whose message carries the measured violation. The spectrum that
-    decides positivity is kept as ``DensityMatrix.spectrum``.
+    whose message carries the measured violation. The state keeps the checked
+    Hermitian part (within ``HERMITICITY_TOL / 2`` of m) and its spectrum.
     """
-    m = np.array(m, dtype=complex)
+    m = np.asarray(m, dtype=complex)
     dims = tuple(int(x) for x in dims)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -213,7 +215,7 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
             f"subsystem dims {dims} multiply to {math.prod(dims)}, "
             f"matrix dimension is {m.shape[0]}"
         )
-    spectrum = check_density(m)
-    m.flags.writeable = False
+    h, spectrum = check_density(m)
+    h.flags.writeable = False
     spectrum.flags.writeable = False
-    return DensityMatrix(m, dims, spectrum)
+    return DensityMatrix(h, dims, spectrum)

@@ -162,7 +162,7 @@ def random_separable(da: int, db: int, k: int, seed) -> DensityMatrix:
     b /= np.linalg.norm(b, axis=1, keepdims=True)
     kets = (a[:, :, None] * b[:, None, :]).reshape(k, da * db)
     m = (kets.T * weights) @ kets.conj()
-    return validate_density((m + m.conj().T) / 2, [da, db])
+    return validate_density(m, [da, db])
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

@@ -49,11 +49,8 @@ and ``<psi|rho|psi> <= lambda_max(rho)`` for every unit vector psi (expand
 psi in the eigenbasis of rho: the overlap is a convex combination of the
 eigenvalues). So ``f(U) <= lambda_max(rho)`` for every U; on isotropic
 states the identity start reaches this cap in one step. The cap is read
-from the state, as the last entry of ``DensityMatrix.spectrum``:
-lambda_max of the Hermitian part ``h = (rho + rho^dag) / 2``, which
-validation has already solved. The real part of ``vec(U)^dag rho vec(U)``
-is exactly the quadratic form of h, so the bounds stay exact on inputs
-that carry a small Hermiticity defect.
+from the state, as the last entry of ``DensityMatrix.spectrum``, which
+validation has already solved.
 
 The second is the dual certificate, the SDP relaxation of F (Horodecki,
 Horodecki and Horodecki, PRA 60, 1888, 1999). Every psi_U has both
@@ -61,7 +58,7 @@ marginals ``I/d``, so for any Hermitian H_A and H_B
 
     <psi_U| H_A (x) I |psi_U> = Tr(H_A) / d,   <psi_U| I (x) H_B |psi_U> = Tr(H_B) / d,
 
-and hence, with ``M = h - H_A (x) I - I (x) H_B``,
+and hence, with ``M = rho - H_A (x) I - I (x) H_B``,
 
     f(U) = <psi_U|M|psi_U> + (Tr H_A + Tr H_B) / d <= lambda_max(M) + (Tr H_A + Tr H_B) / d
 
@@ -71,7 +68,7 @@ how the pair was chosen, only on how tight the bound is. At d = 2 the
 least such bound equals F.
 
 A good pair comes from a start's end point U with value f. Let
-``G = reshape(h vec U)`` and ``X = Herm(G U^dag) - f I``, which is
+``G = reshape(rho vec U)`` and ``X = Herm(G U^dag) - f I``, which is
 traceless because ``Tr(G U^dag) = d f``. For each traceless Hermitian K
 (the gauge) take
 
@@ -94,12 +91,12 @@ the slow tail that plain steps leave near the optimum. Every
 ``lambda_max`` evaluated gives a bound, and the least one is kept.
 
 Round-off: each bound adds the margin ``ROUNDOFF_ULPS * D * eps * s``
-with ``D = d^2`` and ``s = ||h||_F + sqrt(d) (||H_A||_F + ||H_B||_F)``,
+with ``D = d^2`` and ``s = ||rho||_F + sqrt(d) (||H_A||_F + ||H_B||_F)``,
 which bounds ``||M||_F``. Forming M costs at most two roundings per
 entry, ``2 eps s`` in norm, and ``eigh`` returns the eigenvalues of a
 matrix within ``O(D eps ||M||)`` of the one it was given (backward
 stability, with the factor D for the Householder reduction). H_A and H_B
-are Hermitian bit for bit (each is ``(Y + Y^dag) / 2``), and so is M,
+are Hermitian bit for bit (each is a Hermitian part), and so is M,
 so ``eigh``, which reads one triangle, solves M itself.
 
 A certificate costs one ``eigh`` of a D x D matrix per step, ``O(d^6)``,
@@ -109,7 +106,7 @@ is at least the best mean value over the d^2 Weyl unitaries (no
 certificate can close below that, since every bound is at least F); one
 search spends at most ``DUAL_STEPS`` calls; a certificate ends early
 when two steps have not halved its distance to f, or when the step would
-be longer than ``||h||_F`` (K is then near a stationary point whose
+be longer than ``||rho||_F`` (K is then near a stationary point whose
 bound stays above f, as at a start that is not a global maximum); and
 above ``DUAL_MAX_D`` no certificate runs, so there the search is the
 cap-only search. The cutoff is measured on budget-64 searches over six
@@ -138,7 +135,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import INCONCLUSIVE, STATISTIC_MARGIN, USEFUL, Verdict
-from .linalg import DensityMatrix, DimensionMismatchError, hermiticity_defect
+from .linalg import DensityMatrix, DimensionMismatchError, hermitian_part, hermiticity_defect
 from .states import haar_unitary
 from .weyl import weyl_basis
 
@@ -251,47 +248,42 @@ def _values(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return overlaps.real.reshape(k) / d
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    """``(m + m^dag) / 2``, Hermitian bit for bit."""
-    return (m + m.conj().T) / 2
-
-
 def _gauge_pair(
-    h: np.ndarray, u: np.ndarray, f: float, k: np.ndarray
+    rho: np.ndarray, u: np.ndarray, f: float, k: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``H_A = X/2 + K`` and ``H_B = (U^dag (X/2 - K) U)^T``, ``X = Herm(G U^dag) - f I``."""
     d = u.shape[0]
-    g = (h @ u.reshape(-1)).reshape(d, d)
-    half = (_herm(g @ u.conj().T) - f * np.eye(d)) / 2
-    return half + k, _herm((u.conj().T @ (half - k) @ u).T)
+    g = (rho @ u.reshape(-1)).reshape(d, d)
+    half = (hermitian_part(g @ u.conj().T) - f * np.eye(d)) / 2
+    return half + k, hermitian_part((u.conj().T @ (half - k) @ u).T)
 
 
-def _dual_matrix(h: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """``h - H_A (x) I - I (x) H_B``, the Kronecker products formed by broadcasting."""
+def _dual_matrix(rho: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """``rho - H_A (x) I - I (x) H_B``, the Kronecker products formed by broadcasting."""
     d = ha.shape[0]
     eye = np.eye(d)
-    m = h - (ha[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
+    m = rho - (ha[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
     m -= (eye[:, None, :, None] * hb[None, :, None, :]).reshape(d * d, d * d)
     return m
 
 
-def _dual_bound(h: np.ndarray, u: np.ndarray, f: float, calls: int) -> tuple[float, int]:
+def _dual_bound(rho: np.ndarray, u: np.ndarray, f: float, calls: int) -> tuple[float, int]:
     """Least certified bound on F from the gauge family at U, and the ``eigh`` calls spent.
 
-    ``h`` is the Hermitian part of rho and ``f`` the search value at U. The
+    ``rho`` is the state's matrix and ``f`` the search value at U. The
     first bound is at ``K = 0``; each further one follows a Polyak step on
     K with target f. Stops when a bound is within ``GAP_TOL`` of f, when
     two steps have not halved the distance of the least bound to f, when
-    the step would be longer than ``||h||_F`` (K is then near a stationary
+    the step would be longer than ``||rho||_F`` (K is then near a stationary
     point whose bound stays above f), or after ``calls`` calls.
     """
     d = u.shape[0]
     k = np.zeros((d, d), dtype=complex)
-    scale = float(np.linalg.norm(h))
+    scale = float(np.linalg.norm(rho))
     bounds = [np.inf, np.inf]
     for spent in range(1, calls + 1):
-        ha, hb = _gauge_pair(h, u, f, k)
-        lam, vecs = np.linalg.eigh(_dual_matrix(h, ha, hb))
+        ha, hb = _gauge_pair(rho, u, f, k)
+        lam, vecs = np.linalg.eigh(_dual_matrix(rho, ha, hb))
         top = float(lam[-1])
         slack = (np.trace(ha).real + np.trace(hb).real) / d
         margin = ROUNDOFF_ULPS * d * d * EPS * (
@@ -301,7 +293,7 @@ def _dual_bound(h: np.ndarray, u: np.ndarray, f: float, calls: int) -> tuple[flo
         if bounds[-1] - f <= GAP_TOL or bounds[-1] - f > (bounds[-3] - f) / 2:
             break
         v = vecs[:, -1].reshape(d, d)
-        grad = _herm(v @ v.conj().T - u @ (v.conj().T @ v) @ u.conj().T)
+        grad = hermitian_part(v @ v.conj().T - u @ (v.conj().T @ v) @ u.conj().T)
         grad -= np.trace(grad).real / d * np.eye(d)
         norm = float(np.linalg.norm(grad))
         if top - f > scale * norm:
@@ -359,7 +351,7 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     m, bound = rho.matrix, float(rho.spectrum[-1])
     ops = weyl_basis(d).ops  # ops[0] is the identity, so it always leads
     dual_left = DUAL_STEPS if d <= DUAL_MAX_D else 0
-    herm = floor = None
+    floor = None
     best, best_u, evaluations, converged = -np.inf, None, 0, True
     for j in range(budget):
         u, steps, fixed = _polar_ascent(m, ops[j] if j < d * d else haar_unitary(d, (seed, j)))
@@ -370,9 +362,9 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
             best, best_u = value, u
             if dual_left and best < bound - GAP_TOL:
                 if floor is None:
-                    herm, floor = _herm(m), float(np.max(_values(m, ops)))
+                    floor = float(np.max(_values(m, ops)))
                 if best >= floor - GAP_TOL:
-                    cert, spent = _dual_bound(herm, u, best, dual_left)
+                    cert, spent = _dual_bound(m, u, best, dual_left)
                     bound, dual_left = min(bound, cert), dual_left - spent
         if best >= bound - GAP_TOL:
             break

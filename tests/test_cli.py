@@ -455,6 +455,28 @@ def test_internal_failure_exits_one(monkeypatch):
     assert err == "internal error: kernel failure\n"
 
 
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
+    # 10,001 rows overflow the pipe buffer, so the scan is still writing
+    # when the reader closes its end after two lines
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylsep", "scan", "--family", "isotropic", "--d", "3",
+         "--from", "0", "--to", "1", "--step", "0.0001", "--ppt", "--out", "-"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
+    assert lines[0] == "param,kyfan,threshold,verdict,ppt_min_eig\n"
+    assert lines[1].startswith("0.0,")
+
+
 def test_dimension_cap_is_inclusive():
     spec = f"random-mixed:d={cli.MAX_DIM},rank=1,seed=0"
     assert run_main("decompose", "--state", spec, "--no-timestamp")[0] == 0

@@ -3,18 +3,27 @@ import json
 import numpy as np
 import pytest
 
-from weylsep import NotPositiveSemidefiniteError, ValidationError
+from weylsep import NotPositiveSemidefiniteError, ValidationError, validate_density
 from weylsep.fileio import MATRIX_FORMAT, load_state, matrix_entries, save_state
+from weylsep.linalg import hermiticity_defect
 from weylsep.states import isotropic, random_mixed
 
 
 def test_save_load_roundtrip(tmp_path):
-    rho = isotropic(3, 0.4)
-    path = tmp_path / "state.json"
-    save_state(path, rho)
-    back = load_state(path)
-    assert back.dims == rho.dims
-    np.testing.assert_array_equal(back.matrix, rho.matrix)
+    # the second state is accepted with a Hermiticity defect inside tolerance
+    rng = np.random.default_rng(5)
+    m = random_mixed(6, 3, seed=2).matrix.copy()
+    m += 1e-12 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+    m /= np.trace(m).real
+    assert hermiticity_defect(m) > 0
+    for rho in (isotropic(3, 0.4), validate_density(m, [2, 3])):
+        path = tmp_path / "state.json"
+        save_state(path, rho)
+        back = load_state(path)
+        assert back.dims == rho.dims
+        np.testing.assert_array_equal(back.matrix, rho.matrix)
+        np.testing.assert_array_equal(back.matrix, back.matrix.conj().T)
+        np.testing.assert_array_equal(back.spectrum, rho.spectrum)
 
 
 def test_matrix_entries_layout():

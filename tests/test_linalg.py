@@ -16,7 +16,13 @@ from weylsep import (
     singular_values,
     validate_density,
 )
-from weylsep.linalg import _hermitian_spectrum, check_density, hermiticity_defect, transpose_factor
+from weylsep.linalg import (
+    HERMITICITY_TOL,
+    _checked_hermitian_part,
+    check_density,
+    hermiticity_defect,
+    transpose_factor,
+)
 from weylsep.states import example4, isotropic, max_entangled
 from weylsep.weyl import weyl_op
 
@@ -184,12 +190,21 @@ def test_spectrum_is_the_read_only_ascending_hermitian_part_spectrum():
         # a defect well inside HERMITICITY_TOL, so validation keeps it
         m += 1e-12 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
         m /= np.trace(m).real
+        assert 0 < hermiticity_defect(m) <= HERMITICITY_TOL
         rho = validate_density(m, [d, d])
-        expected = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        np.testing.assert_array_equal(rho.spectrum, expected)
+        # the state is the Hermitian part it was checked as, Hermitian bit for bit
+        np.testing.assert_array_equal(rho.matrix, (m + m.conj().T) / 2)
+        np.testing.assert_array_equal(rho.matrix, rho.matrix.conj().T)
+        assert not np.signbit(np.diag(rho.matrix).imag).any()
+        assert np.max(np.abs(rho.matrix - m)) <= HERMITICITY_TOL / 2
+        np.testing.assert_array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
         assert np.all(np.diff(rho.spectrum) >= 0)
         with pytest.raises(ValueError):
             rho.spectrum[0] = 1.0
+        # validating the validated matrix again changes no bit
+        again = validate_density(rho.matrix, [d, d])
+        np.testing.assert_array_equal(again.matrix, rho.matrix)
+        np.testing.assert_array_equal(again.spectrum, rho.spectrum)
         # purity is read from the spectrum: Tr rho^2 as a sum of squares
         assert abs(purity(rho) - np.trace(m @ m).real) <= 1e-14
 
@@ -224,14 +239,16 @@ def _state_stack(d: int, n: int) -> np.ndarray:
 def test_stacked_hermitian_kernels_match_per_matrix_calls(d):
     stack = _state_stack(d, 6)
     defects = hermiticity_defect(stack)
-    spectra = _hermitian_spectrum(stack)
+    parts, spectra = check_density(stack)
     lowest = min_eigenvalue(stack)
     assert defects.shape == lowest.shape == (6,) and spectra.shape == (6, d)
     for k, m in enumerate(stack):
         assert defects[k] == hermiticity_defect(m) > 0
-        np.testing.assert_array_equal(spectra[k], _hermitian_spectrum(m))
+        np.testing.assert_array_equal(parts[k], _checked_hermitian_part(m))
+        np.testing.assert_array_equal(spectra[k], np.linalg.eigvalsh(parts[k]))
         assert lowest[k] == min_eigenvalue(m)
-    nested = check_density(stack.reshape(2, 3, d, d))
+    nested_parts, nested = check_density(stack.reshape(2, 3, d, d))
+    np.testing.assert_array_equal(nested_parts, parts.reshape(2, 3, d, d))
     np.testing.assert_array_equal(nested, spectra.reshape(2, 3, d))
 
 

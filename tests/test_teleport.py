@@ -120,6 +120,20 @@ def test_mean_value_equals_rotated_overlap():
         assert abs(mean_value(rho, op) - 4 * overlap) <= 1e-10
 
 
+def test_mean_value_is_real_on_a_state_accepted_with_a_defect():
+    # i * 4.9e-11 * B, with B the zero-diagonal sign pattern of O_I, is a
+    # Hermiticity defect of 9.8e-11, inside tolerance; read from the raw
+    # matrix, it gave <O_I> an imaginary part of 2.2e-8
+    d = 8
+    b = np.zeros((d * d, d * d))
+    b[np.ix_(np.arange(d) * (d + 1), np.arange(d) * (d + 1))] = 1.0
+    np.fill_diagonal(b, 0.0)
+    rho = validate_density(isotropic(d, 0.5).matrix + 4.9e-11j * b, [d, d])
+    est = fef_search(rho, budget=8, seed=1)
+    value = mean_value(rho, detection_operator(est.best_unitary))
+    assert abs(value - d * d * est.value) <= 1e-12
+
+
 def test_mean_value_dimension_check():
     rho = validate_density(np.eye(6) / 6, [2, 3])
     with pytest.raises(DimensionMismatchError):
@@ -233,7 +247,7 @@ def _library_certificates(rho):
     appended to the returned list.
     """
     d = rho.dims[0]
-    h = teleport._herm(rho.matrix)
+    h = rho.matrix
     floor = float(np.max(teleport._values(rho.matrix, np.array(
         [weyl_op(d, n, m) for n in range(d) for m in range(d)]))))
     left = [teleport.DUAL_STEPS if d <= teleport.DUAL_MAX_D else 0]
@@ -432,7 +446,7 @@ def test_dual_bound_is_never_below_the_two_qubit_fef():
     # every certificate bounds F from above at any unitary, not only at fixed points
     for seed in range(300):
         rho = _random_bipartite_2x2(seed + 3000, rank=1 + seed % 4)
-        h = teleport._herm(rho.matrix)
+        h = rho.matrix
         u = haar_unitary(2, seed=seed)
         value = float(teleport._values(rho.matrix, u[None])[0])
         fef = fef_magic_2x2(rho.matrix)
@@ -464,7 +478,7 @@ def test_gauge_family_keeps_psi_u_an_eigenvector(d):
         est = fef_search(rho, budget=4, seed=rank)
         assert est.converged
         u, f = est.best_unitary, est.value
-        h = teleport._herm(rho.matrix)
+        h = rho.matrix
         psi = u.reshape(-1) / np.sqrt(d)
         for _ in range(3):
             k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -487,7 +501,7 @@ def test_certificate_closes_the_gap_after_polyak_steps():
         est = fef_search(rho, budget=8, seed=rank)
         assert est.starts_used == 1
         assert est.upper_bound - est.value <= teleport.GAP_TOL
-        h = teleport._herm(rho.matrix)
+        h = rho.matrix
         at_zero, _ = teleport._dual_bound(h, est.best_unitary, est.value, 1)
         assert at_zero - est.value > 5e-3
 
