@@ -44,6 +44,7 @@ from . import __version__
 from .bipartite import (
     BipartiteDecomposition,
     correlation_outcome,
+    correlation_singular_values,
     correlation_verdict,
     decompose_bipartite,
     kyfan_bound,
@@ -57,7 +58,6 @@ from .linalg import (
     ValidationError,
     check_density,
     min_eigenvalue,
-    singular_values,
     transpose_factor,
 )
 from .states import (
@@ -392,7 +392,7 @@ def cmd_scan(args) -> int:
             matrices = build(np.array(params))
             check_density(matrices[start == 0 : len(grid) - 1 - start])
             tables = weyl_coefficients(matrices, da, db)
-            kyfan = np.sum(singular_values(tables[:, 1:, 1:]), axis=-1).tolist()
+            kyfan = np.sum(correlation_singular_values(tables, da, db), axis=-1).tolist()
             verdicts = [correlation_outcome(k, threshold) for k in kyfan]
             columns = [params, kyfan, [threshold] * len(params), verdicts]
             if args.ppt:

@@ -9,13 +9,21 @@ index ``i * dB + j``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
+
+#: Largest ``D = dA*dB`` at which validation solves the spectrum and the Ky
+#: Fan statistic takes a complex SVD. Above it, validation certifies
+#: positivity by a Cholesky factorization and the statistic takes a real SVD
+#: in the Hermitian Weyl basis; at or below it a LAPACK call costs about its
+#: numpy overhead whatever the routine, and a spectrum that the FEF cap would
+#: solve again is cheaper to keep.
+EAGER_MAX_DIM = 16
 
 
 class ValidationError(ValueError):
@@ -43,24 +51,36 @@ class DensityMatrix:
     """A validated trace-one Hermitian PSD matrix plus subsystem dimensions.
 
     ``matrix`` is Hermitian bit for bit and ``spectrum`` holds its
-    ascending eigenvalues, solved once during validation. Construct
+    ascending eigenvalues. Up to ``EAGER_MAX_DIM`` validation solves the
+    spectrum and keeps it; above, validation certifies positivity without
+    it, and ``spectrum`` is solved on first read and cached. Construct
     through :func:`validate_density`; the dataclass itself does not
     re-check the invariants. The one other construction is a dims
     relabel, ``dataclasses.replace(rho, dims=...)``: the same matrix and
     spectrum under dims with the same product, after the caller has
     checked those dims (as the CLI does for its ``random-mixed`` pairs).
-    Instances are immutable (both stored arrays are marked read-only) and
-    safe to share between threads.
+    Instances are immutable (the matrix and the spectrum are marked
+    read-only) and safe to share between threads: two threads that read
+    an unsolved spectrum at once both solve it, to the same bits.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    spectrum: np.ndarray
+    _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         """Total Hilbert-space dimension."""
         return self.matrix.shape[0]
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of ``matrix``, read-only; solved on first read unless validation did."""
+        if self._spectrum is None:
+            spectrum = np.linalg.eigvalsh(self.matrix)
+            spectrum.flags.writeable = False
+            object.__setattr__(self, "_spectrum", spectrum)
+        return self._spectrum
 
 
 def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
@@ -77,13 +97,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), the sum of the squared eigenvalues of the state."""
-    return float(np.sum(rho.spectrum**2))
+    """Tr(rho^2), the squared Frobenius norm of the Hermitian matrix; no spectrum is solved."""
+    return float(np.vdot(rho.matrix, rho.matrix).real)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values in nonincreasing order."""
-    return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+    """Singular values in nonincreasing order, of a matrix or of each matrix of a stack.
+
+    A real matrix takes a real SVD, a complex one a complex SVD.
+    """
+    return np.linalg.svd(np.asarray(m), compute_uv=False)
 
 
 def _any(flags: np.ndarray) -> bool:
@@ -167,25 +190,57 @@ def transpose_factor(m: np.ndarray, da: int, db: int, sys: int) -> np.ndarray:
     return out.reshape(*lead, da * db, da * db)
 
 
-def check_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_certifies(h: np.ndarray) -> bool:
+    """Whether ``h + POSITIVITY_TOL I`` has a finite Cholesky factor, for every matrix of a stack.
+
+    The shift is added on the diagonal of a copy. A failed factorization of
+    any matrix, or a factor with a non-finite diagonal entry (LAPACK
+    returns NaN without an error when an entry overflows), gives False.
+    """
+    shifted = h.copy()
+    shifted.reshape(*h.shape[:-2], -1)[..., :: h.shape[-1] + 1] += POSITIVITY_TOL
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1)).all())
+
+
+def check_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Check the density-matrix invariants of a complex square matrix, or of each matrix of a stack.
 
     Raises a distinct :class:`ValidationError` subclass per violated
     invariant (finiteness, Hermiticity, unit trace, positivity), in that
     order; the message carries the measured violation of the first matrix
     that breaks the invariant (the largest, for Hermiticity); the trace is
-    read from m. Returns the Hermitian parts and their ascending spectra.
+    read from m. Returns the Hermitian parts h and their ascending spectra,
+    or None in place of the spectra when a Cholesky factorization
+    certified positivity.
+
+    Positivity is ``lambda_min(h) >= -POSITIVITY_TOL``. Up to
+    ``D = EAGER_MAX_DIM`` it is read from the spectrum. Above, it is
+    certified by a Cholesky factorization of ``h + POSITIVITY_TOL I``,
+    which is backward stable (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10): success means that a perturbation of
+    norm ``O(D eps ||h||)`` of ``h + POSITIVITY_TOL I`` is PSD, so that
+    ``lambda_min(h) >= -POSITIVITY_TOL - O(D eps ||h||)``. Acceptance can
+    thus differ from the spectral rule only for ``lambda_min`` within
+    round-off of ``-POSITIVITY_TOL``. When the factorization fails, the
+    whole stack falls back to the spectral rule, so every rejection and its
+    message are those of the spectrum.
     """
     if not np.isfinite(m).all():
         raise ValidationError("matrix contains non-finite entries")
     h = _checked_hermitian_part(m)
-    spectrum = np.linalg.eigvalsh(h)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
         traces = m.trace(axis1=-2, axis2=-1)
         wrong = ~(abs(traces - 1.0) <= TRACE_TOL)
     if _any(wrong):
         tr = complex(np.extract(wrong, traces)[0])
         raise WrongTraceError(f"trace is {tr.real:.12g}{tr.imag:+.3e}j, expected 1")
+    if h.shape[-1] > EAGER_MAX_DIM and _cholesky_certifies(h):
+        return h, None
+    spectrum = np.linalg.eigvalsh(h)
     lowest = spectrum[..., 0]
     negative = lowest < -POSITIVITY_TOL
     if _any(negative):
@@ -202,7 +257,9 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
     Checks the dimension bookkeeping, then :func:`check_density`; each
     violated invariant raises its own :class:`ValidationError` subclass,
     whose message carries the measured violation. The state keeps the checked
-    Hermitian part (within ``HERMITICITY_TOL / 2`` of m) and its spectrum.
+    Hermitian part (within ``HERMITICITY_TOL / 2`` of m), and its spectrum
+    when validation solved one (``D <= EAGER_MAX_DIM``, or a Cholesky
+    factorization that failed on a state accepted by its spectrum).
     """
     m = np.asarray(m, dtype=complex)
     dims = tuple(int(x) for x in dims)
@@ -217,5 +274,6 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
         )
     h, spectrum = check_density(m)
     h.flags.writeable = False
-    spectrum.flags.writeable = False
+    if spectrum is not None:
+        spectrum.flags.writeable = False
     return DensityMatrix(h, dims, spectrum)

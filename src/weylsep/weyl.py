@@ -135,6 +135,57 @@ def weyl_assemble(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
+@lru_cache(maxsize=None)
+def hermitian_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hermitian Weyl basis of dimension d: the sparse rows of a unitary P.
+
+    ``H_k = sum_s P[k, s] W_s^dag`` is Hermitian for every k. ``W_s^dag`` and
+    ``W_{-s}^dag`` are each other's adjoints up to the phase
+    ``F_s = fourier(d)[n, m]``, the conjugate of :func:`weyl_dagger_index`'s,
+    so for each pair ``s < -s`` (lexicographic positions)
+
+        H_s = (W_s^dag + F_s W_{-s}^dag) / sqrt(2),
+        H_{-s} = i (W_s^dag - F_s W_{-s}^dag) / sqrt(2),
+
+    and a self-paired ``s = -s`` (the identity, and at even d the indices
+    in ``{0, d/2}^2``) gets ``H_s = sqrt(F_s) W_s^dag``. Row k of P thus has
+    its weights at columns k and -k. Returns the position of -k for each
+    k, and the weights ``P[k, k]`` and ``P[k, -k]`` (0 when ``k = -k``), as
+    read-only arrays of length d^2.
+    """
+    k = np.arange(d * d)
+    n, m = np.divmod(k, d)
+    neg = (-n % d) * d + (-m % d)
+    f = fourier(d).reshape(-1)
+    r = np.sqrt(0.5)
+    at_self = np.where(k < neg, r, -1j * r * f)
+    at_neg = np.where(k < neg, r * f, 1j * r)
+    paired = k == neg
+    at_self[paired], at_neg[paired] = np.sqrt(f[paired]), 0
+    for a in (neg, at_self, at_neg):
+        a.flags.writeable = False
+    return neg, at_self, at_neg
+
+
+def hermitian_coefficients(table: np.ndarray, da: int, db: int) -> np.ndarray:
+    """``P_A T P_B^T``: a two-factor :func:`weyl_coefficients` table in the Hermitian Weyl basis.
+
+    Entry ``(k, l)`` is ``Tr[M (H_k (x) H_l)]`` with ``H_k`` Hermitian
+    (:func:`hermitian_rows`), so the result is real when M is Hermitian:
+    its imaginary part is the same table of ``(M - M^dag) / 2i``. P is
+    unitary and maps the identity to itself, so the block without the
+    first row and column has the singular values of the table's. P_A is
+    applied to the rows, then P_B to the columns, each as one gather of
+    the negated indices and two weighted terms: O(D^2) operations. A
+    stack of tables, shape ``(..., da^2, db^2)``, gives a stack, each
+    table transformed as if alone.
+    """
+    na, sa, ea = hermitian_rows(da)
+    nb, sb, eb = hermitian_rows(db)
+    rows = sa[:, None] * table + ea[:, None] * table.take(na, axis=-2)
+    return rows * sb + rows.take(nb, axis=-1) * eb
+
+
 def adjoint_defect(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
     """Entrywise ``|conj(T[s, t]) - F_s F_t T[-s, -t]|`` of a :func:`weyl_coefficients` table.
 

@@ -23,8 +23,9 @@ from weylsep import (
     weyl_separability_criterion,
 )
 from weylsep.bipartite import correlation_verdict, symmetry_defects
+from weylsep.linalg import EAGER_MAX_DIM
 from weylsep.states import bell_diagonal, haar_unitary, isotropic, max_entangled, ppt_3x3
-from weylsep.weyl import weyl_basis
+from weylsep.weyl import hermitian_coefficients, weyl_basis
 
 from oracles import random_entangled_pure_matrix, weyl_coefficient_table
 
@@ -311,3 +312,25 @@ def test_single_subsystem_rejected():
     rho = random_mixed(4, 2, seed=0)
     with pytest.raises(Exception):
         decompose_bipartite(rho)
+
+
+@pytest.mark.parametrize("da,db", [(3, 8), (4, 6), (5, 5), (5, 7), (6, 6), (7, 7), (8, 8)])
+def test_real_svd_in_the_hermitian_basis_matches_the_complex_svd(da, db):
+    assert da * db > EAGER_MAX_DIM
+    for rank in (1, 3, da * db):
+        dec = decompose_bipartite(_random_bipartite(da, db, rank, seed=da * db + rank))
+        rotated = hermitian_coefficients(dec.table, da, db)
+        assert np.max(np.abs(rotated.imag)) <= 1e-13
+        real_sv = np.linalg.svd(rotated.real[1:, 1:], compute_uv=False)
+        np.testing.assert_array_equal(dec.singular_values, real_sv)
+        complex_sv = np.linalg.svd(dec.correlation, compute_uv=False)
+        np.testing.assert_allclose(dec.singular_values, complex_sv, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (4, 4), (2, 8)])
+def test_singular_values_up_to_the_gate_are_the_complex_svd(da, db):
+    assert da * db <= EAGER_MAX_DIM
+    dec = decompose_bipartite(_random_bipartite(da, db, 2, seed=da + db))
+    np.testing.assert_array_equal(
+        dec.singular_values, np.linalg.svd(dec.correlation, compute_uv=False)
+    )

@@ -516,6 +516,7 @@ _SCAN_CASES = [
     (("bell-diagonal", (1.0, 1.0, -1.0)), 0.0, 1.0, 0.01),
     (("bell-diagonal", (-1.0, -1.0, -1.0)), 0.0, 1.0, 0.05),
     (("bell-diagonal", (1.0, 1.0, 1.0)), 0.0, 0.3333333333, 0.0333333333),
+    *((("isotropic", 6), 0.0, 1.0, step) for step in (0.1, 0.05, 0.013)),
 ]
 
 
@@ -605,8 +606,14 @@ def test_one_decomposition_and_one_svd_per_report(monkeypatch, command, spec):
         (("decompose", "--state", "random-mixed:da=4,db=4,rank=5,seed=2"), 1),
         # one to validate the state, one for the PPT test's partial transpose
         (("check-sep", "--state", "random-mixed:da=2,db=3,rank=3,seed=1"), 2),
+        # above D = 16 validation solves no spectrum: a Cholesky factor
+        # certifies positivity, and the FEF cap solves the spectrum on first read
+        (("check-tele", "--state", "isotropic:d=5,p=0.5", "--seed", "1"), 1),
+        (("decompose", "--state", "random-mixed:da=5,db=5,rank=5,seed=2"), 0),
+        (("check-sep", "--state", "random-mixed:da=3,db=6,rank=3,seed=1"), 1),
     ],
-    ids=["check-tele", "decompose-pair", "check-sep-ppt"],
+    ids=["check-tele", "decompose-pair", "check-sep-ppt", "check-tele-5x5", "decompose-5x5",
+         "check-sep-3x6"],
 )
 def test_one_spectrum_per_state(monkeypatch, args, solves):
     calls = []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,19 +13,24 @@ from weylsep import (
     min_eigenvalue,
     partial_trace,
     partial_transpose,
+    ppt_criterion,
     purity,
     random_mixed,
+    random_separable,
     singular_values,
     validate_density,
 )
 from weylsep.linalg import (
+    EAGER_MAX_DIM,
     HERMITICITY_TOL,
+    POSITIVITY_TOL,
     _checked_hermitian_part,
     check_density,
+    hermitian_part,
     hermiticity_defect,
     transpose_factor,
 )
-from weylsep.states import example4, isotropic, max_entangled
+from weylsep.states import example4, haar_unitary, isotropic, max_entangled, ppt_3x3
 from weylsep.weyl import weyl_op
 
 
@@ -205,7 +212,7 @@ def test_spectrum_is_the_read_only_ascending_hermitian_part_spectrum():
         again = validate_density(rho.matrix, [d, d])
         np.testing.assert_array_equal(again.matrix, rho.matrix)
         np.testing.assert_array_equal(again.spectrum, rho.spectrum)
-        # purity is read from the spectrum: Tr rho^2 as a sum of squares
+        # purity is Tr rho^2 as the squared Frobenius norm, which solves no spectrum
         assert abs(purity(rho) - np.trace(m @ m).real) <= 1e-14
 
 
@@ -225,6 +232,12 @@ def test_validate_density_huge_entries_fail_their_invariant():
     # an overflowed trace is an error, not a RuntimeWarning (pytest raises those)
     with pytest.raises(WrongTraceError, match="trace is inf"):
         validate_density(np.diag([1.7e308, 1.7e308]), [2])
+    # above the gate, LAPACK factors h + tol*I into NaN here without an error;
+    # the non-finite factor sends validation to the spectrum
+    m = np.eye(20, dtype=complex) / 20
+    m[0, 1] = m[1, 0] = 1.7e308
+    with pytest.raises(NotPositiveSemidefiniteError, match=r"negative eigenvalue -1\.700e\+308"):
+        validate_density(m, [4, 5])
 
 
 def _state_stack(d: int, n: int) -> np.ndarray:
@@ -283,3 +296,81 @@ def test_a_bad_matrix_inside_a_stack_is_rejected_with_its_own_message():
     with pytest.raises(NotPositiveSemidefiniteError) as stacked:
         check_density(bad)
     assert str(stacked.value) == "negative eigenvalue -2.500e-01 below -1e-10"
+
+
+def _counted_eigvalsh(monkeypatch) -> list:
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    return calls
+
+
+def _with_spectrum(eigenvalues, seed) -> np.ndarray:
+    """``U diag(eigenvalues) U^dag`` for a Haar unitary U."""
+    u = haar_unitary(len(eigenvalues), seed=seed)
+    return (u * eigenvalues) @ u.conj().T
+
+
+@pytest.mark.parametrize("dim", [EAGER_MAX_DIM + 1, 25, 64])
+def test_cholesky_positivity_boundary_above_the_gate(monkeypatch, dim):
+    rest = np.linspace(1.0, 2.0, dim - 1)
+
+    def state(low):
+        return _with_spectrum(np.concatenate(([low], rest * (1 - low) / rest.sum())), seed=dim)
+
+    inside, outside = state(-POSITIVITY_TOL / 2), state(-2 * POSITIVITY_TOL)
+    calls = _counted_eigvalsh(monkeypatch)
+    rho = validate_density(inside, [dim])
+    assert calls == []  # certified by the factorization, no spectrum solved
+    assert abs(rho.spectrum[0] + POSITIVITY_TOL / 2) <= 1e-15
+    with pytest.raises(NotPositiveSemidefiniteError) as rejected:
+        validate_density(outside, [dim])
+    # the spectral rule's message, as validation gave it before the factorization
+    low = np.linalg.eigvalsh(hermitian_part(outside))[0]
+    assert str(rejected.value) == f"negative eigenvalue {low:.3e} below -1e-10"
+    assert str(rejected.value) == "negative eigenvalue -2.000e-10 below -1e-10"
+
+
+def test_a_non_psd_matrix_inside_a_stack_above_the_gate_gets_its_own_message():
+    dim = 25
+    stack = np.stack([np.eye(dim, dtype=complex) / dim] * 5)
+    stack[3] = np.diag([1.5, -0.25, -0.25] + [0.0] * (dim - 3))
+    with pytest.raises(NotPositiveSemidefiniteError) as alone:
+        validate_density(stack[3], [5, 5])
+    with pytest.raises(NotPositiveSemidefiniteError) as stacked:
+        check_density(stack)
+    assert str(stacked.value) == str(alone.value) == "negative eigenvalue -2.500e-01 below -1e-10"
+    parts, spectra = check_density(np.delete(stack, 3, axis=0))
+    assert parts.shape == (4, dim, dim) and spectra is None
+
+
+def test_spectrum_is_solved_on_first_read_above_the_gate(monkeypatch):
+    small, big = random_mixed(16, 3, seed=1).matrix, random_mixed(25, 3, seed=1).matrix
+    calls = _counted_eigvalsh(monkeypatch)
+    eager = validate_density(small, [4, 4])
+    eager.spectrum
+    assert len(calls) == 1
+    lazy = validate_density(big, [5, 5])
+    assert len(calls) == 1
+    first = lazy.spectrum
+    assert lazy.spectrum is first and len(calls) == 2
+    np.testing.assert_array_equal(first, np.linalg.eigvalsh(lazy.matrix))
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    with pytest.raises(AttributeError):
+        lazy.spectrum = first
+    # a dims relabel keeps the solved spectrum
+    assert dataclasses.replace(lazy, dims=(25,)).spectrum is first
+
+
+def test_partial_transpose_of_a_validated_state_is_hermitian_bit_for_bit():
+    states = [isotropic(3, 0.4), example4(0.3), ppt_3x3(), random_separable(2, 3, 6, 1)]
+    states += [validate_density(random_mixed(da * db, 3, seed=da).matrix, [da, db])
+               for da, db in ((2, 3), (3, 4), (5, 5))]
+    for rho in states:
+        for sys in (0, 1):
+            pt = partial_transpose(rho, sys)
+            np.testing.assert_array_equal(pt, pt.conj().T)
+            np.testing.assert_array_equal(hermitian_part(pt), pt)
+        # so the PPT statistic, solved without forming a Hermitian part, keeps its bits
+        assert ppt_criterion(rho).statistic == min_eigenvalue(partial_transpose(rho, 1))

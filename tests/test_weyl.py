@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylsep import weyl_basis, weyl_dagger_index, weyl_op
-from weylsep.weyl import adjoint_defect, cyclic_index, fourier, weyl_assemble, weyl_coefficients
+from weylsep.weyl import (
+    adjoint_defect,
+    cyclic_index,
+    fourier,
+    hermitian_coefficients,
+    hermitian_rows,
+    weyl_assemble,
+    weyl_coefficients,
+)
 
 DIMS = [2, 3, 4, 5]
 
@@ -191,3 +199,43 @@ def test_weyl_coefficients_of_a_stack_match_per_matrix_calls(da, db, lead):
     assert tables.shape == (*lead, da * da, db * db)
     for i in np.ndindex(*lead):
         np.testing.assert_array_equal(tables[i], weyl_coefficients(stack[i], da, db))
+
+
+def _hermitian_basis_matrix(d: int) -> np.ndarray:
+    """The dense unitary P of :func:`hermitian_rows`."""
+    neg, at_self, at_neg = hermitian_rows(d)
+    k = np.arange(d * d)
+    p = np.zeros((d * d, d * d), dtype=complex)
+    p[k, k] += at_self
+    p[k, neg] += at_neg
+    return p
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_hermitian_rows_build_a_hermitian_unitary_basis(d):
+    p = _hermitian_basis_matrix(d)
+    np.testing.assert_allclose(p @ p.conj().T, np.eye(d * d), atol=1e-15)
+    assert p[0, 0] == 1 and not p[0, 1:].any() and not p[1:, 0].any()
+    # each H_k = sum_s P[k, s] W_s^dag, formed from the stored operators, is Hermitian
+    daggers = weyl_basis(d).ops.conj().transpose(0, 2, 1)
+    h = np.einsum("ks,sij->kij", p, daggers)
+    assert np.max(np.abs(h - h.conj().transpose(0, 2, 1))) <= 1e-14
+    with pytest.raises(ValueError):
+        hermitian_rows(d)[1][0] = 2.0
+
+
+@pytest.mark.parametrize("da,db", [(2, 3), (3, 3), (4, 2), (3, 8), (4, 6), (5, 5)])
+def test_hermitian_coefficients_apply_the_dense_basis(da, db):
+    rng = np.random.default_rng(da * 10 + db)
+    m = rng.standard_normal((da * db,) * 2) + 1j * rng.standard_normal((da * db,) * 2)
+    table = weyl_coefficients(m, da, db)
+    expected = _hermitian_basis_matrix(da) @ table @ _hermitian_basis_matrix(db).T
+    out = hermitian_coefficients(table, da, db)
+    np.testing.assert_allclose(out, expected, atol=1e-13)
+    # the imaginary part is the same transform of the anti-Hermitian part's table
+    anti = weyl_coefficients((m - m.conj().T) / 2j, da, db)
+    np.testing.assert_allclose(out.imag, hermitian_coefficients(anti, da, db).real, atol=1e-13)
+    # a stack is transformed table by table, bit for bit
+    stack = np.stack([table, 2 * table, table.conj()])
+    for k, one in enumerate(hermitian_coefficients(stack, da, db)):
+        np.testing.assert_array_equal(one, hermitian_coefficients(stack[k], da, db))
