@@ -37,7 +37,6 @@ from .linalg import (
     ValidationError,
     WrongTraceError,
     kron,
-    min_eigenvalue,
     partial_trace,
     partial_transpose,
     purity,
@@ -101,7 +100,6 @@ __all__ = [
     "max_entangled",
     "max_entangled_ket",
     "mean_value",
-    "min_eigenvalue",
     "optimal_fidelity",
     "partial_trace",
     "partial_transpose",

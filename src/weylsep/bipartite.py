@@ -27,12 +27,17 @@ is that table itself: its identity column holds ``a``, its identity row
 
 L is complex, but in the Hermitian Weyl basis, which pairs each ``W_s``
 with its adjoint, the table of a Hermitian state is real: ``P_A T P_B^T``
-with P unitary (:func:`weylsep.weyl.hermitian_coefficients`). Above
+with P unitary (:func:`weylsep.weyl.hermitian_coefficients`). That is the
+paper's coefficient symmetry, and the imaginary part of the transformed
+table measures how far a matrix breaks it. Above
 ``D = EAGER_MAX_DIM`` the Ky Fan statistic is therefore read from a real
 SVD of ``Re(P_A T P_B^T)`` without its identity row and column. Dropping
 the imaginary part, the O(eps) defect of the transform, moves each
 singular value by at most its spectral norm (Weyl's perturbation
 inequality for singular values).
+
+The PPT cross-check reads the smallest eigenvalue of the partial
+transpose, :func:`ppt_statistic`, for one state or a stack of them.
 """
 
 from __future__ import annotations
@@ -46,12 +51,12 @@ from .linalg import (
     EAGER_MAX_DIM,
     DensityMatrix,
     _require_bipartite,
-    partial_transpose,
     purity,
     singular_values,
+    transpose_factor,
     validate_density,
 )
-from .weyl import adjoint_defect, hermitian_coefficients, weyl_assemble, weyl_coefficients
+from .weyl import hermitian_coefficients, weyl_assemble, weyl_coefficients
 
 ENTANGLED = "ENTANGLED"
 SEPARABLE = "SEPARABLE"
@@ -164,18 +169,6 @@ def reduced_from_decomposition(dec: BipartiteDecomposition, sys: int) -> Density
     return validate_density(weyl_assemble(local, d), [d])
 
 
-def symmetry_defects(dec: BipartiteDecomposition) -> tuple[float, float, float]:
-    """Max violations of the Hermiticity-induced coefficient symmetry.
-
-    Returns the defects for alpha, beta, and the correlation matrix; each
-    compares ``conj(x[idx])`` against the phased coefficient at the negated
-    index pair (:func:`weylsep.weyl.adjoint_defect`).
-    """
-    defect = adjoint_defect(dec.table, dec.da, dec.db)
-    alpha, beta, correlation = defect[1:, 0], defect[0, 1:], defect[1:, 1:]
-    return float(np.max(alpha)), float(np.max(beta)), float(np.max(correlation))
-
-
 def kyfan_norm(m: np.ndarray) -> float:
     """Sum of the singular values (trace / nuclear norm)."""
     return float(np.sum(singular_values(m)))
@@ -210,6 +203,16 @@ def weyl_separability_criterion(rho: DensityMatrix) -> Verdict:
     return correlation_verdict(decompose_bipartite(rho))
 
 
+def ppt_statistic(h: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Smallest eigenvalue of the partial transpose on the second factor, per matrix of a stack.
+
+    h must be Hermitian bit for bit, as a validated state is
+    (:func:`weylsep.linalg.check_density`): the partial transpose permutes
+    its entries, so it is too, and its spectrum is solved as it stands.
+    """
+    return np.linalg.eigvalsh(transpose_factor(h, da, db, 1))[..., 0]
+
+
 def ppt_criterion(rho: DensityMatrix) -> Verdict:
     """Positive-partial-transpose test, used as a cross-validation oracle.
 
@@ -217,8 +220,8 @@ def ppt_criterion(rho: DensityMatrix) -> Verdict:
     a positive partial transpose is reported INCONCLUSIVE (it proves
     separability only at 2x2 and 2x3, and verdicts stay one-sided here).
     """
-    # rho is Hermitian bit for bit and rho^Gamma permutes its entries, so it is too
-    statistic = float(np.linalg.eigvalsh(partial_transpose(rho, 1))[0])
+    da, db = _require_bipartite(rho)
+    statistic = float(ppt_statistic(rho.matrix, da, db))
     outcome = ENTANGLED if statistic < -STATISTIC_MARGIN else INCONCLUSIVE
     return Verdict("ppt", outcome, statistic, 0.0)
 

@@ -3,10 +3,13 @@
 A state rho on a d-dimensional space is written as
 ``rho = (I + sum_k a_k W_k) / d`` where the sum runs over the d^2 - 1
 non-identity Weyl operators and ``a_k = Tr(W_k^dag rho)``. Hermiticity of
-rho ties coefficients at opposite indices together (the symmetry
-condition checked by :func:`symmetry_defect`), and the Euclidean length
-of the coefficient vector is bounded by ``sqrt(d - 1)`` with equality
-exactly for pure states.
+rho ties coefficients at opposite indices together:
+``conj(a[n, m]) = exp(-2j*pi*n*m/d) * a[-n, -m]``, which says that the
+coefficients in the Hermitian Weyl basis are real
+(:func:`weylsep.weyl.hermitian_coefficients` of the one-factor table
+``[1, a]`` with ``db = 1``). The Euclidean length of the coefficient
+vector is bounded by ``sqrt(d - 1)`` with equality exactly for pure
+states.
 
 The coefficients are computed without forming the basis: ``W(n, m)`` has
 the single nonzero entry ``exp(2j*pi*k*n/d)`` in row ``k``, at column
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, DimensionMismatchError
-from .weyl import adjoint_defect, weyl_assemble, weyl_coefficients
+from .weyl import weyl_assemble, weyl_coefficients
 
 
 @dataclass(frozen=True)
@@ -43,11 +46,6 @@ class BlochVector:
         if k == 0:
             raise ValueError("the identity component is fixed at 1/d and not stored")
         return complex(self.coeffs[k - 1])
-
-
-def symmetry_defect(v: BlochVector) -> float:
-    """Max violation of ``conj(a[n,m]) == exp(-2j*pi*n*m/d) * a[-n,-m]``."""
-    return float(np.max(adjoint_defect(np.concatenate(([1.0], v.coeffs)), v.d)))
 
 
 def decompose(rho: DensityMatrix) -> BlochVector:

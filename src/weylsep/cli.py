@@ -49,17 +49,12 @@ from .bipartite import (
     decompose_bipartite,
     kyfan_bound,
     ppt_criterion,
+    ppt_statistic,
     reconstruct_bipartite,
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
 from .fileio import load_state, matrix_entries
-from .linalg import (
-    DensityMatrix,
-    ValidationError,
-    check_density,
-    min_eigenvalue,
-    transpose_factor,
-)
+from .linalg import DensityMatrix, ValidationError, check_density
 from .states import (
     bell_diagonal,
     bell_diagonal_matrix,
@@ -113,6 +108,14 @@ _dim = _capped(MAX_DIM, "dimension")
 _mixture_size = _capped(MAX_MIXTURE, "mixture size")
 
 
+def _seed(value) -> int:
+    """Integer converter for a seed, which numpy's generators take only non-negative."""
+    n = int(value)
+    if n < 0:
+        raise UsageError(f"seed must be >= 0, got {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # --state micro-grammar
 
@@ -150,7 +153,7 @@ _KEYS = {
     "p": (float, 1),
     "t": (float, 3),
     "rank": (int, 1),
-    "seed": (int, 1),
+    "seed": (_seed, 1),
 }
 
 #: Each ``--state`` family: its constructor and its keys, in argument order.
@@ -306,8 +309,7 @@ def cmd_check_sep(args) -> int:
 
 def cmd_check_tele(args) -> int:
     _capped(MAX_BUDGET, "budget")(args.budget)
-    if args.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {args.seed}")
+    _seed(args.seed)
     rho, descriptor = _load_input(args)
     est = fef_search(rho, args.budget, seed=args.seed)
     d = rho.dims[0]
@@ -374,9 +376,8 @@ def cmd_scan(args) -> int:
 
     # Both families are affine in the parameter and density matrices form a
     # convex set, so valid end points make every row valid: check them
-    # before --out is opened. Each block of rows is then built, validated
-    # (all but the end rows, which make has checked), transformed and
-    # solved as one stack, and written when it is done.
+    # before --out is opened. Each block of rows is then built, validated,
+    # transformed and solved as one stack, and written when it is done.
     make(grid[0])
     make(grid[-1])
     threshold = kyfan_bound(da, db)
@@ -389,14 +390,13 @@ def cmd_scan(args) -> int:
         writer.writerow(header)
         for start in range(0, len(grid), block):
             params = grid[start : start + block]
-            matrices = build(np.array(params))
-            check_density(matrices[start == 0 : len(grid) - 1 - start])
-            tables = weyl_coefficients(matrices, da, db)
+            h, _ = check_density(build(np.array(params)))
+            tables = weyl_coefficients(h, da, db)
             kyfan = np.sum(correlation_singular_values(tables, da, db), axis=-1).tolist()
             verdicts = [correlation_outcome(k, threshold) for k in kyfan]
             columns = [params, kyfan, [threshold] * len(params), verdicts]
             if args.ppt:
-                columns.append(min_eigenvalue(transpose_factor(matrices, da, db, 1)).tolist())
+                columns.append(ppt_statistic(h, da, db).tolist())
             writer.writerows(zip(*columns))
     return 0
 

@@ -134,16 +134,6 @@ def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
     return hermitian_part(m)
 
 
-def min_eigenvalue(h: np.ndarray) -> float | np.ndarray:
-    """Smallest eigenvalue of the Hermitian part of a matrix, or of each matrix of a stack.
-
-    Inputs whose Hermiticity defect exceeds ``HERMITICITY_TOL`` are
-    rejected. A single matrix gives a float, a stack an array.
-    """
-    low = np.linalg.eigvalsh(_checked_hermitian_part(np.asarray(h, dtype=complex)))[..., 0]
-    return float(low) if low.ndim == 0 else low
-
-
 def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
     if len(rho.dims) != 2:
         raise DimensionMismatchError(

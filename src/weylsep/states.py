@@ -48,11 +48,11 @@ def isotropic_matrix(d: int, p) -> np.ndarray:
     return m
 
 
-_PAULI = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
+#: ``XX``, ``YY`` and ``ZZ``, the Pauli products of :func:`bell_diagonal`, read-only.
+_PAULI_PRODUCTS = np.stack([
+    kron(p, p) for p in np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+])
+_PAULI_PRODUCTS.flags.writeable = False
 
 
 def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
@@ -70,9 +70,10 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
 def bell_diagonal_matrix(t1, t2, t3) -> np.ndarray:
     """The unchecked :func:`bell_diagonal` matrix, or a ``(..., 4, 4)`` stack for arrays ``t``."""
     m = np.eye(4, dtype=complex)
-    for t, i in ((t1, 1), (t2, 2), (t3, 3)):
-        m = m + np.multiply.outer(t, kron(_PAULI[i], _PAULI[i]))
-    return m / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):  # validation rejects a non-finite entry
+        for t, product in zip((t1, t2, t3), _PAULI_PRODUCTS):
+            m = m + np.multiply.outer(t, product)
+        return m / 4.0
 
 
 def ppt_3x3() -> DensityMatrix:

@@ -185,17 +185,3 @@ def hermitian_coefficients(table: np.ndarray, da: int, db: int) -> np.ndarray:
     rows = sa[:, None] * table + ea[:, None] * table.take(na, axis=-2)
     return rows * sb + rows.take(nb, axis=-1) * eb
 
-
-def adjoint_defect(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
-    """Entrywise ``|conj(T[s, t]) - F_s F_t T[-s, -t]|`` of a :func:`weyl_coefficients` table.
-
-    ``F_s = fourier(d)[n, m]`` for ``s = (n, m)`` and ``-s = (-n, -m)`` mod d.
-    The adjoint rule ``W(n, m)^dag = conj(F[n, m]) W(-n, -m)`` gives
-    ``conj(T_M[s, t]) = F_s F_t T_{M^dag}[-s, -t]``, so the defect is
-    ``|T_{M^dag - M}|`` read at the negated indices: zero exactly when M
-    is Hermitian.
-    """
-    na, nb = -np.arange(da) % da, -np.arange(db) % db
-    partner = table.reshape(da, da, db, db)[np.ix_(na, na, nb, nb)].reshape(table.shape)
-    phase = np.outer(fourier(da), fourier(db)).reshape(table.shape)
-    return np.abs(table.conj() - phase * partner)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import scan_one_row_at_a_time
+import weylsep
 from weylsep import bipartite, cli, validate_density
 from weylsep.fileio import save_state
 from weylsep.states import max_entangled, random_mixed
@@ -292,6 +293,10 @@ def test_version_flag():
     assert "weylsep" in proc.stdout
 
 
+def test_every_public_name_resolves():
+    assert [name for name in weylsep.__all__ if not hasattr(weylsep, name)] == []
+
+
 def run_main(*args):
     """Run ``cli.main`` in-process; returns the exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -372,6 +377,9 @@ def test_parser_is_built_on_the_first_call_not_at_import():
         ("check-sep", "--state", "bell-diagonal:t=inf,0,0"),
         ("scan", "--family", "bell-diagonal", "--direction=inf,0,0", "--from", "0",
          "--to", "1", "--step", "0.5", "--out", "-"),
+        ("check-sep", "--state", "bell-diagonal:t=1e308,1e308,1e308"),
+        ("scan", "--family", "bell-diagonal", "--direction=1e308,1e308,1e308", "--from", "0",
+         "--to", "1", "--step", "0.5", "--out", "-"),
         ("check-sep", "--state", "isotropic:d=10000000,p=0.3"),
         ("decompose", "--state", "random-mixed:d=33,rank=1,seed=0"),
         ("check-sep", "--state", "random-mixed:da=2,db=100000,rank=1,seed=0"),
@@ -403,7 +411,8 @@ def test_parser_is_built_on_the_first_call_not_at_import():
     ids=[
         "non-utf8-file", "budget-0", "negative-seed", "tele-1x1", "scan-nan", "scan-inf-step",
         "scan-d-1", "scan-p-below-0", "isotropic-d-0", "file-and-state", "bell-diagonal-inf",
-        "scan-direction-inf", "isotropic-d-oversized", "random-mixed-d-33",
+        "scan-direction-inf", "bell-diagonal-overflow", "scan-direction-overflow",
+        "isotropic-d-oversized", "random-mixed-d-33",
         "random-mixed-db-oversized", "product-pure-da-oversized", "basis-d-oversized",
         "scan-d-33", "separable-k-huge", "separable-k-1025", "scan-rows-1000001",
         "random-mixed-da-db-minus-1", "random-mixed-da-db-negative", "budget-1025",
@@ -441,6 +450,20 @@ def test_input_errors_exit_two(tmp_path, args):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "random-mixed:d=4,rank=2,seed=-5",
+        "random-product-pure:da=2,db=2,seed=-5",
+        "random-separable:da=2,db=2,k=2,seed=-5",
+    ],
+)
+def test_a_negative_seed_key_is_named(spec):
+    rc, out, err = run_main("check-sep", "--state", spec)
+    assert (rc, out) == (2, "")
+    assert err == "error: bad value for state parameter 'seed': seed must be >= 0, got -5\n"
 
 
 def test_internal_failure_exits_one(monkeypatch):
@@ -550,11 +573,13 @@ def test_scan_csv_is_the_one_row_at_a_time_csv(family, start, stop, step, ppt):
     [
         (("isotropic", 3), 0.0, 1.0, 0.05, 4),
         (("bell-diagonal", (1.0, 1.0, -1.0)), 0.0, 1.0, 0.1, 3),
+        # one row per block above D = 16, as at d = 32: the end points are blocks of their own
+        (("isotropic", 5), 0.0, 1.0, 0.25, 1),
     ],
 )
 def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, family, start, stop,
                                                        step, rows, ppt):
-    dim = 9 if family[0] == "isotropic" else 4
+    dim = family[1] ** 2 if family[0] == "isotropic" else 4
     monkeypatch.setattr(cli, "SCAN_BLOCK_BYTES", rows * 16 * dim**2)
     built, checked = [], []
     build = cli.isotropic_matrix if family[0] == "isotropic" else cli.bell_diagonal_matrix
@@ -567,12 +592,10 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
     assert run_main(*_scan_argv(family, start, stop, step, ppt, out=str(path))) == (0, "", "")
     expected = _one_row_at_a_time(family, start, stop, step, ppt)
     assert path.read_bytes() == expected.encode()
-    # every row is built in blocks of the capped size, and every row but
-    # the two end points, which the family constructor checks, is
-    # validated with its block
+    # every row is built in blocks of the capped size and validated with its block
     assert len(built) >= 3 and set(built[:-1]) == {rows}
     assert sum(built) == expected.count("\n") - 1
-    assert checked == [built[0] - 1, *built[1:-1], built[-1] - 1]
+    assert checked == built
 
 
 @pytest.mark.parametrize("command", ["check-sep", "decompose"])

@@ -10,7 +10,6 @@ from weylsep import (
     ValidationError,
     WrongTraceError,
     kron,
-    min_eigenvalue,
     partial_trace,
     partial_transpose,
     ppt_criterion,
@@ -30,6 +29,7 @@ from weylsep.linalg import (
     hermiticity_defect,
     transpose_factor,
 )
+from weylsep.bipartite import ppt_statistic
 from weylsep.states import example4, haar_unitary, isotropic, max_entangled, ppt_3x3
 from weylsep.weyl import weyl_op
 
@@ -100,17 +100,17 @@ def test_partial_transpose_product_states_stay_psd():
         rho_a = random_mixed(2, 2, seed=2 * seed)
         rho_b = random_mixed(2, 2, seed=2 * seed + 1)
         joint = validate_density(kron(rho_a.matrix, rho_b.matrix), [2, 2])
-        assert min_eigenvalue(partial_transpose(joint, 1)) >= -1e-10
+        assert np.linalg.eigvalsh(partial_transpose(joint, 1))[0] >= -1e-10
 
 
 def test_partial_transpose_singlet_min_eigenvalue():
     pt = partial_transpose(example4(1.0), 1)
-    assert abs(min_eigenvalue(pt) - (-0.5)) < 1e-12
+    assert abs(np.linalg.eigvalsh(pt)[0] - (-0.5)) < 1e-12
 
 
 def test_partial_transpose_detects_isotropic_entanglement():
     # p = 0.5 > 1/(d+1) at d = 2, so the partial transpose goes negative
-    assert min_eigenvalue(partial_transpose(isotropic(2, 0.5), 1)) < -1e-3
+    assert np.linalg.eigvalsh(partial_transpose(isotropic(2, 0.5), 1))[0] < -1e-3
 
 
 def test_singular_values_identity():
@@ -133,17 +133,6 @@ def test_sum_of_squared_singular_values_is_frobenius():
         s = singular_values(m)
         fro2 = np.linalg.norm(m) ** 2
         assert abs(np.sum(s**2) - fro2) <= 1e-10 * fro2
-
-
-def test_min_eigenvalue_basics():
-    assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0)
-    assert min_eigenvalue(np.diag([3.0, -2.0, 0.0])) == pytest.approx(-2.0)
-    assert min_eigenvalue(weyl_op(2, 0, 1)) == pytest.approx(-1.0)
-
-
-def test_min_eigenvalue_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        min_eigenvalue(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_validate_density_accepts_maximally_mixed():
@@ -253,13 +242,14 @@ def test_stacked_hermitian_kernels_match_per_matrix_calls(d):
     stack = _state_stack(d, 6)
     defects = hermiticity_defect(stack)
     parts, spectra = check_density(stack)
-    lowest = min_eigenvalue(stack)
+    da = 2 if d % 2 == 0 else 3
+    lowest = ppt_statistic(parts, da, d // da)
     assert defects.shape == lowest.shape == (6,) and spectra.shape == (6, d)
     for k, m in enumerate(stack):
         assert defects[k] == hermiticity_defect(m) > 0
         np.testing.assert_array_equal(parts[k], _checked_hermitian_part(m))
         np.testing.assert_array_equal(spectra[k], np.linalg.eigvalsh(parts[k]))
-        assert lowest[k] == min_eigenvalue(m)
+        assert lowest[k] == ppt_criterion(validate_density(m, [da, d // da])).statistic
     nested_parts, nested = check_density(stack.reshape(2, 3, d, d))
     np.testing.assert_array_equal(nested_parts, parts.reshape(2, 3, d, d))
     np.testing.assert_array_equal(nested, spectra.reshape(2, 3, d))
@@ -373,4 +363,5 @@ def test_partial_transpose_of_a_validated_state_is_hermitian_bit_for_bit():
             np.testing.assert_array_equal(pt, pt.conj().T)
             np.testing.assert_array_equal(hermitian_part(pt), pt)
         # so the PPT statistic, solved without forming a Hermitian part, keeps its bits
-        assert ppt_criterion(rho).statistic == min_eigenvalue(partial_transpose(rho, 1))
+        pt = partial_transpose(rho, 1)
+        assert ppt_criterion(rho).statistic == np.linalg.eigvalsh(hermitian_part(pt))[0]

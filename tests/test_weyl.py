@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from weylsep import weyl_basis, weyl_dagger_index, weyl_op
 from weylsep.weyl import (
-    adjoint_defect,
     cyclic_index,
     fourier,
     hermitian_coefficients,
@@ -158,19 +157,6 @@ def test_fourier_is_a_scaled_unitary_dft(d):
     np.testing.assert_allclose(f[1], np.exp(-2j * np.pi * np.arange(d) / d), atol=1e-15)
     with pytest.raises(ValueError):
         f[0, 0] = 0
-
-
-@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (4, 6), (5, 1), (3, 1)])
-def test_adjoint_defect_is_the_anti_hermitian_table(da, db):
-    # conj(T_M[s, t]) = F_s F_t T_{M^dag}[-s, -t], so the defect of M's table
-    # is |table of (M^dag - M)| permuted by the index negation
-    rng = np.random.default_rng(da * 10 + db)
-    dim = da * db
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    defect = adjoint_defect(weyl_coefficients(m, da, db), da, db)
-    expected = np.abs(weyl_coefficients(m.conj().T - m, da, db))
-    assert defect.shape == expected.shape
-    assert np.max(np.abs(np.sort(defect, axis=None) - np.sort(expected, axis=None))) <= 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
