@@ -207,7 +207,7 @@ def ppt_statistic(h: np.ndarray, da: int, db: int) -> np.ndarray:
     """Smallest eigenvalue of the partial transpose on the second factor, per matrix of a stack.
 
     h must be Hermitian bit for bit, as a validated state is
-    (:func:`weylsep.linalg.check_density`): the partial transpose permutes
+    (:func:`weylsep.linalg.validate_density`): the partial transpose permutes
     its entries, so it is too, and its spectrum is solved as it stands.
     """
     return np.linalg.eigvalsh(transpose_factor(h, da, db, 1))[..., 0]

@@ -54,7 +54,7 @@ from .bipartite import (
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
 from .fileio import load_state, matrix_entries
-from .linalg import DensityMatrix, ValidationError, check_density
+from .linalg import DensityMatrix, ValidationError
 from .states import (
     bell_diagonal,
     bell_diagonal_matrix,
@@ -374,10 +374,12 @@ def cmd_scan(args) -> int:
         make = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
         build = lambda ss: bell_diagonal_matrix(*(ss * t for t in direction))  # noqa: E731
 
-    # Both families are affine in the parameter and density matrices form a
-    # convex set, so valid end points make every row valid: check them
-    # before --out is opened. Each block of rows is then built, validated,
-    # transformed and solved as one stack, and written when it is done.
+    # Both families are affine in the parameter, so along the grid the trace
+    # and the Hermiticity defect are affine and lambda_min is concave: valid
+    # end points make every row valid. They are checked once, before --out
+    # is opened. Both builders are Hermitian bit for bit, so each block of
+    # rows is built, transformed and solved as one stack without another
+    # check, and written when it is done.
     make(grid[0])
     make(grid[-1])
     threshold = kyfan_bound(da, db)
@@ -390,7 +392,7 @@ def cmd_scan(args) -> int:
         writer.writerow(header)
         for start in range(0, len(grid), block):
             params = grid[start : start + block]
-            h, _ = check_density(build(np.array(params)))
+            h = build(np.array(params))
             tables = weyl_coefficients(h, da, db)
             kyfan = np.sum(correlation_singular_values(tables, da, db), axis=-1).tolist()
             verdicts = [correlation_outcome(k, threshold) for k in kyfan]

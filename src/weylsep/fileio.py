@@ -63,4 +63,6 @@ def load_state(path) -> DensityMatrix:
         flat = np.array([complex(re, im) for re, im in entries])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed entry pair: {exc}") from exc
+    if any(type(re) is bool or type(im) is bool for re, im in entries):  # complex(True) is 1
+        raise ValidationError("malformed entry pair: true and false are not numbers")
     return validate_density(flat.reshape(total, total), dims)

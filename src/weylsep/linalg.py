@@ -109,11 +109,6 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(m), compute_uv=False)
 
 
-def _any(flags: np.ndarray) -> bool:
-    """``flags.any()``, without its microsecond of fixed cost on a single matrix's 0-d flag."""
-    return bool(flags) if flags.ndim == 0 else bool(flags.any())
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """``(m + m^dagger) / 2`` as a fresh array, Hermitian bit for bit, per matrix of a stack.
 
@@ -122,16 +117,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     """
     half = m / 2
     return half + half.conj().swapaxes(-1, -2)
-
-
-def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
-    """:func:`hermitian_part`, after rejecting a stack whose largest defect exceeds ``HERMITICITY_TOL``."""
-    defect = hermiticity_defect(m)
-    if _any(defect > HERMITICITY_TOL):
-        raise NotHermitianError(
-            f"not Hermitian: max |m - m^dag| = {np.max(defect):.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    return hermitian_part(m)
 
 
 def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
@@ -181,31 +166,31 @@ def transpose_factor(m: np.ndarray, da: int, db: int, sys: int) -> np.ndarray:
 
 
 def _cholesky_certifies(h: np.ndarray) -> bool:
-    """Whether ``h + POSITIVITY_TOL I`` has a finite Cholesky factor, for every matrix of a stack.
+    """Whether ``h + POSITIVITY_TOL I`` has a finite Cholesky factor.
 
-    The shift is added on the diagonal of a copy. A failed factorization of
-    any matrix, or a factor with a non-finite diagonal entry (LAPACK
-    returns NaN without an error when an entry overflows), gives False.
+    The shift is added on the diagonal of a copy. A failed factorization,
+    or a factor with a non-finite diagonal entry (LAPACK returns NaN
+    without an error when an entry overflows), gives False.
     """
     shifted = h.copy()
-    shifted.reshape(*h.shape[:-2], -1)[..., :: h.shape[-1] + 1] += POSITIVITY_TOL
+    shifted.flat[:: len(h) + 1] += POSITIVITY_TOL
     try:
         factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1)).all())
+    return bool(np.isfinite(factor.diagonal()).all())
 
 
-def check_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Check the density-matrix invariants of a complex square matrix, or of each matrix of a stack.
+def validate_density(m: np.ndarray, dims) -> DensityMatrix:
+    """Check the density-matrix invariants of a complex square matrix and wrap the result.
 
-    Raises a distinct :class:`ValidationError` subclass per violated
-    invariant (finiteness, Hermiticity, unit trace, positivity), in that
-    order; the message carries the measured violation of the first matrix
-    that breaks the invariant (the largest, for Hermiticity); the trace is
-    read from m. Returns the Hermitian parts h and their ascending spectra,
-    or None in place of the spectra when a Cholesky factorization
-    certified positivity.
+    Checks the dimension bookkeeping, then finiteness, Hermiticity, unit
+    trace and positivity, in that order; each violated invariant raises its
+    own :class:`ValidationError` subclass, whose message carries the
+    measured violation; the trace is read from m. The state keeps the
+    checked Hermitian part (within ``HERMITICITY_TOL / 2`` of m), and its
+    spectrum when validation solved one (``D <= EAGER_MAX_DIM``, or a
+    Cholesky factorization that failed on a state accepted by its spectrum).
 
     Positivity is ``lambda_min(h) >= -POSITIVITY_TOL``. Up to
     ``D = EAGER_MAX_DIM`` it is read from the spectrum. Above, it is
@@ -215,41 +200,9 @@ def check_density(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     norm ``O(D eps ||h||)`` of ``h + POSITIVITY_TOL I`` is PSD, so that
     ``lambda_min(h) >= -POSITIVITY_TOL - O(D eps ||h||)``. Acceptance can
     thus differ from the spectral rule only for ``lambda_min`` within
-    round-off of ``-POSITIVITY_TOL``. When the factorization fails, the
-    whole stack falls back to the spectral rule, so every rejection and its
+    round-off of ``-POSITIVITY_TOL``. When the factorization fails,
+    validation falls back to the spectral rule, so every rejection and its
     message are those of the spectrum.
-    """
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix contains non-finite entries")
-    h = _checked_hermitian_part(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
-        traces = m.trace(axis1=-2, axis2=-1)
-        wrong = ~(abs(traces - 1.0) <= TRACE_TOL)
-    if _any(wrong):
-        tr = complex(np.extract(wrong, traces)[0])
-        raise WrongTraceError(f"trace is {tr.real:.12g}{tr.imag:+.3e}j, expected 1")
-    if h.shape[-1] > EAGER_MAX_DIM and _cholesky_certifies(h):
-        return h, None
-    spectrum = np.linalg.eigvalsh(h)
-    lowest = spectrum[..., 0]
-    negative = lowest < -POSITIVITY_TOL
-    if _any(negative):
-        low = np.extract(negative, lowest)[0]
-        raise NotPositiveSemidefiniteError(
-            f"negative eigenvalue {low:.3e} below -{POSITIVITY_TOL:.0e}"
-        )
-    return h, spectrum
-
-
-def validate_density(m: np.ndarray, dims) -> DensityMatrix:
-    """Check the density-matrix invariants and wrap the result.
-
-    Checks the dimension bookkeeping, then :func:`check_density`; each
-    violated invariant raises its own :class:`ValidationError` subclass,
-    whose message carries the measured violation. The state keeps the checked
-    Hermitian part (within ``HERMITICITY_TOL / 2`` of m), and its spectrum
-    when validation solved one (``D <= EAGER_MAX_DIM``, or a Cholesky
-    factorization that failed on a state accepted by its spectrum).
     """
     m = np.asarray(m, dtype=complex)
     dims = tuple(int(x) for x in dims)
@@ -262,8 +215,26 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
             f"subsystem dims {dims} multiply to {math.prod(dims)}, "
             f"matrix dimension is {m.shape[0]}"
         )
-    h, spectrum = check_density(m)
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix contains non-finite entries")
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"not Hermitian: max |m - m^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    h = hermitian_part(m)
     h.flags.writeable = False
-    if spectrum is not None:
-        spectrum.flags.writeable = False
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
+        trace = m.trace()
+        wrong = not abs(trace - 1.0) <= TRACE_TOL
+    if wrong:
+        raise WrongTraceError(f"trace is {trace.real:.12g}{trace.imag:+.3e}j, expected 1")
+    if len(h) > EAGER_MAX_DIM and _cholesky_certifies(h):
+        return DensityMatrix(h, dims)
+    spectrum = np.linalg.eigvalsh(h)
+    if spectrum[0] < -POSITIVITY_TOL:
+        raise NotPositiveSemidefiniteError(
+            f"negative eigenvalue {spectrum[0]:.3e} below -{POSITIVITY_TOL:.0e}"
+        )
+    spectrum.flags.writeable = False
     return DensityMatrix(h, dims, spectrum)

@@ -41,7 +41,11 @@ def isotropic(d: int, p: float) -> DensityMatrix:
 
 
 def isotropic_matrix(d: int, p) -> np.ndarray:
-    """The unchecked :func:`isotropic` matrix, or a ``(..., d*d, d*d)`` stack for an array ``p``."""
+    """The unchecked :func:`isotropic` matrix, or a ``(..., d*d, d*d)`` stack for an array ``p``.
+
+    Each matrix is Hermitian bit for bit: it equals its own
+    :func:`~weylsep.linalg.hermitian_part`, byte for byte.
+    """
     ket = max_entangled_ket(d)
     m = np.multiply.outer((1.0 - p) / (d * d), np.eye(d * d, dtype=complex))
     m += np.multiply.outer(p, np.outer(ket, ket.conj()))
@@ -68,7 +72,11 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
 
 
 def bell_diagonal_matrix(t1, t2, t3) -> np.ndarray:
-    """The unchecked :func:`bell_diagonal` matrix, or a ``(..., 4, 4)`` stack for arrays ``t``."""
+    """The unchecked :func:`bell_diagonal` matrix, or a ``(..., 4, 4)`` stack for arrays ``t``.
+
+    Each finite matrix is Hermitian bit for bit: it equals its own
+    :func:`~weylsep.linalg.hermitian_part`, byte for byte.
+    """
     m = np.eye(4, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # validation rejects a non-finite entry
         for t, product in zip((t1, t2, t3), _PAULI_PRODUCTS):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import scan_one_row_at_a_time
 import weylsep
-from weylsep import bipartite, cli, validate_density
+from weylsep import bipartite, cli, states, validate_density
 from weylsep.fileio import save_state
 from weylsep.states import max_entangled, random_mixed
 from weylsep.weyl import weyl_basis
@@ -401,6 +401,7 @@ def test_parser_is_built_on_the_first_call_not_at_import():
         ("decompose", "{empty_entries}"),
         ("decompose", "{huge_int_entry}"),
         ("decompose", "{bool_dims}"),
+        ("decompose", "{bool_entry}"),
         ("decompose", "{deep_nesting}"),
         ("check-sep", "{deep_nesting}"),
         ("scan", "--family", "bell-diagonal", "--d", "2", "--direction=1,1,1", "--from", "0",
@@ -417,7 +418,7 @@ def test_parser_is_built_on_the_first_call_not_at_import():
         "scan-d-33", "separable-k-huge", "separable-k-1025", "scan-rows-1000001",
         "random-mixed-da-db-minus-1", "random-mixed-da-db-negative", "budget-1025",
         "budget-huge", "decompose-dims-wrap-int64", "check-sep-dims-wrap-int64",
-        "dims-square-wraps-to-0", "entry-int-overflows-float", "bool-dims",
+        "dims-square-wraps-to-0", "entry-int-overflows-float", "bool-dims", "bool-entry",
         "decompose-deep-nesting", "check-sep-deep-nesting", "scan-bell-diagonal-with-d",
         "scan-isotropic-with-direction",
     ],
@@ -441,6 +442,7 @@ def test_input_errors_exit_two(tmp_path, args):
         ("{empty_entries}", "[4294967296, 4294967296]", "[]"),
         ("{huge_int_entry}", "[1]", f"[[{'1' * 401}, 0]]"),
         ("{bool_dims}", "[true, true]", "[[1, 0]]"),
+        ("{bool_entry}", "[1]", "[[true, false]]"),
     ]:
         files[name] = tmp_path / f"{name[1:-1]}.json"
         files[name].write_text(
@@ -540,6 +542,8 @@ _SCAN_CASES = [
     (("bell-diagonal", (-1.0, -1.0, -1.0)), 0.0, 1.0, 0.05),
     (("bell-diagonal", (1.0, 1.0, 1.0)), 0.0, 0.3333333333, 0.0333333333),
     *((("isotropic", 6), 0.0, 1.0, step) for step in (0.1, 0.05, 0.013)),
+    # both end points lie on the boundary of the state set, every row between inside it
+    (("bell-diagonal", (1.0, 1.0, 1.0)), -1.0, 0.3333333333, 0.01),
 ]
 
 
@@ -581,21 +585,23 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
                                                        step, rows, ppt):
     dim = family[1] ** 2 if family[0] == "isotropic" else 4
     monkeypatch.setattr(cli, "SCAN_BLOCK_BYTES", rows * 16 * dim**2)
-    built, checked = [], []
+    built, validated = [], []
     build = cli.isotropic_matrix if family[0] == "isotropic" else cli.bell_diagonal_matrix
-    check = cli.check_density
+    validate = states.validate_density
     monkeypatch.setattr(
         cli, build.__name__, lambda *args: built.append(len(args[-1])) or build(*args)
     )
-    monkeypatch.setattr(cli, "check_density", lambda m: checked.append(len(m)) or check(m))
+    monkeypatch.setattr(
+        states, "validate_density", lambda m, dims: validated.append(m.shape) or validate(m, dims)
+    )
     path = tmp_path / "scan.csv"
     assert run_main(*_scan_argv(family, start, stop, step, ppt, out=str(path))) == (0, "", "")
+    # only the two end points are validated; every row is built in blocks of the capped size
+    assert validated == [(dim, dim)] * 2
     expected = _one_row_at_a_time(family, start, stop, step, ppt)
     assert path.read_bytes() == expected.encode()
-    # every row is built in blocks of the capped size and validated with its block
     assert len(built) >= 3 and set(built[:-1]) == {rows}
     assert sum(built) == expected.count("\n") - 1
-    assert checked == built
 
 
 @pytest.mark.parametrize("command", ["check-sep", "decompose"])

@@ -81,8 +81,12 @@ def test_load_rejects_bad_dims(tmp_path):
         ([4294967296, 4294967296], [], "entries"),
         ([True, True], [[1, 0]], "dims"),
         ([1], [[10**400, 0]], "entry pair"),
+        ([1], [[True, False]], "entry pair"),
     ],
-    ids=["dims-wrap-int64", "dims-square-wraps-to-0", "bool-dims", "int-overflows-float"],
+    ids=[
+        "dims-wrap-int64", "dims-square-wraps-to-0", "bool-dims", "int-overflows-float",
+        "bool-entry",
+    ],
 )
 def test_load_rejects_files_that_overflow(tmp_path, dims, entries, match):
     path = tmp_path / "overflow.json"

@@ -23,8 +23,6 @@ from weylsep.linalg import (
     EAGER_MAX_DIM,
     HERMITICITY_TOL,
     POSITIVITY_TOL,
-    _checked_hermitian_part,
-    check_density,
     hermitian_part,
     hermiticity_defect,
     transpose_factor,
@@ -241,18 +239,18 @@ def _state_stack(d: int, n: int) -> np.ndarray:
 def test_stacked_hermitian_kernels_match_per_matrix_calls(d):
     stack = _state_stack(d, 6)
     defects = hermiticity_defect(stack)
-    parts, spectra = check_density(stack)
+    parts = hermitian_part(stack)
     da = 2 if d % 2 == 0 else 3
     lowest = ppt_statistic(parts, da, d // da)
-    assert defects.shape == lowest.shape == (6,) and spectra.shape == (6, d)
+    assert defects.shape == lowest.shape == (6,)
     for k, m in enumerate(stack):
         assert defects[k] == hermiticity_defect(m) > 0
-        np.testing.assert_array_equal(parts[k], _checked_hermitian_part(m))
-        np.testing.assert_array_equal(spectra[k], np.linalg.eigvalsh(parts[k]))
+        np.testing.assert_array_equal(parts[k], hermitian_part(m))
         assert lowest[k] == ppt_criterion(validate_density(m, [da, d // da])).statistic
-    nested_parts, nested = check_density(stack.reshape(2, 3, d, d))
-    np.testing.assert_array_equal(nested_parts, parts.reshape(2, 3, d, d))
-    np.testing.assert_array_equal(nested, spectra.reshape(2, 3, d))
+    nested = hermitian_part(stack.reshape(2, 3, d, d))
+    np.testing.assert_array_equal(nested, parts.reshape(2, 3, d, d))
+    nested_defects = hermiticity_defect(stack.reshape(2, 3, d, d))
+    np.testing.assert_array_equal(nested_defects, defects.reshape(2, 3))
 
 
 def test_transpose_factor_of_a_stack_matches_partial_transpose():
@@ -264,28 +262,25 @@ def test_transpose_factor_of_a_stack_matches_partial_transpose():
             np.testing.assert_array_equal(out[k], partial_transpose(rho, sys))
 
 
-def test_a_bad_matrix_inside_a_stack_is_rejected_with_its_own_message():
-    stack = np.stack([np.eye(3, dtype=complex) / 3] * 5)
+@pytest.mark.parametrize("dim", [3, 25])
+def test_each_invariant_names_its_measured_violation(dim):
+    state = np.eye(dim, dtype=complex) / dim
     cases = [
-        ((0, 1), 1e-6, NotHermitianError),
-        ((1, 1), 0.5, WrongTraceError),
-        ((0, 0), 0.0, ValidationError),
+        ((0, 1), 1e-6, NotHermitianError, "not Hermitian: max |m - m^dag| = 1.000e-06 exceeds 1e-10"),
+        ((1, 1), 0.5, WrongTraceError, "trace is 1.5+0.000e+00j, expected 1"),
+        ((0, 0), np.inf, ValidationError, "matrix contains non-finite entries"),
     ]
-    for (i, j), value, error in cases:
-        bad = stack.copy()
-        bad[3, i, j] += value if value else np.inf
-        with pytest.raises(error) as alone:
-            validate_density(bad[3], [3])
-        with pytest.raises(error) as stacked:
-            check_density(bad)
-        assert str(stacked.value) == str(alone.value)
-    # the first failing matrix names the violation; positivity reads its spectrum
-    bad = stack.copy()
-    bad[2] = np.diag([1.5, -0.25, -0.25])
-    bad[4] = np.diag([2.0, -0.5, -0.5])
-    with pytest.raises(NotPositiveSemidefiniteError) as stacked:
-        check_density(bad)
-    assert str(stacked.value) == "negative eigenvalue -2.500e-01 below -1e-10"
+    for (i, j), value, error, message in cases:
+        bad = state.copy()
+        bad[i, j] += value
+        with pytest.raises(error) as rejected:
+            validate_density(bad, [dim])
+        assert str(rejected.value) == message
+    # above the gate a failed factorization hands the message to the spectrum
+    bad = np.diag([1.5, -0.25, -0.25] + [0.0] * (dim - 3)).astype(complex)
+    with pytest.raises(NotPositiveSemidefiniteError) as rejected:
+        validate_density(bad, [dim])
+    assert str(rejected.value) == "negative eigenvalue -2.500e-01 below -1e-10"
 
 
 def _counted_eigvalsh(monkeypatch) -> list:
@@ -319,19 +314,6 @@ def test_cholesky_positivity_boundary_above_the_gate(monkeypatch, dim):
     low = np.linalg.eigvalsh(hermitian_part(outside))[0]
     assert str(rejected.value) == f"negative eigenvalue {low:.3e} below -1e-10"
     assert str(rejected.value) == "negative eigenvalue -2.000e-10 below -1e-10"
-
-
-def test_a_non_psd_matrix_inside_a_stack_above_the_gate_gets_its_own_message():
-    dim = 25
-    stack = np.stack([np.eye(dim, dtype=complex) / dim] * 5)
-    stack[3] = np.diag([1.5, -0.25, -0.25] + [0.0] * (dim - 3))
-    with pytest.raises(NotPositiveSemidefiniteError) as alone:
-        validate_density(stack[3], [5, 5])
-    with pytest.raises(NotPositiveSemidefiniteError) as stacked:
-        check_density(stack)
-    assert str(stacked.value) == str(alone.value) == "negative eigenvalue -2.500e-01 below -1e-10"
-    parts, spectra = check_density(np.delete(stack, 3, axis=0))
-    assert parts.shape == (4, dim, dim) and spectra is None
 
 
 def test_spectrum_is_solved_on_first_read_above_the_gate(monkeypatch):

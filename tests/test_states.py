@@ -15,6 +15,7 @@ from weylsep import (
     teleportation_verdict,
     weyl_separability_criterion,
 )
+from weylsep.linalg import hermitian_part
 from weylsep.states import (
     bell_diagonal,
     bell_diagonal_matrix,
@@ -79,6 +80,29 @@ def test_bell_diagonal_matrix_stack_is_the_constructors_matrices():
     assert stack.shape == (5, 4, 4)
     for s, m in zip(ss.tolist(), stack):
         np.testing.assert_array_equal(m, bell_diagonal(*(s * t for t in ray)).matrix)
+
+
+def _assert_hermitian_bit_for_bit(stack):
+    np.testing.assert_array_equal(stack, stack.conj().swapaxes(-1, -2))
+    assert hermitian_part(stack).tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+def test_isotropic_matrix_stack_is_hermitian_bit_for_bit(d):
+    # scan feeds these stacks unchecked to kernels that read one triangle
+    for ps in (np.linspace(0.0, 1.0, 101), np.arange(0.0, 1.0, 0.013), np.array([1.0])):
+        _assert_hermitian_bit_for_bit(isotropic_matrix(d, ps))
+
+
+def test_bell_diagonal_matrix_stack_is_hermitian_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        ray = rng.standard_normal(3) * rng.choice([1e-3, 1.0, 1e3])
+        ss = rng.uniform(-1.0, 1.0, size=rng.integers(1, 40))
+        _assert_hermitian_bit_for_bit(bell_diagonal_matrix(*(ss * t for t in ray)))
+    for ray in ((1.0, 1.0, -1.0), (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (-0.0, -0.0, -0.0)):
+        ss = np.linspace(-1.0, 1.0, 21)
+        _assert_hermitian_bit_for_bit(bell_diagonal_matrix(*(ss * t for t in ray)))
 
 
 def test_bell_diagonal_trivials():
