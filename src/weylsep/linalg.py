@@ -205,11 +205,14 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
     message are those of the spectrum.
     """
     m = np.asarray(m, dtype=complex)
-    dims = tuple(int(x) for x in dims)
+    dims = tuple(dims)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatchError(f"subsystem dims must be positive, got {dims}")
+    if not dims or not all(
+        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims
+    ):
+        raise DimensionMismatchError(f"subsystem dims must be positive integers, got {dims!r}")
+    dims = tuple(int(d) for d in dims)
     if math.prod(dims) != m.shape[0]:
         raise DimensionMismatchError(
             f"subsystem dims {dims} multiply to {math.prod(dims)}, "

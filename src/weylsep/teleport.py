@@ -20,10 +20,56 @@ With the row-major vec convention ``(U (x) I)|psi+>`` has components
 ``U[a, b] / sqrt(d)``, so O_U is ``d vec(U) vec(U)^dag`` and the search
 objective is the quadratic form ``f(U) = vec(U)^dag rho vec(U) / d``.
 
-The search is the generalized power method of Journee, Nesterov,
-Richtarik and Sepulchre (JMLR 11, 2010) on the unitary group: with
-``G = reshape(rho vec U)``, step to the polar factor ``W V^dag`` of the
-SVD ``G = W S V^dag``. No step lowers f. Because rho is PSD, f is convex,
+At d = 2, F has a closed form (Badziag, Horodecki, Horodecki and
+Horodecki, PRA 62, 012311, 2000), and ``fef_search`` returns it without
+a search. Let M be the magic basis of Hill and Wootters (PRL 78, 5022,
+1997), whose columns are Phi+, i Phi-, i Psi+ and Psi-, and B = sqrt(2) M,
+whose entries are 0, +-1 and +-i. Every maximally entangled two-qubit
+state is ``e^{i phi} M x`` with x a real unit vector. In the present
+terms: with row-major vec, ``reshape(B x)`` is
+``x0 I + i (x1 Z + x2 X + x3 Y)``, and since the Pauli matrices
+anticommute and square to I, its product with its adjoint is
+``|x|^2 I``. So a real unit x gives a unitary in SU(2), and every element
+of SU(2) is of this form (a unit quaternion). Every unitary is
+``e^{i phi}`` times one of SU(2), and the phase drops out of f. Hence
+``vec(U)`` ranges over the ``e^{i phi} B x``, and
+
+    f(U) = x^T R x,    R = Re(B^dag rho B) / 2 = Re(M^dag rho M),
+
+because ``B^dag rho B`` is Hermitian, so its imaginary part is
+antisymmetric and drops out of a real quadratic form. The maximum of
+``x^T R x`` over real unit vectors is ``lambda_max(R)``, so
+``F = lambda_max(R)``, attained at ``U = reshape(B x)`` with x the top
+eigenvector of R. ``eigh`` returns x real and of unit norm to
+``O(eps)``; the entries of U are entries of x, with signs and factors i
+and no rounding, so U is ``|x|`` times a unitary and unitary to
+round-off. The reported value is f at that U, a true mean value. The
+bound is ``min(lambda_max(rho), lambda_max(R_hat) + ROUNDOFF_ULPS * D *
+eps * ||rho||_F)`` with D = 4 and R_hat the R that ``eigh`` is given.
+The margin, ``16 eps ||rho||_F``, covers two errors. Forming R: each
+column of B has two nonzero entries, so each entry of ``B^dag rho``, and
+then of its product with B, is a sum of two exact terms, rounded once;
+with ``u = eps / 2`` that bounds ``|R_hat - R|`` entrywise by
+``2u |B|^T |rho| |B| / 2`` (the halving is exact), whose Frobenius norm
+is at most ``2 eps ||rho||_F`` since ``|| |B| ||_2 = 2``. ``eigh`` reads
+one triangle of R_hat, and every entry of either triangle obeys the
+bound. Then ``eigh``: it is backward stable and returns the eigenvalues
+of a matrix within ``O(D eps ||R_hat||)`` of the one it was given, and
+``||R_hat||_2 <= ||rho||_F`` to first order, so the remaining
+``14 eps ||rho||_F``, that is ``3.5 D eps ||rho||_F``, covers it. So at
+d = 2 ``upper_bound`` meets F to within the margin, ``evaluations`` is 0
+(no polar step runs), ``converged`` is True (nothing iterates) and
+``starts_used`` is 1 (the one ``eigh``). Neither ``DUAL_STEPS`` nor the
+Haar starts play a part, but ``budget`` and ``seed`` are still checked.
+The cap ``lambda_max(rho)`` and the value carry no margin of their own,
+so on a state whose F equals ``lambda_max(rho)`` (isotropic, example4
+with p >= 1/2) the value can exceed ``upper_bound`` by an ulp, as the
+search's could.
+
+Above d = 2 the search is the generalized power method of Journee,
+Nesterov, Richtarik and Sepulchre (JMLR 11, 2010) on the unitary group:
+with ``G = reshape(rho vec U)``, step to the polar factor ``W V^dag`` of
+the SVD ``G = W S V^dag``. No step lowers f. Because rho is PSD, f is convex,
 so it lies above its tangent plane at U:
 
     f(U') >= f(U) + (2/d) Re Tr(G^dag (U' - U)).
@@ -152,6 +198,11 @@ POLYAK_FACTOR = 1.9
 ROUNDOFF_ULPS = 4
 EPS = float(np.finfo(float).eps)
 
+# sqrt(2) times the magic basis, one vector per column: Phi+, i Phi-, i Psi+,
+# Psi-. Its entries are 0, +-1 and +-i, so products with it round only in sums.
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
+_MAGIC.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class DetectionOperator:
@@ -167,10 +218,11 @@ class FefEstimate:
     """Best fully-entangled-fraction lower bound found by the search.
 
     ``upper_bound >= F(rho)`` is the least certified bound: the cap
-    ``lambda_max(rho)``, or a dual certificate below it (module
-    docstring). ``starts_used`` counts the starts through the one that
-    closed the gap between ``value`` and ``upper_bound`` to ``GAP_TOL``,
-    or every start when none did.
+    ``lambda_max(rho)``, or a dual certificate below it, or at d = 2 the
+    closed form plus its margin (module docstring). ``starts_used`` counts
+    the starts through the one that closed the gap between ``value`` and
+    ``upper_bound`` to ``GAP_TOL``, or every start when none did; at
+    d = 2 it is 1, with no polar step (``evaluations`` 0).
     """
 
     value: float
@@ -320,16 +372,37 @@ def _polar_ascent(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int, bool
     return u, step, fixed
 
 
-def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
-    """Multi-start lower-bound search for the fully entangled fraction.
+def _two_qubit_fef(m: np.ndarray, cap: float) -> FefEstimate:
+    """The d = 2 closed form: F = ``lambda_max(R)`` and a unitary at it (module docstring)."""
+    lam, vecs = np.linalg.eigh((_MAGIC.conj().T @ m @ _MAGIC).real / 2)
+    u = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
+    u.flags.writeable = False
+    value = float(_values(m, u[None])[0])
+    bound = min(cap, float(lam[-1]) + ROUNDOFF_ULPS * 4 * EPS * float(np.linalg.norm(m)))
+    return FefEstimate(value, u, 0, True, bound, 1)
 
-    ``budget`` counts refinement starts and ``seed`` must be a non-negative
-    integer. The deterministic starts come first (identity, then every
-    Weyl unitary); remaining slots are Haar samples, each drawn from a
-    private stream derived from ``(seed, start index)`` when the search
-    reaches it. The starts are refined one at a time, in start order, by
-    polar iteration; each stops when a step moves no entry of its U by
-    ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS`` steps. Each
+
+def _require_integer(value, name: str, least: int) -> None:
+    """Reject a bool, a non-integer or a value below ``least``; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
+    """Fully entangled fraction: the closed form at d = 2, a multi-start lower-bound search above.
+
+    ``budget`` must be an integer >= 1 and ``seed`` an integer >= 0 (a
+    bool is neither); both are checked at every d. At d = 2 the result is
+    the closed form of the module docstring: ``value`` is F to round-off,
+    ``upper_bound`` is ``min(lambda_max(rho), lambda_max(R) + margin)``,
+    ``evaluations`` is 0, ``converged`` is True and ``starts_used`` is 1.
+    Above d = 2, ``budget`` counts refinement starts. The deterministic
+    starts come first (identity, then every Weyl unitary); remaining
+    slots are Haar samples, each drawn from a private stream derived from
+    ``(seed, start index)`` when the search reaches it. The starts are
+    refined one at a time, in start order, by polar iteration; each stops
+    when a step moves no entry of its U by ``FIXED_POINT_TOL`` or more, or
+    after ``MAX_ITERATIONS`` steps. Each
     start that sets a new best value, not below the best Weyl-unitary
     value, gets a dual certificate from the shared budget of
     ``DUAL_STEPS`` ``eigh`` calls (for ``d <= DUAL_MAX_D``). The search
@@ -343,11 +416,11 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     Ties go to the first start with the largest value.
     """
     d, _ = _require_square(rho)
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_integer(budget, "budget", 1)
+    _require_integer(seed, "seed", 0)
     m, bound = rho.matrix, float(rho.spectrum[-1])
+    if d == 2:
+        return _two_qubit_fef(m, bound)
     ops = weyl_basis(d).ops  # ops[0] is the identity, so it always leads
     dual_left = DUAL_STEPS if d <= DUAL_MAX_D else 0
     floor = None

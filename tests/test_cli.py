@@ -93,21 +93,33 @@ def test_check_tele_inconclusive():
     assert report["verdicts"][0]["outcome"] == "INCONCLUSIVE"
 
 
-def test_check_tele_reports_the_cap_and_the_starts_used():
-    # example4's lambda_max is p, reached by the last of the four Weyl starts
-    rc, out, _ = run_main("check-tele", "--state", "example4:p=0.8", "--seed", "7")
+def test_check_tele_reports_the_cap_and_the_starts_used(tmp_path):
+    # two qubits take the closed form: one eigh, no polar step, whether F is
+    # example4's lambda_max = p or below the cap as on the random state
+    two_qubits = (("example4:p=0.8", 0.8), ("random-mixed:da=2,db=2,rank=3,seed=4", None))
+    for spec, fef_value in two_qubits:
+        rc, out, _ = run_main("check-tele", "--state", spec, "--seed", "1", "--budget", "6")
+        fef = json.loads(out)["fef"]
+        assert rc == 0
+        assert (fef["starts_used"], fef["evaluations"], fef["converged"]) == (1, 0, True)
+        assert abs(fef["upper_bound"] - fef["value"]) <= 1e-12
+        if fef_value is not None:
+            assert fef["upper_bound"] == pytest.approx(fef_value, abs=1e-12)
+            assert fef["value"] == pytest.approx(fef_value, abs=1e-12)
+    # a 3x3 isotropic state rotated by the last Weyl unitary reaches its
+    # lambda_max = p + (1 - p) / 9 at the last of the nine Weyl starts; the
+    # eight before it end at once below the best Weyl value, uncertified
+    w = weyl_basis(3).ops[-1]
+    rotate = np.kron(w, np.eye(3))
+    rho = validate_density(rotate @ states.isotropic(3, 0.7).matrix @ rotate.conj().T, [3, 3])
+    path = tmp_path / "rotated.json"
+    save_state(path, rho)
+    rc, out, _ = run_main("check-tele", str(path), "--seed", "7")
     fef = json.loads(out)["fef"]
     assert rc == 0
-    assert fef["upper_bound"] == pytest.approx(0.8, abs=1e-12)
-    assert fef["starts_used"] == 4
-    assert fef["value"] == pytest.approx(0.8, abs=1e-12)
-    # a two-qubit state below its cap: the certificate of the first start closes the gap
-    spec = "random-mixed:da=2,db=2,rank=3,seed=4"
-    rc, out, _ = run_main("check-tele", "--state", spec, "--seed", "1", "--budget", "6")
-    fef = json.loads(out)["fef"]
-    assert rc == 0
-    assert fef["starts_used"] == 1
-    assert 0 <= fef["upper_bound"] - fef["value"] <= 1e-12
+    assert (fef["starts_used"], fef["evaluations"]) == (9, 9)
+    assert fef["upper_bound"] == pytest.approx(0.7 + 0.3 / 9, abs=1e-12)
+    assert fef["value"] == pytest.approx(0.7 + 0.3 / 9, abs=1e-12)
     # a 3x3 state whose gap no certificate closes runs every start
     spec = "random-mixed:da=3,db=3,rank=4,seed=3"
     rc, out, _ = run_main("check-tele", "--state", spec, "--seed", "3", "--budget", "6")

@@ -163,6 +163,18 @@ def test_validate_density_rejects_dimension_mismatch():
         validate_density(np.eye(2) / 2, [3, 6148914691236517206])
 
 
+def test_validate_density_rejects_non_integral_and_boolean_dims():
+    # int() used to truncate 2.7 to 2 and read True as 1
+    m = np.eye(4) / 4
+    bad = ([2.7, 2], [2.0, 2], [True, 4], [4, False], [np.bool_(True), 4], ["2", 2], [2, None])
+    for dims in bad:
+        with pytest.raises(DimensionMismatchError, match="positive integers"):
+            validate_density(m, dims)
+    for dims in ([np.int64(2), 2], np.array([2, 2]), (np.uint8(4),)):
+        assert validate_density(m, dims).dims == tuple(int(d) for d in dims)
+        assert all(type(d) is int for d in validate_density(m, dims).dims)
+
+
 def test_validate_density_rejects_non_finite():
     m = np.eye(2, dtype=complex) / 2
     m = m.copy()

@@ -21,7 +21,12 @@ from weylsep import teleport
 from weylsep.states import bell_diagonal, example4, haar_unitary, isotropic
 from weylsep.weyl import weyl_op
 
-from oracles import fef_magic_2x2, fef_one_start_at_a_time, weyl_sum_operator
+from oracles import (
+    fef_grid_oracle_2x2,
+    fef_magic_2x2,
+    fef_one_start_at_a_time,
+    weyl_sum_operator,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -34,6 +39,23 @@ def _closed_form(u, d):
 def _random_bipartite_2x2(seed, rank=None):
     rank = rank if rank is not None else 1 + seed % 4
     return validate_density(random_mixed(4, rank, seed=seed).matrix, [2, 2])
+
+
+def _assert_two_qubit_closed_form(rho, est):
+    """The d = 2 contract: F from one eigh in the magic basis, no polar step.
+
+    ``fef_magic_2x2`` is the oracle's own closed form; the bound is at most
+    ``lambda_max(rho)`` and at most the margin ``4 * D * eps * ||rho||_F``
+    above F, and the value is the mean value at the returned unitary.
+    """
+    fef = fef_magic_2x2(rho.matrix)
+    margin = teleport.ROUNDOFF_ULPS * 4 * teleport.EPS * np.linalg.norm(rho.matrix)
+    assert (est.evaluations, est.converged, est.starts_used) == (0, True, 1)
+    assert teleport.unitarity_defect(est.best_unitary) <= 1e-12
+    assert est.value == teleport._values(rho.matrix, est.best_unitary[None])[0]
+    assert abs(est.value - fef) <= 1e-14
+    assert fef - 1e-15 <= est.upper_bound <= rho.spectrum[-1]
+    assert est.upper_bound <= fef + margin + 1e-15
 
 
 def test_identity_operator_is_scaled_max_entangled_projector():
@@ -222,13 +244,13 @@ def test_fef_search_draws_and_refines_only_the_starts_it_uses(monkeypatch):
 
 def test_fef_search_rejects_a_bad_seed_at_every_budget():
     # the seed is checked before the first start, so a budget that ends
-    # within the d^2 Weyl starts, or a search that stops before its first
-    # Haar start, rejects it too
-    rho = isotropic(3, 0.5)
-    for seed in (None, -1, True, False, 1.5, "1", (1, 2), np.float64(2.0), np.bool_(True)):
-        for budget in (1, 8, 16, 64):
-            with pytest.raises(ValueError, match="seed"):
-                fef_search(rho, budget, seed=seed)
+    # within the d^2 Weyl starts, a search that stops before its first
+    # Haar start, or the two-qubit closed form, which runs no start, rejects it too
+    for rho in (isotropic(2, 0.5), isotropic(3, 0.5)):
+        for seed in (None, -1, True, False, 1.5, "1", (1, 2), np.float64(2.0), np.bool_(True)):
+            for budget in (1, 8, 16, 64):
+                with pytest.raises(ValueError, match="seed"):
+                    fef_search(rho, budget, seed=seed)
     with pytest.raises(ValueError, match="seed"):
         teleportation_verdict(rho, 8, seed=-1)
     open_gap = validate_density(random_mixed(9, 4, seed=3).matrix, [3, 3])
@@ -281,6 +303,12 @@ def test_fef_search_matches_one_start_at_a_time(d):
                 rho.matrix, starts, cap=cap, upper=upper
             )
             est = fef_search(rho, budget, seed=seed)
+            if d == 2:
+                # the closed form runs no start, and no start does better
+                _assert_two_qubit_closed_form(rho, est)
+                assert est.value >= value - 1e-15
+                assert min([cap, *bounds]) >= est.value - 1e-15
+                continue
             assert (est.evaluations, est.converged, est.starts_used) == (evaluations, converged, used)
             assert abs(est.value - value) <= 1e-15
             assert np.max(np.abs(est.best_unitary - best_u)) <= 1e-14
@@ -326,6 +354,12 @@ def test_fef_search_stops_like_one_start_at_a_time(d):
                 rho.matrix, starts, cap=cap
             )
             est = fef_search(rho, budget, seed=seed)
+            if d == 2:
+                # the closed form reaches the cap without a start
+                _assert_two_qubit_closed_form(rho, est)
+                assert est.value >= value - 1e-15
+                assert est.upper_bound == cap
+                continue
             assert (est.evaluations, est.converged, est.starts_used) == (evaluations, converged, used)
             assert abs(est.value - value) <= 1e-15
             assert np.max(np.abs(est.best_unitary - best_u)) <= 1e-14
@@ -337,9 +371,14 @@ def test_fef_search_isotropic_stops_at_the_identity(d):
     for p in (0.05, 0.5, 1.0):
         rho = isotropic(d, p)
         est = fef_search(rho, budget=64, seed=d)
-        assert (est.starts_used, est.evaluations) == (1, 1)
+        # at d = 2 no polar step runs: psi+ is the first magic vector, so the
+        # closed form's top eigenvector gives the identity up to a phase
+        assert (est.starts_used, est.evaluations) == (1, 0 if d == 2 else 1)
         assert est.value == pytest.approx(p + (1 - p) / d**2, abs=1e-12)
         assert est.upper_bound == np.linalg.eigvalsh(rho.matrix)[-1]
+        if d == 2:
+            u = est.best_unitary
+            assert np.max(np.abs(u * np.conj(u[0, 0]) - np.eye(2))) <= 1e-15
 
 
 def test_fef_search_uses_every_start_below_the_cap():
@@ -361,11 +400,11 @@ def test_fef_search_bounds_and_identity_start():
         baseline = float(np.real(psi.conj() @ rho.matrix @ psi))
         assert est.value >= baseline - 1e-12
         assert est.value <= 1.0 + 1e-9
-        assert est.evaluations > 0
+        _assert_two_qubit_closed_form(rho, est)
 
 
 def test_fef_search_matches_two_qubit_closed_form():
-    # the dual relaxation is exact at d = 2, so the certified bound meets F too
+    # at d = 2 the value is F and the bound meets F to its round-off margin
     for seed in range(300):
         rho = _random_bipartite_2x2(seed + 2000, rank=1 + seed % 4)
         est = fef_search(rho, budget=8, seed=seed)
@@ -579,11 +618,83 @@ def test_fef_search_cap_is_lambda_max_of_the_hermitian_part(d, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(teleport, "DUAL_STEPS", 0)  # no certificate: the bound is the cap
             est = fef_search(rho, budget=8, seed=rank)
-        assert est.upper_bound == cap
+        if d == 2:
+            # the closed form reads the same Hermitian part, and its bound is
+            # capped by that part's lambda_max
+            _assert_two_qubit_closed_form(rho, est)
+            assert est.upper_bound <= cap
+        else:
+            assert est.upper_bound == cap
         assert est.value <= est.upper_bound
         bounds = []
         with monkeypatch.context() as patch:
             patch.setattr(teleport, "_dual_bound", _recording(teleport._dual_bound, bounds))
             est = fef_search(rho, budget=8, seed=rank)
-        assert est.upper_bound == min([cap, *bounds])
+        if d == 2:
+            assert bounds == []  # no certificate runs at d = 2
+        else:
+            assert est.upper_bound == min([cap, *bounds])
         assert est.value <= est.upper_bound
+
+
+def test_two_qubit_closed_form_meets_the_euler_grid_oracle():
+    # the grid maximum is a value some unitary attains, so it is at most F:
+    # the closed-form bound must not fall below it, and the value must reach it
+    rhos = [_random_bipartite_2x2(4000 + seed) for seed in range(40)]
+    rhos += [example4(p) for p in (0.2, 1 / 3, 0.6)] + [bell_diagonal(0.6, -0.3, 0.2)]
+    grid = fef_grid_oracle_2x2([rho.matrix for rho in rhos])
+    for rho, best_on_grid in zip(rhos, grid):
+        est = fef_search(rho, budget=8, seed=1)
+        _assert_two_qubit_closed_form(rho, est)
+        assert est.upper_bound >= best_on_grid - 1e-15
+        assert best_on_grid - 1e-15 <= est.value <= best_on_grid + 1e-3
+
+
+def test_two_qubit_closed_form_against_the_iterative_core():
+    # the polar ascent from the identity and its gauge-family certificate,
+    # the d = 2 path before the closed form, bound it on both sides
+    identity = np.eye(2, dtype=complex)
+    for seed in range(320):
+        rho = _random_bipartite_2x2(5000 + seed, rank=1 + seed % 4)
+        h = rho.matrix
+        u, _, fixed = teleport._polar_ascent(h, identity)
+        found = float(teleport._values(h, u[None])[0])
+        certified, _ = teleport._dual_bound(h, u, found, teleport.DUAL_STEPS)
+        est = fef_search(rho, budget=8, seed=seed)
+        _assert_two_qubit_closed_form(rho, est)
+        assert est.value <= est.upper_bound <= rho.spectrum[-1]
+        assert est.upper_bound >= found - 1e-15
+        assert certified >= est.value - 1e-15
+        assert fixed and abs(est.value - found) <= 1e-12
+        mean = mean_value(rho, detection_operator(est.best_unitary))
+        assert abs(mean - 4 * est.value) <= 1e-12
+
+
+def test_two_qubit_closed_form_on_degenerate_maximizers():
+    # the top eigenvalue of R is repeated here, so the maximizer is not
+    # unique; any top eigenvector gives a unitary that attains F
+    cases = [(validate_density(np.eye(4) / 4, [2, 2]), 0.25), (example4(1 / 3), 1 / 3)]
+    cases += [(random_product_pure(2, 2, seed=seed), 0.5) for seed in range(10)]
+    for rho, fef in cases:
+        est = fef_search(rho, budget=8, seed=3)
+        assert (est.evaluations, est.converged, est.starts_used) == (0, True, 1)
+        assert teleport.unitarity_defect(est.best_unitary) <= 1e-12
+        assert abs(est.value - fef) <= 1e-15
+        assert fef - 1e-15 <= est.upper_bound <= rho.spectrum[-1]
+        mean = mean_value(rho, detection_operator(est.best_unitary))
+        assert abs(mean - 4 * fef) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_fef_search_rejects_a_bad_budget_like_a_bad_seed(d):
+    # True used to run one start and 2.0 to raise a bare TypeError; a bool
+    # is no integer, and numpy integers are
+    rho = isotropic(d, 0.5)
+    for budget in (True, False, 2.0, np.float64(2.0), "2", None, 0, -1, np.bool_(True)):
+        with pytest.raises(ValueError, match="budget"):
+            fef_search(rho, budget, seed=0)
+    est = fef_search(rho, 2, seed=0)
+    for budget, seed in ((np.int64(2), np.int64(0)), (np.uint8(2), np.uint8(0))):
+        other = fef_search(rho, budget, seed=seed)
+        assert (other.value, other.upper_bound, other.starts_used) == (
+            est.value, est.upper_bound, est.starts_used)
