@@ -17,7 +17,8 @@ and the ``scan`` row count (:data:`MAX_SCAN_ROWS`). The ``--state``
 families and keys are the tables :data:`FAMILIES` and ``_KEYS``.
 Reports are JSON on stdout; identical invocations (including ``--seed``)
 are byte-identical apart from the timestamp, which ``--no-timestamp``
-removes. Seeds are never read from the environment.
+removes, on the same numpy and BLAS build with the same number of BLAS
+threads. Seeds are never read from the environment.
 
 :func:`main` may be called many times in one process. The calls share one
 parser, which :func:`build_parser` builds on the first call and never at
@@ -77,7 +78,8 @@ MAX_DIM = 32
 #: Largest ``random-separable`` mixture size ``k`` the command line accepts.
 MAX_MIXTURE = MAX_DIM**2
 
-#: Most ``check-tele`` search starts: one per Weyl unitary at ``d = MAX_DIM``.
+#: Most ``check-tele`` search starts. Each start runs up to 1000 polar steps,
+#: so the cap bounds one search's work; 1024 is sixteen times the default of 64.
 MAX_BUDGET = MAX_DIM**2
 
 #: Most rows one ``scan`` may write: a 1e-5 step over [0, 1].

@@ -44,8 +44,9 @@ eigenvector of R. ``eigh`` returns x real and of unit norm to
 ``O(eps)``; the entries of U are entries of x, with signs and factors i
 and no rounding, so U is ``|x|`` times a unitary and unitary to
 round-off. The reported value is f at that U, a true mean value. The
-bound is ``min(lambda_max(rho), lambda_max(R_hat) + ROUNDOFF_ULPS * D *
-eps * ||rho||_F)`` with D = 4 and R_hat the R that ``eigh`` is given.
+bound is ``min(lambda_max(rho), lambda_max(R_hat)) + ROUNDOFF_ULPS * D *
+eps * ||rho||_F`` with D = 4 and R_hat the R that ``eigh`` is given; the
+cap ``lambda_max(rho)`` carries the same margin at every d (below).
 The margin, ``16 eps ||rho||_F``, covers two errors. Forming R: each
 column of B has two nonzero entries, so each entry of ``B^dag rho``, and
 then of its product with B, is a sum of two exact terms, rounded once;
@@ -61,10 +62,6 @@ d = 2 ``upper_bound`` meets F to within the margin, ``evaluations`` is 0
 (no polar step runs), ``converged`` is True (nothing iterates) and
 ``starts_used`` is 1 (the one ``eigh``). Neither ``DUAL_STEPS`` nor the
 Haar starts play a part, but ``budget`` and ``seed`` are still checked.
-The cap ``lambda_max(rho)`` and the value carry no margin of their own,
-so on a state whose F equals ``lambda_max(rho)`` (isotropic, example4
-with p >= 1/2) the value can exceed ``upper_bound`` by an ulp, as the
-search's could.
 
 Above d = 2 the search is the generalized power method of Journee,
 Nesterov, Richtarik and Sepulchre (JMLR 11, 2010) on the unitary group:
@@ -83,10 +80,32 @@ singular (for a product pure state G has rank one): a point with
 ``U^dag G`` PSD is then a strict fixed point, where without it the SVD
 completes the null space from round-off and U never settles.
 
-The search refines its starts one at a time, in start order: the
-identity, the other Weyl unitaries, then Haar unitaries, each drawn from
-a stream of its own, ``(seed, start index)``, only when the search
+The search refines its starts one at a time, in start order. Start 0 is
+the identity. Start 1 is the spectral start: the polar factor
+``W V^dag`` of ``reshape(v) = W S V^dag``, with v the top eigenvector of
+rho from one ``eigh``. Of all unitaries, it gives the psi_U nearest to v,
+since ``Re <psi_U|v> = Re Tr(U^dag reshape(v)) / sqrt(d)`` is largest at
+the polar factor. When v is maximally entangled, it gives
+``psi_U = v`` up to a phase, and so F = ``lambda_max(rho)`` at start 1.
+On a Weyl-diagonal state ``sum_k p_k |Omega_k><Omega_k|``,
+``Omega_k = (W_k (x) I)|psi+>``, that is the case: every Weyl unitary is a
+fixed point of the polar step, and the spectral start is the one at
+``argmax p_k`` (with distinct p_k). The start is also covariant: when
+the top eigenvalue is simple, ``U_A (x) U_B`` takes v to
+``(U_A (x) U_B) v`` up to a phase, ``reshape(v)`` to
+``U_A reshape(v) U_B^T``, its polar factor P to ``U_A P U_B^T``, and
+``psi_P`` to ``(U_A (x) U_B) psi_P``, as
+``(A (x) I)|psi+> = (I (x) A^T)|psi+>``. The polar step is covariant in
+the same way, so when the spectral start decides the search, the value
+is the same in every local frame. Starts ``j >= 2`` are Haar unitaries,
+each drawn from a stream of its own, ``(seed, j)``, only when the search
 reaches it. A start's path depends on that start alone.
+
+The identity comes first because the ``eigh`` is the costliest step of
+a short search, ``O(d^6)`` against ``O(d^4)`` per polar step, and on
+isotropic states the identity reaches the cap in one step. So the
+``eigh`` is solved only when the search reaches start 1, that is, when
+start 0 did not close the gap.
 
 The search also has upper bounds, so it can stop once no start can do
 better. The first is free: ``F(rho) <= lambda_max(rho)``.
@@ -97,7 +116,11 @@ eigenvalues). So ``f(U) <= lambda_max(rho)`` for every U; on isotropic
 states the identity start reaches this cap in one step. The cap is read
 from the state, as the last entry of ``DensityMatrix.spectrum``: the
 spectrum validation solved up to ``D = EAGER_MAX_DIM``, or one solve on
-this first read above it.
+this first read above it. That eigenvalue is exact only to the backward
+error of the solver, ``O(D eps ||rho||)``, so the cap is
+``lambda_max + ROUNDOFF_ULPS * D * eps * ||rho||_F``, the margin of the
+d = 2 closed form; without it, a value that reaches the cap could sit an
+ulp above ``upper_bound``.
 
 The second is the dual certificate, the SDP relaxation of F (Horodecki,
 Horodecki and Horodecki, PRA 60, 1888, 1999). Every psi_U has both
@@ -148,9 +171,7 @@ so ``eigh``, which reads one triangle, solves M itself.
 
 A certificate costs one ``eigh`` of a D x D matrix per step, ``O(d^6)``,
 against ``O(d^4)`` per start for a polar step, so it is rationed: only a
-start that sets a new best value is certified, and only when that value
-is at least the best mean value over the d^2 Weyl unitaries (no
-certificate can close below that, since every bound is at least F); one
+start that sets a new best value still below the bound is certified; one
 search spends at most ``DUAL_STEPS`` calls; a certificate ends early
 when two steps have not halved its distance to f, or when the step would
 be longer than ``||rho||_F`` (K is then near a stationary point whose
@@ -177,6 +198,7 @@ nondecreasing in the budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +206,6 @@ import numpy as np
 from .bipartite import INCONCLUSIVE, STATISTIC_MARGIN, USEFUL, Verdict
 from .linalg import DensityMatrix, DimensionMismatchError, hermitian_part
 from .states import haar_unitary
-from .weyl import weyl_basis
 
 UNITARITY_TOL = 1e-10
 MEAN_IMAG_TOL = 1e-8
@@ -218,8 +239,9 @@ class FefEstimate:
     """Best fully-entangled-fraction lower bound found by the search.
 
     ``upper_bound >= F(rho)`` is the least certified bound: the cap
-    ``lambda_max(rho)``, or a dual certificate below it, or at d = 2 the
-    closed form plus its margin (module docstring). ``starts_used`` counts
+    ``lambda_max(rho)`` plus its round-off margin, or a dual certificate
+    below it, or at d = 2 the closed form plus the same margin (module
+    docstring). ``starts_used`` counts
     the starts through the one that closed the gap between ``value`` and
     ``upper_bound`` to ``GAP_TOL``, or every start when none did; at
     d = 2 it is 1, with no polar step (``evaluations`` 0).
@@ -372,14 +394,23 @@ def _polar_ascent(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int, bool
     return u, step, fixed
 
 
-def _two_qubit_fef(m: np.ndarray, cap: float) -> FefEstimate:
+def _two_qubit_fef(m: np.ndarray, cap: float, margin: float) -> FefEstimate:
     """The d = 2 closed form: F = ``lambda_max(R)`` and a unitary at it (module docstring)."""
     lam, vecs = np.linalg.eigh((_MAGIC.conj().T @ m @ _MAGIC).real / 2)
     u = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
     u.flags.writeable = False
     value = float(_values(m, u[None])[0])
-    bound = min(cap, float(lam[-1]) + ROUNDOFF_ULPS * 4 * EPS * float(np.linalg.norm(m)))
-    return FefEstimate(value, u, 0, True, bound, 1)
+    return FefEstimate(value, u, 0, True, min(cap, float(lam[-1]) + margin), 1)
+
+
+def _start(m: np.ndarray, d: int, seed, j: int) -> np.ndarray:
+    """Start j above d = 2: the identity, the spectral start, then Haar from ``(seed, j)``."""
+    if j == 0:
+        return np.eye(d, dtype=complex)
+    if j == 1:
+        w, _, vh = np.linalg.svd(np.linalg.eigh(m)[1][:, -1].reshape(d, d))
+        return w @ vh
+    return haar_unitary(d, (seed, j))
 
 
 def _require_integer(value, name: str, least: int) -> None:
@@ -394,21 +425,22 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     ``budget`` must be an integer >= 1 and ``seed`` an integer >= 0 (a
     bool is neither); both are checked at every d. At d = 2 the result is
     the closed form of the module docstring: ``value`` is F to round-off,
-    ``upper_bound`` is ``min(lambda_max(rho), lambda_max(R) + margin)``,
+    ``upper_bound`` is ``min(lambda_max(rho), lambda_max(R)) + margin``,
     ``evaluations`` is 0, ``converged`` is True and ``starts_used`` is 1.
-    Above d = 2, ``budget`` counts refinement starts. The deterministic
-    starts come first (identity, then every Weyl unitary); remaining
-    slots are Haar samples, each drawn from a private stream derived from
-    ``(seed, start index)`` when the search reaches it. The starts are
-    refined one at a time, in start order, by polar iteration; each stops
-    when a step moves no entry of its U by ``FIXED_POINT_TOL`` or more, or
-    after ``MAX_ITERATIONS`` steps. Each
-    start that sets a new best value, not below the best Weyl-unitary
-    value, gets a dual certificate from the shared budget of
-    ``DUAL_STEPS`` ``eigh`` calls (for ``d <= DUAL_MAX_D``). The search
+    Above d = 2, ``budget`` counts refinement starts: start 0 is the
+    identity, start 1 the polar factor of the reshaped top eigenvector of
+    rho (one ``eigh``, solved only when the search reaches it), and start
+    ``j >= 2`` a Haar unitary drawn from the stream ``(seed, j)`` when the
+    search reaches it. The starts are refined one at a time, in start
+    order, by polar iteration; each stops when a step moves no entry of
+    its U by ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS``
+    steps. Each start that sets a new best value below the bound gets a
+    dual certificate from the shared budget of ``DUAL_STEPS`` ``eigh``
+    calls (for ``d <= DUAL_MAX_D``). The search
     stops after the first start j whose best value over starts ``0..j``
     is within ``GAP_TOL`` of the least bound of starts ``0..j``: the cap
-    ``lambda_max(rho)``, read from ``rho.spectrum``, or a certificate.
+    ``lambda_max(rho)``, read from ``rho.spectrum``, plus its round-off
+    margin ``ROUNDOFF_ULPS * d^2 * eps * ||rho||_F``, or a certificate.
     ``upper_bound`` is that least bound and ``starts_used`` is j + 1
     (``budget`` when the gap stays open). ``evaluations`` is the total
     number of polar steps over the starts used, and ``converged`` says
@@ -418,26 +450,23 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     d, _ = _require_square(rho)
     _require_integer(budget, "budget", 1)
     _require_integer(seed, "seed", 0)
-    m, bound = rho.matrix, float(rho.spectrum[-1])
+    m = rho.matrix
+    margin = ROUNDOFF_ULPS * d * d * EPS * math.sqrt(np.vdot(m, m).real)
+    bound = float(rho.spectrum[-1]) + margin
     if d == 2:
-        return _two_qubit_fef(m, bound)
-    ops = weyl_basis(d).ops  # ops[0] is the identity, so it always leads
+        return _two_qubit_fef(m, bound, margin)
     dual_left = DUAL_STEPS if d <= DUAL_MAX_D else 0
-    floor = None
     best, best_u, evaluations, converged = -np.inf, None, 0, True
     for j in range(budget):
-        u, steps, fixed = _polar_ascent(m, ops[j] if j < d * d else haar_unitary(d, (seed, j)))
+        u, steps, fixed = _polar_ascent(m, _start(m, d, seed, j))
         evaluations += steps
         converged = converged and fixed
         value = float(_values(m, u[None])[0])
         if value > best:
             best, best_u = value, u
             if dual_left and best < bound - GAP_TOL:
-                if floor is None:
-                    floor = float(np.max(_values(m, ops)))
-                if best >= floor - GAP_TOL:
-                    cert, spent = _dual_bound(m, u, best, dual_left)
-                    bound, dual_left = min(bound, cert), dual_left - spent
+                cert, spent = _dual_bound(m, u, best, dual_left)
+                bound, dual_left = min(bound, cert), dual_left - spent
         if best >= bound - GAP_TOL:
             break
     best_u.flags.writeable = False

@@ -221,6 +221,21 @@ def _weyl_entrywise(d: int, n: int, m: int) -> np.ndarray:
     return w
 
 
+def weyl_diagonal_matrix(weights) -> np.ndarray:
+    """``sum_k p_k |Omega_k><Omega_k|`` with ``Omega_k = (W_k (x) I)|psi+>``.
+
+    A state of the magic simplex (Baumgartner, Hiesmayr and Narnhofer,
+    PRA 74, 032327, 2006): ``weights`` holds the ``d^2`` probabilities
+    ``p_k``, lexicographic in ``(n, m)``, and each W_k is built entry by
+    entry. Its fully entangled fraction is ``max p_k``.
+    """
+    weights = np.asarray(weights, dtype=float)
+    d = int(round(np.sqrt(weights.size)))
+    psi = np.eye(d).reshape(-1) / np.sqrt(d)
+    kets = [np.kron(_weyl_entrywise(d, n, m), np.eye(d)) @ psi for n in range(d) for m in range(d)]
+    return sum(p * np.outer(k, k.conj()) for p, k in zip(weights, kets))
+
+
 def weyl_coefficient_table(rho: np.ndarray, da: int, db: int) -> np.ndarray:
     """``Tr[rho (W_s^dag (x) W_t^dag)]`` for every pair, by explicit traces.
 

@@ -25,6 +25,8 @@ from oracles import (
     fef_grid_oracle_2x2,
     fef_magic_2x2,
     fef_one_start_at_a_time,
+    haar_from_rng,
+    weyl_diagonal_matrix,
     weyl_sum_operator,
 )
 
@@ -34,6 +36,26 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 def _closed_form(u, d):
     psi = np.kron(u, np.eye(d)) @ max_entangled_ket(d)
     return d * d * np.outer(psi, psi.conj())
+
+
+def _margin(rho):
+    """The round-off margin of the cap, ``ROUNDOFF_ULPS * D * eps * ||rho||_F``."""
+    d2 = rho.matrix.shape[0]
+    return teleport.ROUNDOFF_ULPS * d2 * teleport.EPS * float(np.linalg.norm(rho.matrix))
+
+
+def _cap(rho):
+    """The search's cap: ``lambda_max(rho)`` plus its round-off margin."""
+    return float(rho.spectrum[-1]) + _margin(rho)
+
+
+def _starts(rho, seed, budget):
+    """The search's starts above d = 2: the identity, the polar factor of
+    the reshaped top ``eigh`` vector, then Haar unitaries from ``(seed, j)``."""
+    d = rho.dims[0]
+    w, _, vh = np.linalg.svd(np.linalg.eigh(rho.matrix)[1][:, -1].reshape(d, d))
+    haar = [haar_unitary(d, (seed, j)) for j in range(2, budget)]
+    return np.array(([np.eye(d), w @ vh] + haar)[:budget], dtype=complex)
 
 
 def _random_bipartite_2x2(seed, rank=None):
@@ -49,12 +71,12 @@ def _assert_two_qubit_closed_form(rho, est):
     above F, and the value is the mean value at the returned unitary.
     """
     fef = fef_magic_2x2(rho.matrix)
-    margin = teleport.ROUNDOFF_ULPS * 4 * teleport.EPS * np.linalg.norm(rho.matrix)
+    margin = _margin(rho)
     assert (est.evaluations, est.converged, est.starts_used) == (0, True, 1)
     assert teleport.unitarity_defect(est.best_unitary) <= 1e-12
     assert est.value == teleport._values(rho.matrix, est.best_unitary[None])[0]
     assert abs(est.value - fef) <= 1e-14
-    assert fef - 1e-15 <= est.upper_bound <= rho.spectrum[-1]
+    assert fef - 1e-15 <= est.upper_bound <= rho.spectrum[-1] + margin
     assert est.upper_bound <= fef + margin + 1e-15
 
 
@@ -211,7 +233,7 @@ def test_fef_search_budget_prefix(monkeypatch):
         return np.array(seen)
 
     rho = validate_density(random_mixed(9, 4, seed=3).matrix, [3, 3])
-    k, n = 12, 20  # both past the d^2 = 9 Weyl starts, so Haar starts are compared
+    k, n = 12, 20  # both past the two deterministic starts, so Haar starts are compared
     short, long = starts(k), starts(n)
     assert short.shape == (k, 3, 3) and long.shape == (n, 3, 3)
     np.testing.assert_array_equal(short, long[:k])
@@ -221,7 +243,7 @@ def test_fef_search_budget_prefix(monkeypatch):
 def test_fef_search_draws_and_refines_only_the_starts_it_uses(monkeypatch):
     # starts are refined one at a time and a Haar start is drawn only when the
     # search reaches it: isotropic(3, 0.5) stops at the identity and draws
-    # none of its 55 Haar starts, while the open gap of the random state runs
+    # none of its 62 Haar starts, while the open gap of the random state runs
     # and draws them all
     calls = {}
 
@@ -239,12 +261,12 @@ def test_fef_search_draws_and_refines_only_the_starts_it_uses(monkeypatch):
         calls.update(polar=0, haar=0)
         est = fef_search(rho, budget, seed=5)
         assert est.starts_used == used
-        assert calls == {"polar": used, "haar": max(0, used - 9)}
+        assert calls == {"polar": used, "haar": max(0, used - 2)}
 
 
 def test_fef_search_rejects_a_bad_seed_at_every_budget():
     # the seed is checked before the first start, so a budget that ends
-    # within the d^2 Weyl starts, a search that stops before its first
+    # within the two deterministic starts, a search that stops before its first
     # Haar start, or the two-qubit closed form, which runs no start, rejects it too
     for rho in (isotropic(2, 0.5), isotropic(3, 0.5)):
         for seed in (None, -1, True, False, 1.5, "1", (1, 2), np.float64(2.0), np.bool_(True)):
@@ -264,19 +286,17 @@ def test_fef_search_rejects_a_bad_seed_at_every_budget():
 def _library_certificates(rho):
     """The search's certificate rule as an ``upper`` callable for the oracle.
 
-    A start is certified while the shared budget of ``eigh`` calls lasts and
-    its value is not below the best Weyl-unitary value; every bound is
-    appended to the returned list.
+    The oracle asks for a certificate at each start that sets a new best
+    value below the bound; one is given while the shared budget of ``eigh``
+    calls lasts, and every bound is appended to the returned list.
     """
     d = rho.dims[0]
     h = rho.matrix
-    floor = float(np.max(teleport._values(rho.matrix, np.array(
-        [weyl_op(d, n, m) for n in range(d) for m in range(d)]))))
     left = [teleport.DUAL_STEPS if d <= teleport.DUAL_MAX_D else 0]
     bounds = []
 
     def upper(u, value):
-        if not left[0] or value < floor - teleport.GAP_TOL:
+        if not left[0]:
             return None
         bound, spent = teleport._dual_bound(h, u, value, left[0])
         left[0] -= spent
@@ -293,14 +313,11 @@ def test_fef_search_matches_one_start_at_a_time(d):
     for rank in (1, 2, d, d * d):
         seed = 100 * d + rank
         rho = validate_density(random_mixed(d * d, rank, seed=seed).matrix, [d, d])
-        cap = float(rho.spectrum[-1])
+        cap = _cap(rho)
         for budget in (1, 3, 8, 20):
-            weyl = [weyl_op(d, n, m) for n in range(d) for m in range(d)]
-            haar = [haar_unitary(d, (seed, idx)) for idx in range(d * d, budget)]
-            starts = np.array((weyl + haar)[:budget], dtype=complex)
             upper, bounds = _library_certificates(rho)
             value, best_u, evaluations, converged, used = fef_one_start_at_a_time(
-                rho.matrix, starts, cap=cap, upper=upper
+                rho.matrix, _starts(rho, seed, budget), cap=cap, upper=upper
             )
             est = fef_search(rho, budget, seed=seed)
             if d == 2:
@@ -317,10 +334,9 @@ def test_fef_search_matches_one_start_at_a_time(d):
 
 def _states_at_the_cap(d):
     """States whose fully entangled fraction equals lambda_max, so that a
-    search reaches the cap, at a Weyl start or after some steps."""
-    # a rotation near the last Weyl operator: that start tends to reach the
-    # cap in fewer steps than earlier starts take to climb, and the search
-    # must still run those earlier starts to their own ends
+    search reaches the cap, at a start or after some steps."""
+    # a rotation near the last Weyl operator: the identity start climbs to
+    # the cap over several polar steps rather than one
     w, _, vh = np.linalg.svd(weyl_op(d, d - 1, d - 1) + 0.2 * haar_unitary(d, seed=80 + d))
     near_last_weyl = w @ vh
     iso = isotropic(d, 0.7).matrix
@@ -345,20 +361,17 @@ def test_fef_search_stops_like_one_start_at_a_time(d):
     # result is that of a one-start-at-a-time search stopped at that start
     for k, rho in enumerate(_states_at_the_cap(d)):
         seed = 10 * d + k
-        cap = float(np.linalg.eigvalsh(rho.matrix)[-1])
+        cap = np.linalg.eigvalsh(rho.matrix)[-1] + _margin(rho)
         for budget in (1, 3, 8, 20):
-            weyl = [weyl_op(d, n, m) for n in range(d) for m in range(d)]
-            haar = [haar_unitary(d, (seed, idx)) for idx in range(d * d, budget)]
-            starts = np.array((weyl + haar)[:budget], dtype=complex)
             value, best_u, evaluations, converged, used = fef_one_start_at_a_time(
-                rho.matrix, starts, cap=cap
+                rho.matrix, _starts(rho, seed, budget), cap=cap
             )
             est = fef_search(rho, budget, seed=seed)
             if d == 2:
-                # the closed form reaches the cap without a start
+                # the closed form reaches the cap, to its margin, without a start
                 _assert_two_qubit_closed_form(rho, est)
                 assert est.value >= value - 1e-15
-                assert est.upper_bound == cap
+                assert cap - _margin(rho) - 1e-15 <= est.upper_bound <= cap
                 continue
             assert (est.evaluations, est.converged, est.starts_used) == (evaluations, converged, used)
             assert abs(est.value - value) <= 1e-15
@@ -375,17 +388,20 @@ def test_fef_search_isotropic_stops_at_the_identity(d):
         # closed form's top eigenvector gives the identity up to a phase
         assert (est.starts_used, est.evaluations) == (1, 0 if d == 2 else 1)
         assert est.value == pytest.approx(p + (1 - p) / d**2, abs=1e-12)
-        assert est.upper_bound == np.linalg.eigvalsh(rho.matrix)[-1]
-        if d == 2:
+        cap = np.linalg.eigvalsh(rho.matrix)[-1] + _margin(rho)
+        if d == 2:  # the closed form's bound is at most the cap
+            assert cap - _margin(rho) - 1e-15 <= est.upper_bound <= cap
             u = est.best_unitary
             assert np.max(np.abs(u * np.conj(u[0, 0]) - np.eye(2))) <= 1e-15
+        else:
+            assert est.upper_bound == cap
 
 
 def test_fef_search_uses_every_start_below_the_cap():
     # no start of this state reaches the cap, and no certificate closes the
     # gap: the certificates only lower the bound from lambda_max = 0.5508
     rho = validate_density(random_mixed(9, 4, seed=3).matrix, [3, 3])
-    for budget, gap in ((1, 4.576453e-4), (5, 4.576453e-4), (12, 6.476418e-5)):
+    for budget, gap in ((1, 4.576453e-4), (5, 6.476789e-5), (12, 6.476789e-5)):
         est = fef_search(rho, budget, seed=3)
         assert est.starts_used == budget
         assert est.upper_bound - est.value == pytest.approx(gap, abs=1e-9)
@@ -548,12 +564,76 @@ def test_certificate_closes_the_gap_after_polyak_steps():
 @pytest.mark.parametrize("p", [0.322, 0.342, 0.3362])
 def test_fef_search_closes_the_gap_on_example4_near_one_third(p):
     # F = max(p, (1 - p) / 2) has two near branches here, where Haar starts
-    # take thousands of polar steps; the Weyl starts reach both branches in
-    # one step each, and the certificate of the better one closes the gap
+    # take thousands of polar steps; the two-qubit closed form runs none
     est = fef_search(example4(p), budget=8, seed=9901)
     assert est.starts_used <= 4 and est.evaluations <= 4
     assert est.value == pytest.approx(max(p, (1 - p) / 2), abs=1e-12)
     assert est.upper_bound - est.value <= teleport.GAP_TOL
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_fef_search_finds_the_top_weight_of_a_weyl_diagonal_state(d):
+    # every Weyl unitary is a fixed point of the polar step here, with value
+    # p_k; the spectral start is the one at argmax p_k, so start 1 reaches
+    # the cap, F = max p_k, wherever that weight sits
+    rng = np.random.default_rng(90 + d)
+    for _ in range(4):
+        weights = rng.dirichlet(np.ones(d * d))
+        rho = validate_density(weyl_diagonal_matrix(weights), [d, d])
+        est = fef_search(rho, budget=2, seed=d)
+        assert est.starts_used <= 2
+        assert abs(est.value - weights.max()) <= 1e-12
+        assert est.upper_bound - est.value <= teleport.GAP_TOL
+
+
+def test_fef_search_is_useful_on_a_locally_rotated_isotropic_state():
+    # the identity start finds nothing here (F at the identity is 0.004);
+    # the spectral start reaches F = 0.6 + 0.4 / 100 above the cutoff of
+    # the certificates, so the cap decides
+    d = 10
+    rotate = np.kron(weyl_op(d, 9, 9), np.eye(d))
+    rho = validate_density(rotate @ isotropic(d, 0.6).matrix @ rotate.conj().T, [d, d])
+    est = fef_search(rho, 64, seed=1)
+    assert est.starts_used == 2
+    assert est.value == pytest.approx(0.604, abs=1e-12)
+    assert teleportation_verdict(rho, 64, seed=1).outcome == "USEFUL"
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_fef_search_is_invariant_under_local_unitaries(d):
+    # F does not change under U_A (x) U_B; on these states the search closes
+    # its gap in every frame, with the same value and verdict
+    rng = np.random.default_rng(30 + d)
+    fixtures = [weyl_diagonal_matrix(rng.dirichlet(np.ones(d * d))) for _ in range(3)]
+    fixtures += [isotropic(d, 0.4).matrix, random_mixed(d * d, 1, seed=d).matrix]
+    for k, m in enumerate(fixtures):
+        rho = validate_density(m, [d, d])
+        est = fef_search(rho, budget=4, seed=k)
+        verdict = teleportation_verdict(rho, budget=4, seed=k).outcome
+        assert est.upper_bound - est.value <= teleport.GAP_TOL
+        for _ in range(2):
+            local = np.kron(haar_from_rng(rng, d), haar_from_rng(rng, d))
+            moved = validate_density(local @ m @ local.conj().T, [d, d])
+            other = fef_search(moved, budget=4, seed=k)
+            assert other.upper_bound - other.value <= teleport.GAP_TOL
+            assert abs(other.value - est.value) <= 1e-12
+            assert teleportation_verdict(moved, budget=4, seed=k).outcome == verdict
+
+
+def test_fef_search_value_never_exceeds_its_upper_bound():
+    # the cap carries a round-off margin, so a value that reaches the cap does
+    # not sit an ulp above it: isotropic states on a 41-point p grid and 20
+    # rank-1 and 20 rank-2 states per d, at every d = 2..8
+    for d in range(2, 9):
+        states = [isotropic(d, p) for p in np.linspace(0.0, 1.0, 41)]
+        states += [
+            validate_density(random_mixed(d * d, r, seed=500 * d + 10 * i + r).matrix, [d, d])
+            for r in (1, 2)
+            for i in range(20)
+        ]
+        for i, rho in enumerate(states):
+            est = fef_search(rho, budget=8, seed=i)
+            assert est.value <= est.upper_bound
 
 
 @pytest.mark.parametrize("d", [7, 8])
@@ -579,12 +659,10 @@ def test_fef_search_above_the_dual_cutoff_runs_no_certificate(monkeypatch):
     d = teleport.DUAL_MAX_D + 1
     for rank in (1, 3):
         rho = validate_density(random_mixed(d * d, rank, seed=rank).matrix, [d, d])
-        cap = float(rho.spectrum[-1])
-        weyl = [weyl_op(d, n, m) for n in range(d) for m in range(d)]
+        cap = _cap(rho)
         for budget in (1, 3):
-            starts = np.array(weyl[:budget], dtype=complex)
             value, best_u, evaluations, converged, used = fef_one_start_at_a_time(
-                rho.matrix, starts, cap=cap
+                rho.matrix, _starts(rho, rank, budget), cap=cap
             )
             est = fef_search(rho, budget, seed=rank)
             assert (est.evaluations, est.converged, est.starts_used) == (evaluations, converged, used)
@@ -614,13 +692,13 @@ def test_fef_search_cap_is_lambda_max_of_the_hermitian_part(d, monkeypatch):
         m += 1e-12 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
         m /= np.trace(m).real
         rho = validate_density(m, [d, d])
-        cap = np.linalg.eigvalsh((m + m.conj().T) / 2)[-1]
+        cap = np.linalg.eigvalsh((m + m.conj().T) / 2)[-1] + _margin(rho)
         with monkeypatch.context() as patch:
             patch.setattr(teleport, "DUAL_STEPS", 0)  # no certificate: the bound is the cap
             est = fef_search(rho, budget=8, seed=rank)
         if d == 2:
             # the closed form reads the same Hermitian part, and its bound is
-            # capped by that part's lambda_max
+            # capped by that part's lambda_max plus the margin
             _assert_two_qubit_closed_form(rho, est)
             assert est.upper_bound <= cap
         else:
@@ -680,7 +758,7 @@ def test_two_qubit_closed_form_on_degenerate_maximizers():
         assert (est.evaluations, est.converged, est.starts_used) == (0, True, 1)
         assert teleport.unitarity_defect(est.best_unitary) <= 1e-12
         assert abs(est.value - fef) <= 1e-15
-        assert fef - 1e-15 <= est.upper_bound <= rho.spectrum[-1]
+        assert fef - 1e-15 <= est.upper_bound <= rho.spectrum[-1] + _margin(rho)
         mean = mean_value(rho, detection_operator(est.best_unitary))
         assert abs(mean - 4 * fef) <= 1e-12
 
