@@ -327,7 +327,7 @@ def cmd_check_tele(args) -> int:
         "starts_used": est.starts_used,
         "best_unitary": matrix_entries(est.best_unitary),
     }
-    report["verdicts"] = [dataclasses.asdict(verdict_from_estimate(est, d))]
+    report["verdicts"] = [dataclasses.asdict(verdict_from_estimate(est))]
     _emit(report)
     return 0
 

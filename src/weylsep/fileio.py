@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError, validate_density
+from .linalg import DensityMatrix, ValidationError, _is_count, validate_density
 
 MATRIX_FORMAT = "weylsep-matrix-v1"
 
@@ -48,9 +48,7 @@ def load_state(path) -> DensityMatrix:
             f"unsupported format tag {payload.get('format')!r}, expected {MATRIX_FORMAT!r}"
         )
     dims = payload.get("dims")
-    if not isinstance(dims, list) or not dims or not all(
-        type(d) is int and d >= 1 for d in dims  # bool is an int subclass: JSON true is not a dim
-    ):
+    if not isinstance(dims, list) or not dims or not all(_is_count(d, 1) for d in dims):
         raise ValidationError(f"dims must be a list of positive integers, got {dims!r}")
     entries = payload.get("entries")
     total = math.prod(dims)

@@ -181,6 +181,11 @@ def _cholesky_certifies(h: np.ndarray) -> bool:
     return bool(np.isfinite(factor.diagonal()).all())
 
 
+def _is_count(value, least: int) -> bool:
+    """True for an int or numpy integer, not a bool, that is at least ``least``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 def validate_density(m: np.ndarray, dims) -> DensityMatrix:
     """Check the density-matrix invariants of a complex square matrix and wrap the result.
 
@@ -208,9 +213,7 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
     dims = tuple(dims)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not dims or not all(
-        isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims
-    ):
+    if not dims or not all(_is_count(d, 1) for d in dims):
         raise DimensionMismatchError(f"subsystem dims must be positive integers, got {dims!r}")
     dims = tuple(int(d) for d in dims)
     if math.prod(dims) != m.shape[0]:

@@ -204,7 +204,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import INCONCLUSIVE, STATISTIC_MARGIN, USEFUL, Verdict
-from .linalg import DensityMatrix, DimensionMismatchError, hermitian_part
+from .linalg import DensityMatrix, DimensionMismatchError, _is_count, hermitian_part, kron
 from .states import haar_unitary
 
 UNITARITY_TOL = 1e-10
@@ -261,20 +261,17 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
-def detection_operator(u: np.ndarray, d: int | None = None) -> DetectionOperator:
+def detection_operator(u: np.ndarray) -> DetectionOperator:
     """Build O_U for a unitary U as the collapsed Weyl sum ``d vec(U) vec(U)^dag``.
 
-    Non-unitary or mis-sized inputs are rejected. The outer product is
-    Hermitian to round-off (each entry and its mirror are conjugate
-    products of the same two numbers).
+    d is read from U, which must be square, at least 2x2 and unitary. The
+    outer product is Hermitian to round-off (each entry and its mirror are
+    conjugate products of the same two numbers).
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatchError(f"expected a square unitary, got shape {u.shape}")
-    if d is None:
-        d = u.shape[0]
-    if u.shape[0] != d:
-        raise DimensionMismatchError(f"unitary is {u.shape[0]}x{u.shape[0]}, expected {d}x{d}")
+    d = u.shape[0]
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     defect = unitarity_defect(u)
@@ -313,12 +310,10 @@ def optimal_fidelity(f: float, d: int) -> float:
     return (d * f + 1.0) / (d + 1.0)
 
 
-def _values(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Objective ``vec(U)^dag rho vec(U) / d`` of every unitary in a ``(k, d, d)`` stack."""
-    k, d, _ = u.shape
-    vecs = u.reshape(k, d * d, 1)
-    overlaps = np.matmul(vecs.conj().transpose(0, 2, 1), np.matmul(rho, vecs))
-    return overlaps.real.reshape(k) / d
+def _value(rho: np.ndarray, u: np.ndarray) -> float:
+    """Objective ``vec(U)^dag rho vec(U) / d`` at one unitary."""
+    v = u.reshape(-1)
+    return float(np.vdot(v, rho @ v).real) / u.shape[0]
 
 
 def _gauge_pair(
@@ -332,12 +327,9 @@ def _gauge_pair(
 
 
 def _dual_matrix(rho: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """``rho - H_A (x) I - I (x) H_B``, the Kronecker products formed by broadcasting."""
-    d = ha.shape[0]
-    eye = np.eye(d)
-    m = rho - (ha[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
-    m -= (eye[:, None, :, None] * hb[None, :, None, :]).reshape(d * d, d * d)
-    return m
+    """``rho - H_A (x) I - I (x) H_B``, the Kronecker products by ``linalg.kron``."""
+    eye = np.eye(ha.shape[0])
+    return rho - kron(ha, eye) - kron(eye, hb)
 
 
 def _dual_bound(rho: np.ndarray, u: np.ndarray, f: float, calls: int) -> tuple[float, int]:
@@ -399,7 +391,7 @@ def _two_qubit_fef(m: np.ndarray, cap: float, margin: float) -> FefEstimate:
     lam, vecs = np.linalg.eigh((_MAGIC.conj().T @ m @ _MAGIC).real / 2)
     u = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
     u.flags.writeable = False
-    value = float(_values(m, u[None])[0])
+    value = _value(m, u)
     return FefEstimate(value, u, 0, True, min(cap, float(lam[-1]) + margin), 1)
 
 
@@ -415,15 +407,16 @@ def _start(m: np.ndarray, d: int, seed, j: int) -> np.ndarray:
 
 def _require_integer(value, name: str, least: int) -> None:
     """Reject a bool, a non-integer or a value below ``least``; numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    if not _is_count(value, least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     """Fully entangled fraction: the closed form at d = 2, a multi-start lower-bound search above.
 
-    ``budget`` must be an integer >= 1 and ``seed`` an integer >= 0 (a
-    bool is neither); both are checked at every d. At d = 2 the result is
+    rho must be a d x d pair with d >= 2 (else DimensionMismatchError),
+    ``budget`` an integer >= 1 and ``seed`` an integer >= 0 (a bool is
+    neither); all three are checked first, at every d. At d = 2 the result is
     the closed form of the module docstring: ``value`` is F to round-off,
     ``upper_bound`` is ``min(lambda_max(rho), lambda_max(R)) + margin``,
     ``evaluations`` is 0, ``converged`` is True and ``starts_used`` is 1.
@@ -447,7 +440,11 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     every start used reached a fixed point.
     Ties go to the first start with the largest value.
     """
-    d, _ = _require_square(rho)
+    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1] or rho.dims[0] < 2:
+        raise DimensionMismatchError(
+            f"expected a d x d bipartition with d >= 2, got dims {rho.dims}"
+        )
+    d = rho.dims[0]
     _require_integer(budget, "budget", 1)
     _require_integer(seed, "seed", 0)
     m = rho.matrix
@@ -461,7 +458,7 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
         u, steps, fixed = _polar_ascent(m, _start(m, d, seed, j))
         evaluations += steps
         converged = converged and fixed
-        value = float(_values(m, u[None])[0])
+        value = _value(m, u)
         if value > best:
             best, best_u = value, u
             if dual_left and best < bound - GAP_TOL:
@@ -473,8 +470,12 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     return FefEstimate(best, best_u, evaluations, converged, bound, j + 1)
 
 
-def verdict_from_estimate(est: FefEstimate, d: int) -> Verdict:
-    """Map a search result onto the usefulness test ``<O_U> > d``: USEFUL or INCONCLUSIVE."""
+def verdict_from_estimate(est: FefEstimate) -> Verdict:
+    """Map a search result onto the usefulness test ``<O_U> > d``: USEFUL or INCONCLUSIVE.
+
+    d is read from ``est.best_unitary``; the statistic is ``d^2 value``.
+    """
+    d = est.best_unitary.shape[0]
     statistic = d * d * est.value
     outcome = USEFUL if statistic > d + STATISTIC_MARGIN else INCONCLUSIVE
     return Verdict("teleportation", outcome, statistic, float(d))
@@ -486,13 +487,4 @@ def teleportation_verdict(rho: DensityMatrix, budget: int = 64, *, seed) -> Verd
     The search yields only a lower bound on the fully entangled fraction,
     so a negative outcome never claims the state is useless.
     """
-    d, _ = _require_square(rho)
-    return verdict_from_estimate(fef_search(rho, budget, seed=seed), d)
-
-
-def _require_square(rho: DensityMatrix) -> tuple[int, int]:
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1] or rho.dims[0] < 2:
-        raise DimensionMismatchError(
-            f"expected a d x d bipartition with d >= 2, got dims {rho.dims}"
-        )
-    return rho.dims[0], rho.dims[1]
+    return verdict_from_estimate(fef_search(rho, budget, seed=seed))

@@ -222,9 +222,9 @@ def test_example_family_mean_value_published_formula():
     w11 = np.array([[0, 1], [-1, 0]], dtype=complex)
     rng = np.random.default_rng(4)
     haar = [haar_from_rng(rng, 2) for _ in range(5)]
-    shift_op = ws.detection_operator(SX, 2)
-    w11_op = ws.detection_operator(w11, 2)
-    haar_ops = [ws.detection_operator(u, 2) for u in haar]
+    shift_op = ws.detection_operator(SX)
+    w11_op = ws.detection_operator(w11)
+    haar_ops = [ws.detection_operator(u) for u in haar]
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         rho = ws.example4(p)
         assert abs(ws.mean_value(rho, shift_op)) <= 1e-10
@@ -260,13 +260,13 @@ def test_detection_operator_two_route_identity():
         psi = psi_cache[d]
         for seed in range(100):
             u = ws.haar_unitary(d, seed=seed)
-            op = ws.detection_operator(u, d)
+            op = ws.detection_operator(u)
             rotated = np.kron(u, np.eye(d)) @ psi
             closed = d * d * np.outer(rotated, rotated.conj())
             assert np.max(np.abs(op.matrix - closed)) <= 1e-10
             assert np.max(np.abs(op.matrix - weyl_sum_operator(u))) <= 1e-10
         rho = _bipartite(d, d, d, seed=d)
-        op = ws.detection_operator(ws.haar_unitary(d, seed=7), d)
+        op = ws.detection_operator(ws.haar_unitary(d, seed=7))
         raw = complex(np.trace(rho.matrix @ op.matrix))
         assert abs(raw.imag) <= 1e-10
 

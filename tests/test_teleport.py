@@ -18,6 +18,7 @@ from weylsep import (
     validate_density,
 )
 from weylsep import teleport
+from weylsep.bipartite import STATISTIC_MARGIN
 from weylsep.states import bell_diagonal, example4, haar_unitary, isotropic
 from weylsep.weyl import weyl_op
 
@@ -74,21 +75,21 @@ def _assert_two_qubit_closed_form(rho, est):
     margin = _margin(rho)
     assert (est.evaluations, est.converged, est.starts_used) == (0, True, 1)
     assert teleport.unitarity_defect(est.best_unitary) <= 1e-12
-    assert est.value == teleport._values(rho.matrix, est.best_unitary[None])[0]
+    assert est.value == teleport._value(rho.matrix, est.best_unitary)
     assert abs(est.value - fef) <= 1e-14
     assert fef - 1e-15 <= est.upper_bound <= rho.spectrum[-1] + margin
     assert est.upper_bound <= fef + margin + 1e-15
 
 
 def test_identity_operator_is_scaled_max_entangled_projector():
-    op = detection_operator(np.eye(2), 2)
+    op = detection_operator(np.eye(2))
     np.testing.assert_allclose(op.matrix, 4 * max_entangled(2).matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_spectrum_is_rank_one(d):
     u = haar_unitary(d, seed=d)
-    eigs = np.linalg.eigvalsh(detection_operator(u, d).matrix)
+    eigs = np.linalg.eigvalsh(detection_operator(u).matrix)
     np.testing.assert_allclose(eigs[-1], d * d, atol=1e-10)
     np.testing.assert_allclose(eigs[:-1], 0.0, atol=1e-10)
 
@@ -97,34 +98,32 @@ def test_spectrum_is_rank_one(d):
 def test_weyl_sum_equals_closed_form(d):
     for seed in range(10):
         u = haar_unitary(d, seed=seed)
-        op = detection_operator(u, d)
+        op = detection_operator(u)
         assert np.max(np.abs(op.matrix - weyl_sum_operator(u))) <= 1e-10
 
 
 def test_operator_is_hermitian_with_trace_d_squared():
     for d in (2, 3):
         u = haar_unitary(d, seed=10 + d)
-        op = detection_operator(u, d)
+        op = detection_operator(u)
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) <= 1e-10
         assert abs(np.trace(op.matrix) - d * d) <= 1e-8
 
 
 def test_shift_conjugated_operator():
-    op = detection_operator(SX, 2)
+    op = detection_operator(SX)
     np.testing.assert_allclose(op.matrix, _closed_form(SX, 2), atol=1e-12)
 
 
 def test_detection_operator_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
-        detection_operator(np.array([[1, 1], [0, 1]], dtype=complex), 2)
-    with pytest.raises(DimensionMismatchError):
-        detection_operator(np.eye(2), 3)
+        detection_operator(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
 def test_mean_value_on_max_entangled():
     for d in (2, 3):
         rho = max_entangled(d)
-        op = detection_operator(np.eye(d), d)
+        op = detection_operator(np.eye(d))
         assert mean_value(rho, op) == pytest.approx(d * d, abs=1e-10)
 
 
@@ -132,7 +131,7 @@ def test_mean_value_on_maximally_mixed_is_one():
     for d in (2, 3):
         rho = validate_density(np.eye(d * d) / (d * d), [d, d])
         for seed in range(3):
-            op = detection_operator(haar_unitary(d, seed=seed), d)
+            op = detection_operator(haar_unitary(d, seed=seed))
             assert mean_value(rho, op) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -141,14 +140,14 @@ def test_mean_value_of_shift_detector_on_example_family_is_zero():
     # I(x)I + XX + YY - ZZ, whose mean on p|phi-><phi-| + (1-p)|00><00|
     # vanishes for every p: the singlet has correlations (-1,-1,-1) and
     # |00><00| has (0, 0, +1) plus locals that the operator never probes.
-    op = detection_operator(SX, 2)
+    op = detection_operator(SX)
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert mean_value(example4(p), op) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mean_value_of_phased_shift_detector_on_example_family():
     # the (1,1) Weyl unitary maps |psi+> onto |phi->, so the mean is 4p
-    op = detection_operator(weyl_op(2, 1, 1), 2)
+    op = detection_operator(weyl_op(2, 1, 1))
     for p in (0.0, 0.5, 1.0):
         assert mean_value(example4(p), op) == pytest.approx(4 * p, abs=1e-12)
 
@@ -158,7 +157,7 @@ def test_mean_value_equals_rotated_overlap():
     for seed in range(10):
         rho = _random_bipartite_2x2(seed)
         u = haar_unitary(2, seed=seed)
-        op = detection_operator(u, 2)
+        op = detection_operator(u)
         rotated = np.kron(u, np.eye(2)) @ psi
         overlap = float(np.real(rotated.conj() @ rho.matrix @ rotated))
         assert abs(mean_value(rho, op) - 4 * overlap) <= 1e-10
@@ -181,7 +180,7 @@ def test_mean_value_is_real_on_a_state_accepted_with_a_defect():
 def test_mean_value_dimension_check():
     rho = validate_density(np.eye(6) / 6, [2, 3])
     with pytest.raises(DimensionMismatchError):
-        mean_value(rho, detection_operator(np.eye(2), 2))
+        mean_value(rho, detection_operator(np.eye(2)))
 
 
 def test_fef_search_on_max_entangled():
@@ -441,7 +440,7 @@ def test_fef_search_properties(d, rank, seed):
         assert identity_overlap - 1e-12 <= est.value <= lam_max + 1e-12
         u = est.best_unitary
         assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-12
-        mean = mean_value(rho, detection_operator(u, d))
+        mean = mean_value(rho, detection_operator(u))
         assert abs(mean - d * d * est.value) <= 1e-9
         values.append(est.value)
     for lo, hi in zip(values, values[1:]):
@@ -486,6 +485,30 @@ def test_teleportation_verdicts():
     assert iso.statistic == pytest.approx(3.7, abs=1e-6)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_verdict_from_estimate_reads_d_from_the_unitary(d):
+    edge = d + STATISTIC_MARGIN
+    value = edge / (d * d)
+    above = np.nextafter(value, np.inf)
+    assert d * d * value == edge < d * d * above
+    for v, outcome in ((value, "INCONCLUSIVE"), (above, "USEFUL")):
+        est = teleport.FefEstimate(float(v), np.eye(d, dtype=complex), 0, True, 1.0, 1)
+        verdict = teleport.verdict_from_estimate(est)
+        assert verdict.outcome == outcome
+        assert verdict.statistic == d * d * float(v)
+        assert verdict.threshold == float(d)
+
+
+def test_teleportation_verdict_rejects_a_non_square_pair_like_the_search():
+    rho = validate_density(np.eye(6) / 6, [2, 3])
+    with pytest.raises(DimensionMismatchError) as searched:
+        fef_search(rho, budget=2, seed=0)
+    assert str(searched.value) == "expected a d x d bipartition with d >= 2, got dims (2, 3)"
+    with pytest.raises(DimensionMismatchError) as verdict:
+        teleportation_verdict(rho, budget=2, seed=0)
+    assert str(verdict.value) == str(searched.value)
+
+
 def test_optimal_fidelity_map():
     assert optimal_fidelity(1.0, 2) == pytest.approx(1.0)
     for d in (2, 3, 4):
@@ -503,7 +526,7 @@ def test_dual_bound_is_never_below_the_two_qubit_fef():
         rho = _random_bipartite_2x2(seed + 3000, rank=1 + seed % 4)
         h = rho.matrix
         u = haar_unitary(2, seed=seed)
-        value = float(teleport._values(rho.matrix, u[None])[0])
+        value = teleport._value(rho.matrix, u)
         fef = fef_magic_2x2(rho.matrix)
         for calls in (1, teleport.DUAL_STEPS):
             bound, spent = teleport._dual_bound(h, u, value, calls)
@@ -736,7 +759,7 @@ def test_two_qubit_closed_form_against_the_iterative_core():
         rho = _random_bipartite_2x2(5000 + seed, rank=1 + seed % 4)
         h = rho.matrix
         u, _, fixed = teleport._polar_ascent(h, identity)
-        found = float(teleport._values(h, u[None])[0])
+        found = teleport._value(h, u)
         certified, _ = teleport._dual_bound(h, u, found, teleport.DUAL_STEPS)
         est = fef_search(rho, budget=8, seed=seed)
         _assert_two_qubit_closed_form(rho, est)
