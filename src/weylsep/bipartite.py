@@ -50,6 +50,7 @@ import numpy as np
 from .linalg import (
     EAGER_MAX_DIM,
     DensityMatrix,
+    DimensionMismatchError,
     _require_bipartite,
     purity,
     singular_values,
@@ -144,12 +145,21 @@ def correlation_singular_values(table: np.ndarray, da: int, db: int) -> np.ndarr
 
 
 def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
-    """All local and joint Weyl coefficients of a bipartite state."""
-    da, db = _require_bipartite(rho)
-    table = weyl_coefficients(rho.matrix, da, db)
-    table[0, 0] = 1.0
-    table.flags.writeable = False
-    return BipartiteDecomposition(da, db, table)
+    """All local and joint Weyl coefficients of a bipartite state.
+
+    The first call on a state computes the table and keeps the
+    decomposition on the state; later calls return that same object, so
+    ``decompose_bipartite(rho) is decompose_bipartite(rho)`` and its
+    singular values are solved once per state (see
+    :class:`~weylsep.linalg.DensityMatrix`).
+    """
+    if rho._decomposition is None:
+        da, db = _require_bipartite(rho)
+        table = weyl_coefficients(rho.matrix, da, db)
+        table[0, 0] = 1.0
+        table.flags.writeable = False
+        object.__setattr__(rho, "_decomposition", BipartiteDecomposition(da, db, table))
+    return rho._decomposition
 
 
 def reconstruct_bipartite(dec: BipartiteDecomposition) -> np.ndarray:
@@ -170,7 +180,14 @@ def reduced_from_decomposition(dec: BipartiteDecomposition, sys: int) -> Density
 
 
 def kyfan_norm(m: np.ndarray) -> float:
-    """Sum of the singular values (trace / nuclear norm)."""
+    """Sum of the singular values (trace / nuclear norm) of one matrix.
+
+    Anything but a 2-D array raises :class:`DimensionMismatchError`: a stack
+    would otherwise give the sum of its matrices' norms.
+    """
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
     return float(np.sum(singular_values(m)))
 
 

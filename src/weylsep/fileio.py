@@ -19,9 +19,9 @@ MATRIX_FORMAT = "weylsep-matrix-v1"
 
 
 def matrix_entries(m: np.ndarray) -> list[list[float]]:
-    """Row-major ``[re, im]`` pairs for JSON output."""
+    """Row-major ``[re, im]`` pairs for JSON output, of any array including a strided view."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack((flat.real, flat.imag), axis=-1).tolist()
 
 
 def save_state(path, rho: DensityMatrix) -> None:

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .bipartite import BipartiteDecomposition
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -62,11 +66,24 @@ class DensityMatrix:
     Instances are immutable (the matrix and the spectrum are marked
     read-only) and safe to share between threads: two threads that read
     an unsolved spectrum at once both solve it, to the same bits.
+
+    A bipartite state also keeps its Weyl decomposition: the first
+    :func:`weylsep.bipartite.decompose_bipartite` of the state fills
+    ``_decomposition``, and every later reader of the state (the Ky Fan
+    criterion, the product test, the CLI summaries) shares that one table
+    and, through it, one SVD of the correlation matrix. The table holds
+    one complex entry per entry of ``matrix``, D^2 in all, and is freed
+    with the state. A relabel starts with an empty slot, so it never
+    serves a table built for the old dims. Two threads that decompose an
+    undecomposed state at once both compute the table, to the same bits.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _decomposition: BipartiteDecomposition | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:

@@ -9,6 +9,8 @@ can be replicated across machines and implementations.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .linalg import DensityMatrix, ValidationError, kron, validate_density
@@ -84,13 +86,15 @@ def bell_diagonal_matrix(t1, t2, t3) -> np.ndarray:
         return m / 4.0
 
 
+@cache
 def ppt_3x3() -> DensityMatrix:
     """A 3x3 state with positive partial transpose that is entangled.
 
     Built as the normalized projector complementary to five orthonormal
     product vectors forming an unextendible product basis (the "tiles"
     construction). Its entanglement is invisible to the PPT test but is
-    caught by the correlation-matrix criterion.
+    caught by the correlation-matrix criterion. The state is built once
+    and shared: every call returns the same immutable object.
     """
     e = np.eye(3, dtype=complex)
     s2 = np.sqrt(2.0)

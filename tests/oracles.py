@@ -1,9 +1,10 @@
 """Independent brute-force oracles and test ensembles.
 
 Nothing here goes through the library's search or decomposition paths, so
-these values can certify them. The one exception is
+these values can certify them. The exceptions are
 :func:`scan_one_row_at_a_time`, which pins the stacked ``scan`` to the
-library's single-state functions.
+library's single-state functions, and :func:`matrix_entries_one_at_a_time`,
+the entrywise form of the CLI's JSON serializer.
 """
 
 from __future__ import annotations
@@ -378,3 +379,9 @@ def scan_one_row_at_a_time(start, stop, step, ppt=False, d=None, direction=None)
             row.append(ppt_criterion(rho).statistic)
         writer.writerow(row)
     return out.getvalue()
+
+
+def matrix_entries_one_at_a_time(m) -> list[list[float]]:
+    """Row-major ``[re, im]`` pairs, one Python float pair per numpy complex scalar."""
+    flat = np.asarray(m, dtype=complex).reshape(-1)
+    return [[float(z.real), float(z.imag)] for z in flat]

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +26,9 @@ from weylsep import (
     validate_density,
     weyl_separability_criterion,
 )
+from weylsep import bipartite, weyl
 from weylsep.bipartite import correlation_verdict
-from weylsep.linalg import EAGER_MAX_DIM
+from weylsep.linalg import EAGER_MAX_DIM, DimensionMismatchError
 from weylsep.states import bell_diagonal, haar_unitary, isotropic, max_entangled, ppt_3x3
 from weylsep.weyl import hermitian_coefficients, weyl_basis
 
@@ -99,6 +104,14 @@ def test_kyfan_norm_examples():
         assert kyfan_norm(dec.correlation) == pytest.approx(d * d - 1, abs=1e-10)
     dec = decompose_bipartite(bell_diagonal(0.3, -0.2, 0.1))
     assert kyfan_norm(dec.correlation) == pytest.approx(0.6, abs=1e-12)
+
+
+def test_kyfan_norm_rejects_anything_but_a_matrix():
+    # a stack would give the sum of its matrices' norms (9.0 here), and a
+    # vector numpy's own LinAlgError message
+    for m in (np.stack([np.eye(3), 2 * np.eye(3)]), np.ones(3)):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {m.shape}")):
+            kyfan_norm(m)
 
 
 def test_kyfan_norm_unitary_invariance():
@@ -331,3 +344,69 @@ def test_singular_values_up_to_the_gate_are_the_complex_svd(da, db):
     np.testing.assert_array_equal(
         dec.singular_values, np.linalg.svd(dec.correlation, compute_uv=False)
     )
+
+
+def _count_transforms(monkeypatch, before=None):
+    """Count ``weyl_coefficients`` calls through ``weyl`` and ``bipartite``; ``before`` runs first."""
+    calls = []
+    transform = weyl.weyl_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        if before is not None:
+            before()
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(weyl, "weyl_coefficients", counted)
+    monkeypatch.setattr(bipartite, "weyl_coefficients", counted)
+    return calls
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (3, 3), (3, 8), (5, 7), (8, 8)])
+def test_the_check_sep_sequence_transforms_each_state_once(monkeypatch, da, db):
+    # validate, decompose, reconstruct, Ky Fan norm, criterion and PPT, on
+    # both sides of the EAGER_MAX_DIM gate
+    calls = _count_transforms(monkeypatch)
+    rho = validate_density(random_mixed(da * db, 3, seed=da * db).matrix, [da, db])
+    dec = decompose_bipartite(rho)
+    reconstruct_bipartite(dec)
+    kyfan_norm(dec.correlation)
+    verdict = weyl_separability_criterion(rho)
+    ppt_criterion(rho)
+    assert calls == [(da, db)]
+    assert decompose_bipartite(rho) is dec
+    assert verdict == correlation_verdict(dec)
+
+
+def test_a_relabel_starts_without_the_old_decomposition():
+    m = random_mixed(16, 5, seed=16).matrix
+    rho = validate_density(m, (4, 4))
+    assert decompose_bipartite(rho).table.shape == (16, 16)
+    relabelled = dataclasses.replace(rho, dims=(2, 8))
+    dec, fresh = decompose_bipartite(relabelled), decompose_bipartite(validate_density(m, (2, 8)))
+    assert (dec.da, dec.db, dec.table.shape) == (fresh.da, fresh.db, (4, 64))
+    assert dec.table.tobytes() == fresh.table.tobytes()
+    assert dec.singular_values.tobytes() == fresh.singular_values.tobytes()
+
+
+def test_two_threads_decomposing_one_state_get_the_same_bytes(monkeypatch):
+    # the barrier holds each thread inside the transform until both are
+    # there, so both have read the empty slot
+    barrier = threading.Barrier(2, timeout=10)
+    calls = _count_transforms(monkeypatch, before=barrier.wait)
+    rho = _random_bipartite(3, 4, 6, seed=12)
+    results = [None, None]
+
+    def decompose_into(k):
+        results[k] = decompose_bipartite(rho)
+
+    threads = [threading.Thread(target=decompose_into, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert len(calls) == 2
+    assert results[0].table.tobytes() == results[1].table.tobytes()
+    monkeypatch.undo()
+    assert any(decompose_bipartite(rho) is dec for dec in results)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_one_row_at_a_time
+from oracles import matrix_entries_one_at_a_time, scan_one_row_at_a_time
 import weylsep
 from weylsep import bipartite, cli, states, validate_density
 from weylsep.fileio import save_state
@@ -638,6 +638,64 @@ def test_one_decomposition_and_one_svd_per_report(monkeypatch, command, spec):
     rc, out, err = run_main(command, "--state", spec, "--no-timestamp")
     assert (rc, err) == (0, "")
     assert calls == {"svd": 1, "decompose": 1}
+
+
+def test_reports_serialize_as_with_the_entrywise_loop(monkeypatch, tmp_path):
+    # every report of this file that prints matrix entries or a decomposition
+    files = {
+        "mixed-3x3": validate_density(np.eye(9) / 9, [3, 3]),
+        "max-entangled-3": max_entangled(3),
+        "mixed-4": random_mixed(4, 2, seed=2),
+    }
+    for name, rho in files.items():
+        save_state(tmp_path / f"{name}.json", rho)
+    argvs = [("basis", "--d", str(d)) for d in (2, 3)]
+    argvs += [("decompose", str(tmp_path / f"{name}.json"), "--no-timestamp") for name in files]
+    argvs += [
+        (command, "--state", spec, "--no-timestamp")
+        for command in ("decompose", "check-sep")
+        for spec in ("isotropic:d=3,p=0.3", "ppt-3x3", "bell-diagonal:t=0.2,0.2,0.2",
+                     "isotropic:d=2,p=0.5", "random-mixed:da=2,db=3,rank=3,seed=1",
+                     "random-mixed:da=4,db=4,rank=5,seed=2", "random-mixed:da=3,db=6,rank=3,seed=1")
+    ]
+    argvs += [
+        ("check-tele", "--state", spec, "--seed", seed, "--no-timestamp")
+        for spec, seed in (("example4:p=0.8", "7"), ("example4:p=0.5", "7"),
+                           ("isotropic:d=3,p=0.5", "1"), ("random-mixed:da=3,db=3,rank=4,seed=3", "3"))
+    ]
+    reports = [run_main(*argv) for argv in argvs]
+    monkeypatch.setattr(cli, "matrix_entries", matrix_entries_one_at_a_time)
+    for argv, report in zip(argvs, reports):
+        assert report[0] == 0, argv
+        assert run_main(*argv) == report, argv
+    assert any("-0.0" in out for _, out, _ in reports)
+
+
+def test_the_commands_run_without_scipy(tmp_path):
+    # numpy is the one run-time dependency, though scipy may be installed
+    path = tmp_path / "state.json"
+    save_state(path, max_entangled(2))
+    code = (
+        "import contextlib, io, sys\n"
+        "import weylsep\n"
+        "from weylsep import cli\n"
+        "argvs = [\n"
+        "    ['check-sep', '--state', 'isotropic:d=3,p=0.3'],\n"
+        "    ['check-sep', '--state', 'random-mixed:da=3,db=6,rank=3,seed=1'],\n"
+        "    ['check-tele', '--state', 'isotropic:d=3,p=0.5', '--seed', '1'],\n"
+        "    ['check-tele', '--state', 'example4:p=0.8', '--seed', '1'],\n"
+        f"    ['decompose', {str(path)!r}],\n"
+        "    ['scan', '--family', 'isotropic', '--d', '3', '--from', '0', '--to', '1',\n"
+        "     '--step', '0.5', '--ppt', '--out', '-'],\n"
+        "]\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from weylsep import NotPositiveSemidefiniteError, ValidationError, validate_density
+from oracles import matrix_entries_one_at_a_time
+from weylsep import (
+    NotPositiveSemidefiniteError,
+    ValidationError,
+    decompose_bipartite,
+    validate_density,
+)
 from weylsep.fileio import MATRIX_FORMAT, load_state, matrix_entries, save_state
 from weylsep.linalg import hermiticity_defect
 from weylsep.states import isotropic, random_mixed
@@ -29,6 +35,22 @@ def test_save_load_roundtrip(tmp_path):
 def test_matrix_entries_layout():
     m = np.array([[1, 2j], [3, 4]], dtype=complex)
     assert matrix_entries(m) == [[1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [4.0, 0.0]]
+
+
+def test_matrix_entries_serialize_as_the_entrywise_loop():
+    # strided and reversed views, a real input, signed zeros and extremes
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m[0, :3] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+    m[1, :3] = [complex(5e-324, -1.7976931348623157e308), 1e-300j, 0.1 + 0.2j]
+    dec = decompose_bipartite(validate_density(random_mixed(6, 3, seed=4).matrix, [2, 3]))
+    inputs = [m, m.T, m[::2, 1::3], m[::-1], m.real, dec.alpha, dec.beta, dec.correlation,
+              np.empty((0, 0), dtype=complex)]
+    for a in inputs:
+        entries = matrix_entries(a)
+        assert json.dumps(entries) == json.dumps(matrix_entries_one_at_a_time(a))
+        assert all(type(x) is float for pair in entries for x in pair)
+    assert json.dumps(matrix_entries(m[0, :1])) == "[[-0.0, -0.0]]"
 
 
 def test_load_rejects_wrong_format_tag(tmp_path):

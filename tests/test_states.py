@@ -172,6 +172,14 @@ def test_ppt_3x3_properties():
     assert verdict.outcome == ENTANGLED
 
 
+def test_ppt_3x3_is_built_once_and_stays_read_only():
+    rho = ppt_3x3()
+    assert ppt_3x3() is rho
+    assert not rho.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rho.matrix[0, 0] = 0
+
+
 def test_ppt_3x3_builds_from_orthonormal_vectors():
     # rebuild the five defining product vectors and check orthonormality
     e = np.eye(3)
