@@ -304,7 +304,7 @@ def cmd_check_sep(args) -> int:
         verdicts.append(ppt_criterion(rho))
     report = _report_header(args, descriptor)
     report["decomposition"] = summary
-    report["verdicts"] = [dataclasses.asdict(v) for v in verdicts]
+    report["verdicts"] = [dict(vars(v)) for v in verdicts]
     _emit(report)
     return 0
 
@@ -327,7 +327,7 @@ def cmd_check_tele(args) -> int:
         "starts_used": est.starts_used,
         "best_unitary": matrix_entries(est.best_unitary),
     }
-    report["verdicts"] = [dataclasses.asdict(verdict_from_estimate(est))]
+    report["verdicts"] = [dict(vars(verdict_from_estimate(est)))]
     _emit(report)
     return 0
 

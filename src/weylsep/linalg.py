@@ -100,14 +100,6 @@ class DensityMatrix:
         return self._spectrum
 
 
-def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
-    """Max-abs entry of ``m - m^dagger``, per matrix of a stack ``(..., D, D)``.
-
-    A single matrix gives a float, a stack an array of its leading shape.
-    """
-    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the left factor carries the slow index."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -206,13 +198,23 @@ def _is_count(value, least: int) -> bool:
 def validate_density(m: np.ndarray, dims) -> DensityMatrix:
     """Check the density-matrix invariants of a complex square matrix and wrap the result.
 
-    Checks the dimension bookkeeping, then finiteness, Hermiticity, unit
-    trace and positivity, in that order; each violated invariant raises its
+    Violations are reported in the order dimension bookkeeping, finiteness,
+    Hermiticity, unit trace, positivity; each violated invariant raises its
     own :class:`ValidationError` subclass, whose message carries the
     measured violation; the trace is read from m. The state keeps the
     checked Hermitian part (within ``HERMITICITY_TOL / 2`` of m), and its
     spectrum when validation solved one (``D <= EAGER_MAX_DIM``, or a
     Cholesky factorization that failed on a state accepted by its spectrum).
+
+    The halves ``m/2`` and ``(m/2)^dagger`` give both the Hermiticity
+    defect, ``2 max|m/2 - (m/2)^dagger|``, and the stored part, their sum
+    (:func:`hermitian_part` bit for bit), in one buffer. Halving and doubling
+    are exact in binary floating point away from subnormals (Higham, §2.1),
+    so the defect equals ``max|m - m^dagger|`` except where m has subnormal
+    entries, and it is inf, not an overflow warning, where ``m - m^dagger``
+    would overflow. Finiteness is tested only when the defect fails: a NaN
+    or inf entry makes the defect NaN or inf, so such a matrix is still
+    reported as non-finite before any Hermiticity message.
 
     Positivity is ``lambda_min(h) >= -POSITIVITY_TOL``. Up to
     ``D = EAGER_MAX_DIM`` it is read from the spectrum. Above, it is
@@ -238,18 +240,25 @@ def validate_density(m: np.ndarray, dims) -> DensityMatrix:
             f"subsystem dims {dims} multiply to {math.prod(dims)}, "
             f"matrix dimension is {m.shape[0]}"
         )
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix contains non-finite entries")
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails its check below
+        half = m / 2
+        # One C-ordered buffer (the layout of hermitian_part, which BLAS rounds
+        # by) holds (m/2)^dag - m/2 for the defect, then the Hermitian part.
+        # A third live D x D array made large states page-fault as the heap regrew.
+        h = np.conjugate(half.T, order="C")
+        h -= half
+        defect = 2 * float(np.abs(h).max())
+        trace = m.trace()
+        wrong = not abs(trace - 1.0) <= TRACE_TOL
+    if not defect <= HERMITICITY_TOL:
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix contains non-finite entries")
         raise NotHermitianError(
             f"not Hermitian: max |m - m^dag| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
-    h = hermitian_part(m)
+    np.conjugate(half.T, out=h)
+    h += half  # (m/2)^dag + m/2, hermitian_part(m) bit for bit
     h.flags.writeable = False
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails below
-        trace = m.trace()
-        wrong = not abs(trace - 1.0) <= TRACE_TOL
     if wrong:
         raise WrongTraceError(f"trace is {trace.real:.12g}{trace.imag:+.3e}j, expected 1")
     if len(h) > EAGER_MAX_DIM and _cholesky_certifies(h):

@@ -223,6 +223,8 @@ EPS = float(np.finfo(float).eps)
 # Psi-. Its entries are 0, +-1 and +-i, so products with it round only in sums.
 _MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
 _MAGIC.flags.writeable = False
+_MAGIC_H = _MAGIC.conj().T
+_MAGIC_H.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,9 @@ class FefEstimate:
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-abs entry of ``U U^dag - I``."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+    p = u @ u.conj().T
+    p.flat[:: len(p) + 1] -= 1
+    return float(np.abs(p).max())
 
 
 def detection_operator(u: np.ndarray) -> DetectionOperator:
@@ -278,7 +282,7 @@ def detection_operator(u: np.ndarray) -> DetectionOperator:
     if defect > UNITARITY_TOL:
         raise ValueError(f"input is not unitary: max |UU^dag - I| = {defect:.3e}")
     v = u.reshape(-1)
-    matrix = d * np.outer(v, v.conj())
+    matrix = d * (v[:, None] * v.conj())
     u = u.copy()
     u.flags.writeable = False
     matrix.flags.writeable = False
@@ -294,7 +298,7 @@ def mean_value(rho: DensityMatrix, op: DetectionOperator) -> float:
         raise DimensionMismatchError(
             f"state dims {rho.dims} do not match operator dimension {op.d}x{op.d}"
         )
-    val = complex(np.sum(rho.matrix * op.matrix.T))
+    val = complex((rho.matrix * op.matrix.T).sum())
     if abs(val.imag) > MEAN_IMAG_TOL:
         raise ArithmeticError(
             f"mean value has imaginary part {val.imag:.3e}; operator is broken"
@@ -388,7 +392,7 @@ def _polar_ascent(rho: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int, bool
 
 def _two_qubit_fef(m: np.ndarray, cap: float, margin: float) -> FefEstimate:
     """The d = 2 closed form: F = ``lambda_max(R)`` and a unitary at it (module docstring)."""
-    lam, vecs = np.linalg.eigh((_MAGIC.conj().T @ m @ _MAGIC).real / 2)
+    lam, vecs = np.linalg.eigh((_MAGIC_H @ m @ _MAGIC).real / 2)
     u = (_MAGIC @ vecs[:, -1]).reshape(2, 2)
     u.flags.writeable = False
     value = _value(m, u)

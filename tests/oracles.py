@@ -385,3 +385,12 @@ def matrix_entries_one_at_a_time(m) -> list[list[float]]:
     """Row-major ``[re, im]`` pairs, one Python float pair per numpy complex scalar."""
     flat = np.asarray(m, dtype=complex).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
+
+
+def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
+    """Max-abs entry of ``m - m^dagger``, per matrix of a stack ``(..., D, D)``.
+
+    A single matrix gives a float, a stack an array of its leading shape. It
+    subtracts m itself, where validation subtracts halves.
+    """
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))

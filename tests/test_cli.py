@@ -480,6 +480,18 @@ def test_a_negative_seed_key_is_named(spec):
     assert err == "error: bad value for state parameter 'seed': seed must be >= 0, got -5\n"
 
 
+def test_an_overflowing_hermiticity_defect_is_one_error_line(tmp_path):
+    # m - m^dag overflows; a fresh interpreter shows any numpy warning on stderr
+    path = tmp_path / "skew.json"
+    path.write_text(
+        '{"format": "weylsep-matrix-v1", "dims": [2], '
+        '"entries": [[0.5, 0], [1.7e308, 0], [-1.7e308, 0], [0.5, 0]]}'
+    )
+    proc = run_cli("decompose", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: not Hermitian: max |m - m^dag| = inf exceeds 1e-10\n"
+
+
 def test_internal_failure_exits_one(monkeypatch):
     def broken(m):
         raise ValueError("kernel failure")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import matrix_entries_one_at_a_time
+from oracles import hermiticity_defect, matrix_entries_one_at_a_time
 from weylsep import (
     NotPositiveSemidefiniteError,
     ValidationError,
@@ -11,7 +11,6 @@ from weylsep import (
     validate_density,
 )
 from weylsep.fileio import MATRIX_FORMAT, load_state, matrix_entries, save_state
-from weylsep.linalg import hermiticity_defect
 from weylsep.states import isotropic, random_mixed
 
 

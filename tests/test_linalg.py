@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import hermiticity_defect
 from weylsep import (
     DimensionMismatchError,
     NotHermitianError,
@@ -24,7 +25,6 @@ from weylsep.linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     hermitian_part,
-    hermiticity_defect,
     transpose_factor,
 )
 from weylsep.bipartite import ppt_statistic
@@ -231,12 +231,44 @@ def test_validate_density_huge_entries_fail_their_invariant():
     # an overflowed trace is an error, not a RuntimeWarning (pytest raises those)
     with pytest.raises(WrongTraceError, match="trace is inf"):
         validate_density(np.diag([1.7e308, 1.7e308]), [2])
+    # so is an overflowed Hermiticity defect (m - m^dag would overflow)
+    with pytest.raises(NotHermitianError, match=r"max \|m - m\^dag\| = inf exceeds"):
+        validate_density(np.array([[0.5, 1.7e308], [-1.7e308, 0.5]]), [2])
     # above the gate, LAPACK factors h + tol*I into NaN here without an error;
     # the non-finite factor sends validation to the spectrum
     m = np.eye(20, dtype=complex) / 20
     m[0, 1] = m[1, 0] = 1.7e308
     with pytest.raises(NotPositiveSemidefiniteError, match=r"negative eigenvalue -1\.700e\+308"):
         validate_density(m, [4, 5])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 9, 16, 25, 64])
+def test_validation_keeps_the_hermitian_part_and_its_spectrum_bit_for_bit(dim):
+    # zero-diagonal noise from 1e-16 to 1e-11, then rescaled to either side of
+    # the tolerance; the state has full rank, so positivity never decides
+    rng = np.random.default_rng(dim)
+    base = random_mixed(dim, dim, seed=dim).matrix
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    np.fill_diagonal(noise, 0)
+    scales = list(np.logspace(-16, -11, 11))
+    scales += [t * HERMITICITY_TOL / hermiticity_defect(noise) for t in (0.5, 0.999, 1.001, 2)]
+    decisions = set()
+    for scale in scales:
+        m = base + scale * noise
+        defect = hermiticity_defect(m)
+        if defect > HERMITICITY_TOL:
+            with pytest.raises(NotHermitianError, match=f"= {defect:.3e} exceeds"):
+                validate_density(m, [dim])
+            decisions.add(False)
+            continue
+        decisions.add(True)
+        h = hermitian_part(m)
+        for layout in (m, np.asfortranarray(m)):
+            rho = validate_density(layout, [dim])
+            # the layout too: BLAS may round differently on a transposed copy
+            assert rho.matrix.tobytes() == h.tobytes() and rho.matrix.strides == h.strides
+            assert rho.spectrum.tobytes() == np.linalg.eigvalsh(h).tobytes()
+    assert decisions == {True, False}
 
 
 def _state_stack(d: int, n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,21 @@ def test_shift_conjugated_operator():
 def test_detection_operator_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         detection_operator(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_detection_path_matches_the_numpy_wrappers_bit_for_bit(d):
+    # np.outer, np.eye and np.sum forms of the operator, the defect and the mean
+    for seed in range(12):
+        u = haar_unitary(d, seed=(d, seed))
+        v = u.reshape(-1)
+        op = detection_operator(u)
+        assert op.matrix.tobytes() == (d * np.outer(v, v.conj())).tobytes()
+        assert teleport.unitarity_defect(u) == float(
+            np.max(np.abs(u @ u.conj().T - np.eye(d)))
+        )
+        rho = dataclasses.replace(random_mixed(d * d, 1 + seed % (d * d), seed), dims=(d, d))
+        assert mean_value(rho, op) == float(complex(np.sum(rho.matrix * op.matrix.T)).real)
 
 
 def test_mean_value_on_max_entangled():
