@@ -13,13 +13,11 @@ from .bipartite import (
     USEFUL,
     BipartiteDecomposition,
     Verdict,
-    correlation_verdict,
     decompose_bipartite,
     kyfan_norm,
     ppt_criterion,
     product_test,
     reconstruct_bipartite,
-    reduced_from_decomposition,
     weyl_separability_criterion,
 )
 from .bloch import (
@@ -36,7 +34,6 @@ from .linalg import (
     NotPositiveSemidefiniteError,
     ValidationError,
     WrongTraceError,
-    kron,
     partial_trace,
     partial_transpose,
     purity,
@@ -87,7 +84,6 @@ __all__ = [
     "WrongTraceError",
     "bell_diagonal",
     "bloch_length",
-    "correlation_verdict",
     "decompose",
     "decompose_bipartite",
     "detection_operator",
@@ -95,7 +91,6 @@ __all__ = [
     "fef_search",
     "haar_unitary",
     "isotropic",
-    "kron",
     "kyfan_norm",
     "max_entangled",
     "max_entangled_ket",
@@ -113,7 +108,6 @@ __all__ = [
     "random_separable",
     "reconstruct",
     "reconstruct_bipartite",
-    "reduced_from_decomposition",
     "singular_values",
     "teleportation_verdict",
     "validate_density",

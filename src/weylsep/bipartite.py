@@ -55,7 +55,6 @@ from .linalg import (
     purity,
     singular_values,
     transpose_factor,
-    validate_density,
 )
 from .weyl import hermitian_coefficients, weyl_assemble, weyl_coefficients
 
@@ -88,7 +87,7 @@ class Verdict:
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteDecomposition:
     """The Weyl coefficient table ``T[s, t] = Tr[rho (W_s^dag (x) W_t^dag)]``.
 
@@ -167,18 +166,6 @@ def reconstruct_bipartite(dec: BipartiteDecomposition) -> np.ndarray:
     return weyl_assemble(dec.table, dec.da, dec.db)
 
 
-def reduced_from_decomposition(dec: BipartiteDecomposition, sys: int) -> DensityMatrix:
-    """Reduced state of one factor, assembled from the local coefficients.
-
-    Equals the partial trace of the source state.
-    """
-    if sys not in (0, 1):
-        raise ValueError(f"sys must be 0 or 1, got {sys}")
-    d = dec.da if sys == 0 else dec.db
-    local = dec.table[:, 0] if sys == 0 else dec.table[0]
-    return validate_density(weyl_assemble(local, d), [d])
-
-
 def kyfan_norm(m: np.ndarray) -> float:
     """Sum of the singular values (trace / nuclear norm) of one matrix.
 
@@ -201,23 +188,21 @@ def correlation_outcome(statistic: float, threshold: float) -> str:
     return ENTANGLED if statistic > threshold + STATISTIC_MARGIN else INCONCLUSIVE
 
 
-def correlation_verdict(dec: BipartiteDecomposition) -> Verdict:
-    """Correlation-matrix trace-norm test on a decomposition already built.
+def weyl_separability_criterion(rho: DensityMatrix) -> Verdict:
+    """Correlation-matrix trace-norm test, read from the decomposition the state keeps.
 
     ENTANGLED when the Ky Fan norm of the correlation matrix exceeds
     :func:`kyfan_bound` beyond the roundoff margin; INCONCLUSIVE
     otherwise. The bound is only necessary for separability, so this
-    criterion never answers SEPARABLE.
+    criterion never answers SEPARABLE. The norm is the sum of the
+    decomposition's cached singular values, so a state that was already
+    decomposed pays for no second transform and no second SVD.
     """
+    dec = decompose_bipartite(rho)
     statistic = float(np.sum(dec.singular_values))
     threshold = kyfan_bound(dec.da, dec.db)
     outcome = correlation_outcome(statistic, threshold)
     return Verdict("weyl-correlation", outcome, statistic, threshold)
-
-
-def weyl_separability_criterion(rho: DensityMatrix) -> Verdict:
-    """:func:`correlation_verdict` of the state's decomposition."""
-    return correlation_verdict(decompose_bipartite(rho))
 
 
 def ppt_statistic(h: np.ndarray, da: int, db: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .linalg import DensityMatrix, DimensionMismatchError
 from .weyl import weyl_assemble, weyl_coefficients
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochVector:
     """Coefficients over the non-identity Weyl operators, lexicographic order.
 

@@ -43,15 +43,14 @@ import numpy as np
 
 from . import __version__
 from .bipartite import (
-    BipartiteDecomposition,
     correlation_outcome,
     correlation_singular_values,
-    correlation_verdict,
     decompose_bipartite,
     kyfan_bound,
     ppt_criterion,
     ppt_statistic,
     reconstruct_bipartite,
+    weyl_separability_criterion,
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
 from .fileio import load_state, matrix_entries
@@ -242,17 +241,16 @@ def _residual(rebuilt: np.ndarray, rho: DensityMatrix) -> float:
     return float(np.max(np.abs(rebuilt - rho.matrix)))
 
 
-def _bipartite_summary(rho: DensityMatrix) -> tuple[BipartiteDecomposition, dict]:
-    """The decomposition plus the summary that ``decompose`` and ``check-sep`` share."""
+def _bipartite_summary(rho: DensityMatrix) -> dict:
+    """The summary of the state's decomposition that ``decompose`` and ``check-sep`` share."""
     dec = decompose_bipartite(rho)
-    summary = {
+    return {
         "alpha_length": float(np.linalg.norm(dec.alpha)),
         "beta_length": float(np.linalg.norm(dec.beta)),
         "kyfan_norm": float(np.sum(dec.singular_values)),
         "top_singular_values": [float(s) for s in dec.singular_values[:5]],
         "reconstruction_residual": _residual(reconstruct_bipartite(dec), rho),
     }
-    return dec, summary
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +258,7 @@ def _bipartite_summary(rho: DensityMatrix) -> tuple[BipartiteDecomposition, dict
 
 
 def cmd_basis(args) -> int:
-    d = _dim(args.d)
-    if d < 2:
-        raise UsageError(f"dimension must be >= 2, got {d}")
-    basis = weyl_basis(d)
+    basis = weyl_basis(_dim(args.d))
     _emit([{"n": n, "m": m, "entries": matrix_entries(basis.op(n, m))} for n, m in basis.pairs])
     return 0
 
@@ -280,15 +275,15 @@ def cmd_decompose(args) -> int:
         }
         residual = _residual(reconstruct(vec), rho)
     elif len(rho.dims) == 2:
-        dec, summary = _bipartite_summary(rho)
-        residual = summary.pop("reconstruction_residual")
+        dec = decompose_bipartite(rho)
         report["bipartite"] = {
-            **summary,
+            **_bipartite_summary(rho),
             "alpha": matrix_entries(dec.alpha),
             "beta": matrix_entries(dec.beta),
             "correlation_shape": list(dec.correlation.shape),
             "correlation": matrix_entries(dec.correlation),
         }
+        residual = report["bipartite"].pop("reconstruction_residual")
     else:
         raise UsageError(f"decompose supports 1 or 2 subsystems, got dims {rho.dims}")
     report["reconstruction_residual"] = residual
@@ -298,8 +293,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_check_sep(args) -> int:
     rho, descriptor = _load_input(args)
-    dec, summary = _bipartite_summary(rho)
-    verdicts = [correlation_verdict(dec)]
+    summary = _bipartite_summary(rho)
+    verdicts = [weyl_separability_criterion(rho)]
     if min(rho.dims) <= 3:
         verdicts.append(ppt_criterion(rho))
     report = _report_header(args, descriptor)

@@ -50,7 +50,7 @@ class NotPositiveSemidefiniteError(ValidationError):
     """A negative eigenvalue below tolerance was found."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated trace-one Hermitian PSD matrix plus subsystem dimensions.
 
@@ -65,7 +65,9 @@ class DensityMatrix:
     checked those dims (as the CLI does for its ``random-mixed`` pairs).
     Instances are immutable (the matrix and the spectrum are marked
     read-only) and safe to share between threads: two threads that read
-    an unsolved spectrum at once both solve it, to the same bits.
+    an unsolved spectrum at once both solve it, to the same bits. States
+    compare and hash by identity, as do the library's other values that
+    hold arrays; a field-wise ``==`` over arrays has no truth value.
 
     A bipartite state also keeps its Weyl decomposition: the first
     :func:`weylsep.bipartite.decompose_bipartite` of the state fills
@@ -80,10 +82,8 @@ class DensityMatrix:
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _decomposition: BipartiteDecomposition | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _spectrum: np.ndarray | None = field(default=None, repr=False)
+    _decomposition: BipartiteDecomposition | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -98,11 +98,6 @@ class DensityMatrix:
             spectrum.flags.writeable = False
             object.__setattr__(self, "_spectrum", spectrum)
         return self._spectrum
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor carries the slow index."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def purity(rho: DensityMatrix) -> float:

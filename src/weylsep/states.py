@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError, kron, validate_density
+from .linalg import DensityMatrix, ValidationError, validate_density
 
 
 def max_entangled_ket(d: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def isotropic_matrix(d: int, p) -> np.ndarray:
 
 #: ``XX``, ``YY`` and ``ZZ``, the Pauli products of :func:`bell_diagonal`, read-only.
 _PAULI_PRODUCTS = np.stack([
-    kron(p, p) for p in np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    np.kron(p, p) for p in np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 ])
 _PAULI_PRODUCTS.flags.writeable = False
 

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import ValidationError
+
 
 def weyl_op(d: int, n: int, m: int) -> np.ndarray:
     """The (n, m) clock-and-shift operator on a d-dimensional space.
@@ -21,7 +23,7 @@ def weyl_op(d: int, n: int, m: int) -> np.ndarray:
     Indices are reduced modulo d. ``(0, 0)`` gives the identity.
     """
     if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+        raise ValidationError(f"dimension must be >= 2, got {d}")
     n %= d
     m %= d
     w = np.zeros((d, d), dtype=complex)
@@ -43,7 +45,7 @@ def weyl_dagger_index(d: int, n: int, m: int) -> tuple[complex, tuple[int, int]]
     return complex(fourier(d)[n, m].conj()), ((-n) % d, (-m) % d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylBasis:
     """All d^2 Weyl operators, lexicographic in (n, m), identity first.
 
@@ -71,7 +73,7 @@ class WeylBasis:
 def weyl_basis(d: int) -> WeylBasis:
     """Construct and cache the full basis for dimension d."""
     if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+        raise ValidationError(f"dimension must be >= 2, got {d}")
     ops = np.stack([weyl_op(d, n, m) for n in range(d) for m in range(d)])
     ops.flags.writeable = False
     return WeylBasis(d, ops)

@@ -12,7 +12,6 @@ from weylsep import (
     INCONCLUSIVE,
     decompose,
     decompose_bipartite,
-    kron,
     kyfan_norm,
     partial_trace,
     ppt_criterion,
@@ -22,12 +21,10 @@ from weylsep import (
     random_separable,
     reconstruct,
     reconstruct_bipartite,
-    reduced_from_decomposition,
     validate_density,
     weyl_separability_criterion,
 )
 from weylsep import bipartite, weyl
-from weylsep.bipartite import correlation_verdict
 from weylsep.linalg import EAGER_MAX_DIM, DimensionMismatchError
 from weylsep.states import bell_diagonal, haar_unitary, isotropic, max_entangled, ppt_3x3
 from weylsep.weyl import hermitian_coefficients, weyl_basis
@@ -42,7 +39,7 @@ def _random_bipartite(da, db, rank, seed):
 def test_product_state_coefficients_factorize():
     rho_a = random_mixed(2, 2, seed=31)
     rho_b = random_mixed(3, 2, seed=32)
-    joint = validate_density(kron(rho_a.matrix, rho_b.matrix), [2, 3])
+    joint = validate_density(np.kron(rho_a.matrix, rho_b.matrix), [2, 3])
     dec = decompose_bipartite(joint)
     np.testing.assert_allclose(dec.alpha, decompose(rho_a).coeffs, atol=1e-12)
     np.testing.assert_allclose(dec.beta, decompose(rho_b).coeffs, atol=1e-12)
@@ -76,25 +73,6 @@ def test_bell_diagonal_correlation_entries():
     expected = np.diag([t1, t3, -t2])  # order (0,1), (1,0), (1,1)
     np.testing.assert_allclose(dec.correlation, expected, atol=1e-12)
     assert np.max(np.abs(dec.alpha)) <= 1e-12
-
-
-def test_reduced_from_decomposition_matches_partial_trace():
-    for da, db, seed in [(2, 2, 1), (2, 3, 2), (3, 3, 3)]:
-        rho = _random_bipartite(da, db, 3, seed)
-        dec = decompose_bipartite(rho)
-        for sys in (0, 1):
-            np.testing.assert_allclose(
-                reduced_from_decomposition(dec, sys).matrix,
-                partial_trace(rho, sys).matrix,
-                atol=1e-12,
-            )
-
-
-def test_reduced_of_max_entangled_is_maximally_mixed():
-    dec = decompose_bipartite(max_entangled(3))
-    np.testing.assert_allclose(
-        reduced_from_decomposition(dec, 0).matrix, np.eye(3) / 3, atol=1e-12
-    )
 
 
 def test_kyfan_norm_examples():
@@ -206,7 +184,7 @@ def test_product_test_factors_rebuild_the_state():
 
     rho_a = reconstruct(BlochVector(3, alpha))
     rho_b = reconstruct(BlochVector(4, beta))
-    assert np.max(np.abs(kron(rho_a, rho_b) - rho.matrix)) <= 1e-8
+    assert np.max(np.abs(np.kron(rho_a, rho_b) - rho.matrix)) <= 1e-8
     dec = decompose_bipartite(rho)
     assert np.linalg.norm(dec.correlation - np.outer(alpha, beta)) <= 1e-10
 
@@ -241,12 +219,12 @@ def test_reconstruct_bipartite_zero_coefficients():
 def test_decompositions_are_read_only():
     rho = isotropic(3, 0.3)
     dec = decompose_bipartite(rho)
-    before = correlation_verdict(dec)
+    before = weyl_separability_criterion(rho)
     coeffs = decompose(partial_trace(rho, 0)).coeffs
     for target in [dec.alpha, dec.beta, dec.correlation, dec.table, coeffs]:
         with pytest.raises(ValueError):
             target[...] = 0.0
-    assert correlation_verdict(dec) == before
+    assert weyl_separability_criterion(rho) == before
     assert kyfan_norm(dec.correlation) == pytest.approx(before.statistic, abs=1e-12)
 
 
@@ -287,10 +265,7 @@ def test_state_splits_into_product_plus_correlation_correction():
     wb = weyl_basis(3).ops
     delta = dec.correlation - np.outer(dec.alpha, dec.beta)
     corr = np.einsum("st,sac,tbd->abcd", delta, wa[1:], wb[1:]).reshape(9, 9) / 9
-    product = kron(
-        reduced_from_decomposition(dec, 0).matrix,
-        reduced_from_decomposition(dec, 1).matrix,
-    )
+    product = np.kron(partial_trace(rho, 0).matrix, partial_trace(rho, 1).matrix)
     assert np.max(np.abs(rho.matrix - product - corr)) <= 1e-11
 
 
@@ -371,11 +346,10 @@ def test_the_check_sep_sequence_transforms_each_state_once(monkeypatch, da, db):
     dec = decompose_bipartite(rho)
     reconstruct_bipartite(dec)
     kyfan_norm(dec.correlation)
-    verdict = weyl_separability_criterion(rho)
+    weyl_separability_criterion(rho)
     ppt_criterion(rho)
     assert calls == [(da, db)]
     assert decompose_bipartite(rho) is dec
-    assert verdict == correlation_verdict(dec)
 
 
 def test_a_relabel_starts_without_the_old_decomposition():

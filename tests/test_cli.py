@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import matrix_entries_one_at_a_time, scan_one_row_at_a_time
 import weylsep
-from weylsep import bipartite, cli, states, validate_density
+from weylsep import bipartite, cli, states, validate_density, weyl
 from weylsep.fileio import save_state
 from weylsep.states import max_entangled, random_mixed
 from weylsep.weyl import weyl_basis
@@ -633,23 +633,25 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
     "spec", ["random-mixed:da=2,db=3,rank=3,seed=1", "random-mixed:da=4,db=4,rank=5,seed=2"]
 )
 def test_one_decomposition_and_one_svd_per_report(monkeypatch, command, spec):
-    calls = {"svd": 0, "decompose": 0}
-    svd, decompose = np.linalg.svd, bipartite.decompose_bipartite
+    # a cached decomposition is free, so the transforms are counted, not the lookups
+    calls = {"svd": 0, "transform": 0}
+    svd, transform = np.linalg.svd, weyl.weyl_coefficients
 
     def counted_svd(*args, **kwargs):
         calls["svd"] += 1
         return svd(*args, **kwargs)
 
-    def counted_decompose(rho):
-        calls["decompose"] += 1
-        return decompose(rho)
+    def counted_transform(*args, **kwargs):
+        calls["transform"] += 1
+        return transform(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(bipartite, "decompose_bipartite", counted_decompose)
-    monkeypatch.setattr(cli, "decompose_bipartite", counted_decompose)
+    monkeypatch.setattr(weyl, "weyl_coefficients", counted_transform)
+    monkeypatch.setattr(bipartite, "weyl_coefficients", counted_transform)
+    monkeypatch.setattr(cli, "weyl_coefficients", counted_transform)
     rc, out, err = run_main(command, "--state", spec, "--no-timestamp")
     assert (rc, err) == (0, "")
-    assert calls == {"svd": 1, "decompose": 1}
+    assert calls == {"svd": 1, "transform": 1}
 
 
 def test_reports_serialize_as_with_the_entrywise_loop(monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import weylsep as ws
 from oracles import hermiticity_defect
 from weylsep import (
     DimensionMismatchError,
@@ -10,7 +11,6 @@ from weylsep import (
     NotPositiveSemidefiniteError,
     ValidationError,
     WrongTraceError,
-    kron,
     partial_trace,
     partial_transpose,
     ppt_criterion,
@@ -33,20 +33,20 @@ from weylsep.weyl import weyl_op
 
 
 def test_kron_identities():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_clock_diagonal():
     w = np.exp(2j * np.pi / 3)
     left = np.diag([1, w, w**2])
-    out = kron(left, np.eye(3))
+    out = np.kron(left, np.eye(3))
     expected = np.diag([1, 1, 1, w, w, w, w**2, w**2, w**2])
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
 def test_kron_shift_shift_swaps_paired_kets():
     # sigma_x (x) sigma_x permutes |00> <-> |11> and |01> <-> |10>
-    out = kron(weyl_op(2, 0, 1), weyl_op(2, 0, 1))
+    out = np.kron(weyl_op(2, 0, 1), weyl_op(2, 0, 1))
     expected = np.fliplr(np.eye(4))
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -54,7 +54,7 @@ def test_kron_shift_shift_swaps_paired_kets():
 def test_partial_trace_of_product_returns_factors():
     rho_a = random_mixed(2, 2, seed=11)
     rho_b = random_mixed(3, 3, seed=12)
-    joint = validate_density(kron(rho_a.matrix, rho_b.matrix), [2, 3])
+    joint = validate_density(np.kron(rho_a.matrix, rho_b.matrix), [2, 3])
     np.testing.assert_allclose(partial_trace(joint, 0).matrix, rho_a.matrix, atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, 1).matrix, rho_b.matrix, atol=1e-12)
 
@@ -97,7 +97,7 @@ def test_partial_transpose_product_states_stay_psd():
     for seed in range(50):
         rho_a = random_mixed(2, 2, seed=2 * seed)
         rho_b = random_mixed(2, 2, seed=2 * seed + 1)
-        joint = validate_density(kron(rho_a.matrix, rho_b.matrix), [2, 2])
+        joint = validate_density(np.kron(rho_a.matrix, rho_b.matrix), [2, 2])
         assert np.linalg.eigvalsh(partial_transpose(joint, 1))[0] >= -1e-10
 
 
@@ -391,3 +391,37 @@ def test_partial_transpose_of_a_validated_state_is_hermitian_bit_for_bit():
         # so the PPT statistic, solved without forming a Hermitian part, keeps its bits
         pt = partial_transpose(rho, 1)
         assert ppt_criterion(rho).statistic == np.linalg.eigvalsh(hermitian_part(pt))[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: isotropic(3, 0.3),
+        lambda: ws.decompose_bipartite(isotropic(3, 0.3)),
+        lambda: ws.decompose(random_mixed(3, 2, seed=5)),
+        lambda: ws.WeylBasis(2, ws.weyl_basis(2).ops.copy()),
+        lambda: ws.detection_operator(np.eye(3)),
+        lambda: ws.fef_search(isotropic(3, 0.3), 4, seed=1),
+    ],
+    ids=[
+        "DensityMatrix",
+        "BipartiteDecomposition",
+        "BlochVector",
+        "WeylBasis",
+        "DetectionOperator",
+        "FefEstimate",
+    ],
+)
+def test_value_types_compare_by_identity(build):
+    # two equal-valued instances; a field-wise == over their arrays raised
+    # "truth value ... is ambiguous", and hash raised TypeError
+    a, b = build(), build()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert a in [a] and a not in [b]
+    assert len({a, b}) == 2 and hash(a) == hash(a)
+
+
+def test_verdicts_keep_value_equality():
+    a, b = isotropic(3, 0.3), isotropic(3, 0.3)
+    assert ws.weyl_separability_criterion(a) == ws.weyl_separability_criterion(b)

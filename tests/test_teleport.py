@@ -122,6 +122,22 @@ def test_detection_operator_rejects_non_unitary():
         detection_operator(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
+def test_detection_operator_rejects_a_non_finite_defect_without_a_warning(entry):
+    # NaN compared below the tolerance, and inf or an overflowing product
+    # warned inside U U^dag before the check could run
+    u = np.eye(2, dtype=complex)
+    u[0, 0] = entry
+    with pytest.raises(ValueError, match=r"^input is not unitary: max \|UU\^dag - I\| = (nan|inf)$"):
+        detection_operator(u)
+
+
+def test_mean_value_rejects_a_nan_operator():
+    op = teleport.DetectionOperator(2, np.eye(2), np.full((4, 4), np.nan, dtype=complex))
+    with pytest.raises(ArithmeticError, match="imaginary part nan; operator is broken"):
+        mean_value(max_entangled(2), op)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_detection_path_matches_the_numpy_wrappers_bit_for_bit(d):
     # np.outer, np.eye and np.sum forms of the operator, the defect and the mean
@@ -535,6 +551,9 @@ def test_optimal_fidelity_map():
         optimal_fidelity(1.2, 2)
     with pytest.raises(ValueError):
         optimal_fidelity(-0.1, 2)
+    for f in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"fully entangled fraction {f} outside"):
+            optimal_fidelity(f, 2)
 
 
 def test_dual_bound_is_never_below_the_two_qubit_fef():

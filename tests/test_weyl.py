@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylsep import weyl_basis, weyl_dagger_index, weyl_op
+from weylsep import (
+    ValidationError,
+    detection_operator,
+    haar_unitary,
+    max_entangled_ket,
+    weyl_basis,
+    weyl_dagger_index,
+    weyl_op,
+)
 from weylsep.weyl import (
     cyclic_index,
     fourier,
@@ -55,10 +63,17 @@ def test_identity_element(d):
 
 
 def test_rejects_dimension_below_two():
-    with pytest.raises(ValueError):
-        weyl_op(1, 0, 0)
-    with pytest.raises(ValueError):
-        weyl_basis(1)
+    # one class for the rule wherever it is checked: ValidationError, a ValueError
+    for build in [
+        lambda: weyl_op(1, 0, 0),
+        lambda: weyl_basis(1),
+        lambda: detection_operator(np.eye(1)),
+        lambda: max_entangled_ket(1),
+        lambda: haar_unitary(1, 0),
+    ]:
+        with pytest.raises(ValidationError, match=r"^dimension must be >= 2, got 1$") as info:
+            build()
+        assert info.type is ValidationError
 
 
 @pytest.mark.parametrize("d", DIMS)
