@@ -295,6 +295,11 @@ def cmd_check_sep(args) -> int:
     rho, descriptor = _load_input(args)
     summary = _bipartite_summary(rho)
     verdicts = [weyl_separability_criterion(rho)]
+    # PPT runs only when a factor has at most 3 levels, a rule as old as the
+    # command and with no recorded reason. Run at every size, it would take
+    # 6% (4x4), 13% (6x6) and 21% (8x8) of this command's in-process time on
+    # a random full-rank state with one BLAS thread: 0.02, 0.09 and 0.3 ms,
+    # against about 80 ms to start the interpreter.
     if min(rho.dims) <= 3:
         verdicts.append(ppt_criterion(rho))
     report = _report_header(args, descriptor)
@@ -372,11 +377,12 @@ def cmd_scan(args) -> int:
         build = lambda ss: bell_diagonal_matrix(*(ss * t for t in direction))  # noqa: E731
 
     # Both families are affine in the parameter, so along the grid the trace
-    # and the Hermiticity defect are affine and lambda_min is concave: valid
-    # end points make every row valid. They are checked once, before --out
-    # is opened. Both builders are Hermitian bit for bit, so each block of
-    # rows is built, transformed and solved as one stack without another
-    # check, and written when it is done.
+    # is affine and lambda_min is concave: valid end points make every row
+    # valid. The family constructors check them once, before --out is
+    # opened, in closed form (the range of p, the least Bell weight) and
+    # without validation. Both builders are Hermitian bit for bit, so each
+    # block of rows is built, transformed and solved as one stack without
+    # another check, and written when it is done.
     make(grid[0])
     make(grid[-1])
     threshold = kyfan_bound(da, db)

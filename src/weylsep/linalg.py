@@ -59,10 +59,16 @@ class DensityMatrix:
     spectrum and keeps it; above, validation certifies positivity without
     it, and ``spectrum`` is solved on first read and cached. Construct
     through :func:`validate_density`; the dataclass itself does not
-    re-check the invariants. The one other construction is a dims
-    relabel, ``dataclasses.replace(rho, dims=...)``: the same matrix and
-    spectrum under dims with the same product, after the caller has
-    checked those dims (as the CLI does for its ``random-mixed`` pairs).
+    re-check the invariants. Two other constructions skip validation.
+    The named families of :mod:`weylsep.states` whose spectrum is a closed
+    form of their parameters (``isotropic``, ``bell_diagonal``,
+    ``example4``, ``max_entangled``) wrap the read-only matrix validation
+    would store once their parameter check proves it a state; their
+    spectrum is solved on first read, to the bits validation would keep.
+    And a dims relabel, ``dataclasses.replace(rho, dims=...)``, keeps the
+    same matrix and spectrum under dims with the same product, after the
+    caller has checked those dims (as the CLI does for its
+    ``random-mixed`` pairs).
     Instances are immutable (the matrix and the spectrum are marked
     read-only) and safe to share between threads: two threads that read
     an unsolved spectrum at once both solve it, to the same bits. States

@@ -1,19 +1,32 @@
 """Factories for named states and seeded random ensembles.
 
-All constructors return validated :class:`DensityMatrix` values and
-raise :class:`ValidationError` for a parameter outside the family's
-range. The random families are deterministic functions of their seed:
+All constructors return :class:`DensityMatrix` values and raise
+:class:`ValidationError` for a parameter outside the family's range. Two
+routes build them. The named families whose spectrum is a closed form of
+their parameters (:func:`isotropic`, :func:`bell_diagonal`,
+:func:`example4`, :func:`max_entangled`) check their parameters and wrap
+the matrix directly: it is the matrix validation would store, and the
+parameter check proves what validation's spectrum would. Every other
+constructor goes through :func:`~weylsep.linalg.validate_density`. Either
+way the state has the same matrix and, once read, the same spectrum, byte
+for byte. The random families are deterministic functions of their seed:
 the same seed and parameters reproduce the output bit for bit, so results
 can be replicated across machines and implementations.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, ValidationError, validate_density
+from .linalg import (
+    POSITIVITY_TOL,
+    DensityMatrix,
+    ValidationError,
+    hermitian_part,
+    validate_density,
+)
 
 
 def max_entangled_ket(d: int) -> np.ndarray:
@@ -25,32 +38,67 @@ def max_entangled_ket(d: int) -> np.ndarray:
     return ket
 
 
+def _certified(m: np.ndarray, d: int) -> DensityMatrix:
+    """The ``d x d`` state of a family matrix that its parameters prove valid, unvalidated.
+
+    The caller has checked that m is the matrix validation would store
+    (Hermitian bit for bit, so its own Hermitian part, byte for byte),
+    that its trace is one, and, from the closed form of its spectrum, that
+    its smallest eigenvalue is at least ``-POSITIVITY_TOL``. The spectrum
+    is solved on first read by the ``eigvalsh`` validation would have run
+    on the same bytes.
+    """
+    m.flags.writeable = False
+    return DensityMatrix(m, (int(d), int(d)))
+
+
 def max_entangled(d: int) -> DensityMatrix:
-    """Projector onto the maximally entangled state of a d x d system."""
-    ket = max_entangled_ket(d)
-    return validate_density(np.outer(ket, ket.conj()), [d, d])
+    """Projector onto the maximally entangled state of a d x d system.
+
+    Its spectrum is 1 once and 0 ``d^2 - 1`` times. Every call shares one
+    read-only matrix per d, the one :func:`isotropic_matrix` mixes in.
+    """
+    return _certified(_isotropic_terms(d)[1], d)
 
 
 def isotropic(d: int, p: float) -> DensityMatrix:
     """Mixture of white noise and the maximally entangled state.
 
     ``(1-p)/d^2 * I + p * |psi+><psi+|`` with ``0 <= p <= 1``; separable
-    exactly for ``p <= 1/(d+1)``.
+    exactly for ``p <= 1/(d+1)``. The spectrum is ``p + (1-p)/d^2`` once
+    and ``(1-p)/d^2`` ``d^2 - 1`` times, so every p in [0, 1] gives a
+    state and the parameter check is the whole positivity rule. An int or
+    float p (np.float64 included) gives the state without validation; any
+    other p (a numpy array, an np.float32) is validated.
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
-    return validate_density(isotropic_matrix(d, p), [d, d])
+    m = isotropic_matrix(d, p)
+    return _certified(m, d) if isinstance(p, (int, float)) else validate_density(m, [d, d])
+
+
+# typed, so that a float d such as 2.0 fails as a dimension, as
+# max_entangled_ket makes it, instead of hitting the entry of np.int64(2)
+@lru_cache(maxsize=None, typed=True)
+def _isotropic_terms(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only complex ``I`` and ``|psi+><psi+|`` of a d x d system."""
+    ket = max_entangled_ket(d)
+    terms = np.eye(d * d, dtype=complex), np.outer(ket, ket.conj())
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 def isotropic_matrix(d: int, p) -> np.ndarray:
     """The unchecked :func:`isotropic` matrix, or a ``(..., d*d, d*d)`` stack for an array ``p``.
 
     Each matrix is Hermitian bit for bit: it equals its own
-    :func:`~weylsep.linalg.hermitian_part`, byte for byte.
+    :func:`~weylsep.linalg.hermitian_part`, byte for byte. The two terms
+    it mixes are built once per d and kept for the life of the process.
     """
-    ket = max_entangled_ket(d)
-    m = np.multiply.outer((1.0 - p) / (d * d), np.eye(d * d, dtype=complex))
-    m += np.multiply.outer(p, np.outer(ket, ket.conj()))
+    identity, projector = _isotropic_terms(d)
+    m = np.multiply.outer((1.0 - p) / (d * d), identity)
+    m += np.multiply.outer(p, projector)
     return m
 
 
@@ -64,13 +112,28 @@ _PAULI_PRODUCTS.flags.writeable = False
 def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     """Two-qubit state ``(I + t1 XX + t2 YY + t3 ZZ) / 4``.
 
-    Valid parameters form the tetrahedron with vertices (-1,-1,-1),
-    (-1,1,1), (1,-1,1), (1,1,-1); anything outside fails the positivity
-    check. Separable exactly when ``|t1| + |t2| + |t3| <= 1``.
+    Its spectrum is the four Bell weights ``(1 + s1 t1 + s2 t2 + s3 t3)/4``
+    over the sign vectors with ``s1 s2 s3 = -1`` (Horodecki and Horodecki,
+    PRA 54, 1838 (1996)), so valid parameters form the tetrahedron with
+    vertices (-1,-1,-1), (-1,1,1), (1,-1,1), (1,1,-1). Separable exactly
+    when ``|t1| + |t2| + |t3| <= 1``.
+
+    Non-finite parameters are rejected first. Int or float parameters whose
+    smallest Bell weight is at least ``-POSITIVITY_TOL`` give the state
+    without validation; that closed form differs from validation's
+    spectral rule only within round-off of ``-POSITIVITY_TOL``. Any other
+    parameters are validated, so every rejection (a non-finite entry, a
+    trace that round-off moved off one, a negative eigenvalue) keeps the
+    validation message and its spectral value.
     """
     if not np.all(np.isfinite([t1, t2, t3])):
         raise ValidationError(f"correlation parameters must be finite, got {(t1, t2, t3)}")
-    return validate_density(bell_diagonal_matrix(t1, t2, t3), [2, 2])
+    m = bell_diagonal_matrix(t1, t2, t3)
+    if all(isinstance(t, (int, float)) for t in (t1, t2, t3)):
+        a, b, c = float(t1), float(t2), float(t3)  # an overflow gives +-inf, with no warning
+        if min(1 + a - b + c, 1 - a + b + c, 1 + a + b - c, 1 - a - b - c) / 4 >= -POSITIVITY_TOL:
+            return _certified(m, 2)
+    return validate_density(m, [2, 2])
 
 
 def bell_diagonal_matrix(t1, t2, t3) -> np.ndarray:
@@ -117,7 +180,10 @@ def example4(p: float) -> DensityMatrix:
     ``|phi-> = (|01> - |10>) / sqrt(2)``; separable only at ``p = 0``.
     Bell-state names in this package: ``sum_i |ii> / sqrt(d)`` is written
     psi+ (see :func:`max_entangled_ket`) and the singlet is written phi-,
-    which swaps the usual textbook labels.
+    which swaps the usual textbook labels. The two projectors are
+    orthogonal, so the spectrum is ``p``, ``1-p``, 0 and 0, and every p in
+    [0, 1] gives a state. The state stores the Hermitian part of the
+    mixture, which fixes the signed zeros of the complex outer product.
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
@@ -126,7 +192,7 @@ def example4(p: float) -> DensityMatrix:
     phi[2] = -1.0 / np.sqrt(2.0)
     m = p * np.outer(phi, phi.conj())
     m[0, 0] += 1.0 - p
-    return validate_density(m, [2, 2])
+    return _certified(hermitian_part(m), 2)
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -394,3 +394,26 @@ def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
     subtracts m itself, where validation subtracts halves.
     """
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def isotropic_spectrum(d: int, p: float) -> np.ndarray:
+    """Ascending spectrum of ``(1-p) I/d^2 + p |psi+><psi+|``: one ``p + (1-p)/d^2``, the rest ``(1-p)/d^2``."""
+    noise = (1.0 - p) / (d * d)
+    return np.array([noise] * (d * d - 1) + [p + noise])
+
+
+def bell_weights(t) -> np.ndarray:
+    """Ascending spectrum of ``(I + t1 XX + t2 YY + t3 ZZ) / 4``.
+
+    One eigenvalue per Bell state: ``(1 + s . t) / 4`` over the sign
+    vectors with ``s1 s2 s3 = -1``. The Bell states diagonalize every Pauli
+    product, with the eigenvalue of XX, YY, ZZ on ``|00> + |11>`` being
+    ``(1, -1, 1)`` and the others following by a Pauli on one side.
+    """
+    signs = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+    return np.sort((1.0 + signs @ np.asarray(t, dtype=float)) / 4)
+
+
+def example4_spectrum(p: float) -> np.ndarray:
+    """Ascending spectrum of ``p |phi-><phi-| + (1-p) |00><00|``, two orthogonal projectors."""
+    return np.sort([0.0, 0.0, p, 1.0 - p])

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -11,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_corpus
 from oracles import matrix_entries_one_at_a_time, scan_one_row_at_a_time
 import weylsep
 from weylsep import bipartite, cli, states, validate_density, weyl
@@ -311,10 +310,43 @@ def test_every_public_name_resolves():
 
 def run_main(*args):
     """Run ``cli.main`` in-process; returns the exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(list(args))
-    return rc, out.getvalue(), err.getvalue()
+    return cli_corpus.run(args)
+
+
+def test_the_byte_identity_corpus_exits_cleanly(tmp_path):
+    # tests/cli_corpus.py lists the digests of these outputs; here every argv
+    # must end in success or an input error, never in a traceback
+    runs = cli_corpus.results(tmp_path)
+    assert len(runs) == len(cli_corpus.argvs()) >= 250
+    for argv, rc, out, err in runs:
+        assert rc in (0, 2) and "Traceback" not in err, (argv, rc, err)
+        assert err == "" if rc == 0 else err.splitlines()[-1].startswith(("error:", "weylsep")), argv
+
+
+#: Family specs the constructors reject, with the messages they gave when every
+#: family state was validated.
+_FAMILY_REJECTIONS = [
+    ("bell-diagonal:t=1,1,1", "negative eigenvalue -5.000e-01 below -1e-10"),
+    ("bell-diagonal:t=0.8,0.8,0", "negative eigenvalue -1.500e-01 below -1e-10"),
+    ("bell-diagonal:t=1e308,1e308,1e308", "matrix contains non-finite entries"),
+    ("bell-diagonal:t=nan,0,0", "correlation parameters must be finite, got (nan, 0.0, 0.0)"),
+    ("bell-diagonal:t=0,inf,0", "correlation parameters must be finite, got (0.0, inf, 0.0)"),
+    ("bell-diagonal:t=0,0,1e17", "trace is 0+0.000e+00j, expected 1"),
+    ("isotropic:d=3,p=-0.1", "mixing parameter must lie in [0, 1], got -0.1"),
+    ("isotropic:d=3,p=1.2", "mixing parameter must lie in [0, 1], got 1.2"),
+    ("isotropic:d=3,p=nan", "mixing parameter must lie in [0, 1], got nan"),
+    ("isotropic:d=1,p=0.5", "dimension must be >= 2, got 1"),
+    ("example4:p=-0.1", "mixing parameter must lie in [0, 1], got -0.1"),
+    ("example4:p=1.2", "mixing parameter must lie in [0, 1], got 1.2"),
+    ("example4:p=nan", "mixing parameter must lie in [0, 1], got nan"),
+    ("max-entangled:d=1", "dimension must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("command", ["check-sep", "decompose"])
+@pytest.mark.parametrize("spec, message", _FAMILY_REJECTIONS)
+def test_family_spec_rejections_keep_their_messages(command, spec, message):
+    assert run_main(command, "--state", spec, "--no-timestamp") == (2, "", f"error: {message}\n")
 
 
 #: Every subcommand, help, the version and three usage errors, with their exit codes.
@@ -609,19 +641,27 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
                                                        step, rows, ppt):
     dim = family[1] ** 2 if family[0] == "isotropic" else 4
     monkeypatch.setattr(cli, "SCAN_BLOCK_BYTES", rows * 16 * dim**2)
-    built, validated = [], []
-    build = cli.isotropic_matrix if family[0] == "isotropic" else cli.bell_diagonal_matrix
+    events = []
+    isotropic = family[0] == "isotropic"
+    make = cli.isotropic if isotropic else cli.bell_diagonal
+    build = cli.isotropic_matrix if isotropic else cli.bell_diagonal_matrix
     validate = states.validate_density
-    monkeypatch.setattr(
-        cli, build.__name__, lambda *args: built.append(len(args[-1])) or build(*args)
-    )
-    monkeypatch.setattr(
-        states, "validate_density", lambda m, dims: validated.append(m.shape) or validate(m, dims)
-    )
+
+    def record(event, fn):
+        return lambda *args, **kwargs: events.append(event(args)) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, make.__name__, record(lambda args: "make", make))
+    monkeypatch.setattr(cli, build.__name__, record(lambda args: len(args[-1]), build))
+    monkeypatch.setattr(cli, "open", record(lambda args: "open", open), raising=False)
+    monkeypatch.setattr(states, "validate_density", record(lambda args: "validate", validate))
     path = tmp_path / "scan.csv"
     assert run_main(*_scan_argv(family, start, stop, step, ppt, out=str(path))) == (0, "", "")
-    # only the two end points are validated; every row is built in blocks of the capped size
-    assert validated == [(dim, dim)] * 2
+    # the family constructors check the two end points, in closed form and
+    # without validation, before --out is opened; no row is validated, and
+    # every row is built in blocks of the capped size
+    assert events[:3] == ["make", "make", "open"]
+    built = events[3:]
+    assert all(isinstance(rows_built, int) for rows_built in built)
     expected = _one_row_at_a_time(family, start, stop, step, ppt)
     assert path.read_bytes() == expected.encode()
     assert len(built) >= 3 and set(built[:-1]) == {rows}
@@ -724,9 +764,18 @@ def test_the_commands_run_without_scipy(tmp_path):
         (("check-tele", "--state", "isotropic:d=5,p=0.5", "--seed", "1"), 1),
         (("decompose", "--state", "random-mixed:da=5,db=5,rank=5,seed=2"), 0),
         (("check-sep", "--state", "random-mixed:da=3,db=6,rank=3,seed=1"), 1),
+        # the named families are not validated: eigvalsh runs only for the
+        # PPT test's partial transpose or for the FEF cap's spectrum
+        (("check-sep", "--state", "isotropic:d=3,p=0.3"), 1),
+        (("decompose", "--state", "bell-diagonal:t=0.2,0.2,0.2"), 0),
+        (("check-tele", "--state", "example4:p=0.8", "--seed", "1"), 1),
+        # one stacked solve for the ppt_min_eig column, none for the end points
+        (("scan", "--family", "isotropic", "--d", "3", "--from", "0", "--to", "1", "--step",
+          "0.5", "--ppt", "--out", "-"), 1),
     ],
     ids=["check-tele", "decompose-pair", "check-sep-ppt", "check-tele-5x5", "decompose-5x5",
-         "check-sep-3x6"],
+         "check-sep-3x6", "check-sep-isotropic", "decompose-bell-diagonal", "check-tele-example4",
+         "scan-ppt"],
 )
 def test_one_spectrum_per_state(monkeypatch, args, solves):
     calls = []
@@ -737,7 +786,7 @@ def test_one_spectrum_per_state(monkeypatch, args, solves):
         return eigvalsh(*a, **kw)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    rc, out, err = run_main(*args, "--no-timestamp")
+    rc, out, err = run_main(*args, *(() if args[0] == "scan" else ("--no-timestamp",)))
     assert (rc, err) == (0, "")
     assert len(calls) == solves
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import bell_weights, example4_spectrum, isotropic_spectrum
 from weylsep import (
     ENTANGLED,
     NotPositiveSemidefiniteError,
+    ValidationError,
+    WrongTraceError,
     bloch_length,
     decompose,
     decompose_bipartite,
@@ -30,6 +33,7 @@ from weylsep.states import (
     random_product_pure,
     random_separable,
 )
+from weylsep.linalg import validate_density
 
 
 def test_isotropic_limits():
@@ -301,7 +305,7 @@ def test_haar_unitary_is_the_rephased_qr_of_one_ginibre_draw():
 
 
 def test_all_factories_validate():
-    # constructors go through validation; spot-check dims metadata
+    # every constructor, validated or certified in closed form, sets the dims
     assert isotropic(2, 0.5).dims == (2, 2)
     assert bell_diagonal(0.2, 0.2, 0.2).dims == (2, 2)
     assert max_entangled(4).dims == (4, 4)
@@ -310,3 +314,121 @@ def test_all_factories_validate():
     assert random_mixed(5, 3, seed=1).dims == (5,)
     assert random_separable(2, 3, 2, seed=1).dims == (2, 3)
     assert random_product_pure(2, 2, seed=1).dims == (2, 2)
+
+
+_TETRAHEDRON = np.array([(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)], dtype=float)
+
+
+def _bell_points():
+    """Points of the tetrahedron: its vertices, edges, faces and inside, as convex weights."""
+    rng = np.random.default_rng(26)
+    weights = list(np.eye(4)) + [np.full(4, 0.25)]
+    for zeros in (2, 1, 0):  # edges, faces, inside
+        for _ in range(60):
+            w = rng.dirichlet(np.ones(4))
+            w[rng.permutation(4)[:zeros]] = 0.0
+            weights.append(w / w.sum())
+    return [tuple((w @ _TETRAHEDRON).tolist()) for w in weights]
+
+
+def _family_states():
+    """``(state, matrix it is built from, closed-form spectrum)`` for each named family."""
+    for d in range(2, 9):
+        for p in (0.0, 1.0 / (d + 1), 1.0, 0.37):
+            yield isotropic(d, p), isotropic_matrix(d, p), isotropic_spectrum(d, p)
+        yield max_entangled(d), isotropic_matrix(d, 1.0), isotropic_spectrum(d, 1.0)
+    for p in np.linspace(0.0, 1.0, 21).tolist():
+        yield example4(p), None, example4_spectrum(p)
+    for t in _bell_points():
+        yield bell_diagonal(*t), bell_diagonal_matrix(*t), bell_weights(t)
+
+
+def test_named_families_are_what_validation_returns():
+    # the families skip validation: each state must be a fixed point of it,
+    # the validation of the matrix it was built from, and read-only
+    for rho, built, spectrum in _family_states():
+        checked = validate_density(rho.matrix, rho.dims)
+        assert checked.dims == rho.dims and not rho.matrix.flags.writeable
+        assert checked.matrix.tobytes() == rho.matrix.tobytes()
+        assert checked.matrix.strides == rho.matrix.strides
+        if built is not None:
+            assert validate_density(built, rho.dims).matrix.tobytes() == rho.matrix.tobytes()
+        assert checked.spectrum.tobytes() == rho.spectrum.tobytes()
+        np.testing.assert_allclose(rho.spectrum, spectrum, rtol=0, atol=1e-15)
+
+
+def test_named_families_take_numpy_parameters_as_python_ones():
+    for d in (np.int64(3), 3):
+        assert isotropic(d, np.float64(0.3)).matrix.tobytes() == isotropic(3, 0.3).matrix.tobytes()
+        assert max_entangled(d).dims == (3, 3) and type(max_entangled(d).dims[0]) is int
+    # a 0-d array or a float32 is validated, to the same state
+    assert isotropic(2, np.array(0.3)).matrix.tobytes() == isotropic(2, 0.3).matrix.tobytes()
+    t = np.float32(0.25)
+    assert bell_diagonal(t, t, t).matrix.tobytes() == bell_diagonal(0.25, 0.25, 0.25).matrix.tobytes()
+
+
+# messages of validation, from before the families skipped it
+_REJECTIONS = [
+    (bell_diagonal, (1, 1, 1), NotPositiveSemidefiniteError,
+     "negative eigenvalue -5.000e-01 below -1e-10"),
+    (bell_diagonal, (0.8, 0.8, 0), NotPositiveSemidefiniteError,
+     "negative eigenvalue -1.500e-01 below -1e-10"),
+    (bell_diagonal, (1e300, -1e300, 0), NotPositiveSemidefiniteError,
+     "negative eigenvalue -5.000e+299 below -1e-10"),
+    (bell_diagonal, (0, 0, 3e6), NotPositiveSemidefiniteError,
+     "negative eigenvalue -7.500e+05 below -1e-10"),
+    (bell_diagonal, (1e308, 1e308, 1e308), ValidationError, "matrix contains non-finite entries"),
+    (bell_diagonal, (0, 0, 1e17), WrongTraceError, "trace is 0+0.000e+00j, expected 1"),
+    (bell_diagonal, (float("nan"), 0, 0), ValidationError,
+     "correlation parameters must be finite, got (nan, 0, 0)"),
+    (bell_diagonal, (0, float("inf"), 0), ValidationError,
+     "correlation parameters must be finite, got (0, inf, 0)"),
+    (bell_diagonal, (0.1j, 0, 0), ValidationError,
+     "not Hermitian: max |m - m^dag| = 5.000e-02 exceeds 1e-10"),
+    (isotropic, (3, -0.1), ValidationError, "mixing parameter must lie in [0, 1], got -0.1"),
+    (isotropic, (3, 1.2), ValidationError, "mixing parameter must lie in [0, 1], got 1.2"),
+    (isotropic, (3, float("nan")), ValidationError, "mixing parameter must lie in [0, 1], got nan"),
+    (isotropic, (1, 0.5), ValidationError, "dimension must be >= 2, got 1"),
+    (isotropic, (True, 0.5), ValidationError, "dimension must be >= 2, got True"),
+    (isotropic, (2, np.array([0.5])), ValidationError,
+     "expected a square matrix, got shape (1, 4, 4)"),
+    (example4, (-0.1,), ValidationError, "mixing parameter must lie in [0, 1], got -0.1"),
+    (example4, (1.2,), ValidationError, "mixing parameter must lie in [0, 1], got 1.2"),
+    (example4, (float("nan"),), ValidationError, "mixing parameter must lie in [0, 1], got nan"),
+    (max_entangled, (1,), ValidationError, "dimension must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("make, args, error, message", _REJECTIONS)
+def test_named_family_rejections_keep_their_messages(make, args, error, message):
+    with pytest.raises(error) as info:
+        make(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make", [isotropic, max_entangled])
+def test_a_float_dimension_fails_after_its_integer_was_cached(make):
+    # an untyped cache keys np.int64(2) and 2.0 alike
+    args = (0.5,) if make is isotropic else ()
+    make(np.int64(2), *args)
+    with pytest.raises(TypeError):
+        make(2.0, *args)
+
+
+@pytest.mark.parametrize("face", range(4))
+def test_bell_weight_boundary_is_the_spectral_rule(face):
+    # a point of one face, moved outward along its normal until its Bell
+    # weight is w: rejected at -2e-10, accepted at -5e-11, as by the spectrum
+    rng = np.random.default_rng(face)
+    w = rng.dirichlet(np.ones(4))
+    w[face] = 0.0
+    point = w / w.sum() @ _TETRAHEDRON
+    vertex = _TETRAHEDRON[face]  # its Bell weight is (1 + vertex . t) / 4, 0 on the face
+    for weight, accepted in ((-2e-10, False), (-5e-11, True)):
+        t = (point + 4 * weight / 3 * vertex).tolist()
+        assert bell_weights(t)[0] == pytest.approx(weight, rel=1e-3)
+        if accepted:
+            assert bell_diagonal(*t).dims == (2, 2)
+        else:
+            with pytest.raises(NotPositiveSemidefiniteError, match="negative eigenvalue -2.0"):
+                bell_diagonal(*t)
