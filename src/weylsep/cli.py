@@ -15,10 +15,13 @@ before anything is allocated, as are the ``random-separable`` mixture size
 (``[1, MAX_MIXTURE]``), the ``check-tele --budget`` (``[1, MAX_BUDGET]``)
 and the ``scan`` row count (:data:`MAX_SCAN_ROWS`). The ``--state``
 families and keys are the tables :data:`FAMILIES` and ``_KEYS``.
-Reports are JSON on stdout; identical invocations (including ``--seed``)
-are byte-identical apart from the timestamp, which ``--no-timestamp``
-removes, on the same numpy and BLAS build with the same number of BLAS
-threads. Seeds are never read from the environment.
+Reports are JSON on stdout: byte for byte ``json.dumps(report, indent=2)``
+and a newline, written by :func:`weylsep.fileio.json_text` (the
+:mod:`weylsep.fileio` docstring names the values it leaves to ``json``'s
+own encoder). Identical invocations (including ``--seed``) are
+byte-identical apart from the timestamp, which ``--no-timestamp`` removes,
+on the same numpy and BLAS build with the same number of BLAS threads.
+Seeds are never read from the environment.
 
 :func:`main` may be called many times in one process. The calls share one
 parser, which :func:`build_parser` builds on the first call and never at
@@ -34,7 +37,6 @@ import contextlib
 import csv
 import dataclasses
 import functools
-import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -53,7 +55,7 @@ from .bipartite import (
     weyl_separability_criterion,
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
-from .fileio import load_state, matrix_entries
+from .fileio import json_text, load_state, matrix_entries
 from .linalg import DensityMatrix, ValidationError
 from .states import (
     bell_diagonal,
@@ -234,7 +236,7 @@ def _report_header(args, descriptor: dict) -> dict:
 
 
 def _emit(report) -> None:
-    print(json.dumps(report, indent=2))
+    print(json_text(report))
 
 
 def _residual(rebuilt: np.ndarray, rho: DensityMatrix) -> float:

@@ -303,15 +303,20 @@ def detection_operator(u: np.ndarray) -> DetectionOperator:
 
 
 def mean_value(rho: DensityMatrix, op: DetectionOperator) -> float:
-    """``Tr(rho O_U)`` as the O(D^2) sum ``sum_ij rho[i, j] O[j, i]``, checked to be real.
+    """``Tr(rho O_U)`` as the O(D^2) sum ``np.vdot(O, rho)``, checked to be real.
 
-    It reads the built operator, so it stays a route independent of the search.
+    ``np.vdot`` gives ``sum_ij conj(O[i, j]) rho[i, j]``, which equals
+    ``Tr(rho O)`` for a Hermitian ``O``, as every built operator is. For a
+    non-Hermitian ``O`` it gives the conjugate of ``Tr(rho O)``, so the real
+    part and the ``|imag|`` check are the same. An inf entry gives
+    ``nan+nanj`` without a numpy warning and fails the check. It reads the
+    built operator, so it stays a route independent of the search.
     """
     if rho.dims != (op.d, op.d):
         raise DimensionMismatchError(
             f"state dims {rho.dims} do not match operator dimension {op.d}x{op.d}"
         )
-    val = complex((rho.matrix * op.matrix.T).sum())
+    val = complex(np.vdot(op.matrix, rho.matrix))
     if not abs(val.imag) <= MEAN_IMAG_TOL:
         raise ArithmeticError(
             f"mean value has imaginary part {val.imag:.3e}; operator is broken"

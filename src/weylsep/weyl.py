@@ -69,7 +69,9 @@ class WeylBasis:
         return [(n, m) for n in range(self.d) for m in range(self.d)]
 
 
-@lru_cache(maxsize=None)
+# typed, as every cache here is, so that a result does not depend on what
+# was cached before: a float d such as 2.0 fails even after np.int64(2)
+@lru_cache(maxsize=None, typed=True)
 def weyl_basis(d: int) -> WeylBasis:
     """Construct and cache the full basis for dimension d."""
     if d < 2:
@@ -79,7 +81,7 @@ def weyl_basis(d: int) -> WeylBasis:
     return WeylBasis(d, ops)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclic_index(da: int, db: int = 1) -> np.ndarray:
     """Flat positions of ``M[(a, b), ((a+m1) mod da, (b+m2) mod db)]``.
 
@@ -96,7 +98,7 @@ def cyclic_index(da: int, db: int = 1) -> np.ndarray:
     return index
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fourier(d: int) -> np.ndarray:
     """Read-only DFT matrix ``F[n, k] = exp(-2j*pi*n*k/d)``."""
     ks = np.arange(d)
@@ -137,7 +139,7 @@ def weyl_assemble(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hermitian_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Hermitian Weyl basis of dimension d: the sparse rows of a unitary P.
 

@@ -21,7 +21,10 @@ and twelve usage and input errors. The rest exercise the four named
 families that build their states in closed form: isotropic at d = 2-8
 with p at 0, 1/(d+1) and 1, Bell-diagonal points at the vertices, edges
 and faces of the tetrahedron and just outside it, example4 over [0, 1],
-max-entangled at d = 2-8, and every family rejection.
+max-entangled at d = 2-8, and every family rejection. The last three are
+long reports, for the JSON writer: ``basis --d 8``, ``decompose`` on a
+full-rank 6x6 random-mixed pair and ``check-tele`` on a full-rank d = 5
+state.
 """
 
 from __future__ import annotations
@@ -142,6 +145,12 @@ def argvs() -> list[list[str]]:
          "--step", "0.01", "--out", "-"],
         ["scan", "--family", "isotropic", "--d", "3", "--from", "0", "--to", "1.5", "--step",
          "0.5", "--out", "-"],
+    ]
+    out += [
+        ["basis", "--d", "8"],
+        _report("decompose", "--state", "random-mixed:da=6,db=6,rank=36,seed=5"),
+        _report("check-tele", "--state", "random-mixed:da=5,db=5,rank=25,seed=6", "--seed", "4",
+                "--budget", "8"),
     ]
     return out
 

@@ -323,6 +323,17 @@ def test_the_byte_identity_corpus_exits_cleanly(tmp_path):
         assert err == "" if rc == 0 else err.splitlines()[-1].startswith(("error:", "weylsep")), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--state", "random-mixed:da=8,db=8,rank=64,seed=3", "--no-timestamp"),
+    ("basis", "--d", "4"),
+    ("check-tele", "--state", "isotropic:d=3,p=0.5", "--seed", "2", "--budget", "8"),
+], ids=lambda argv: argv[0])
+def test_reports_are_json_dumps_with_indent_two(argv):
+    rc, out, err = run_main(*argv)
+    assert (rc, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 #: Family specs the constructors reject, with the messages they gave when every
 #: family state was validated.
 _FAMILY_REJECTIONS = [

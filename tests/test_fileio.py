@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import hermiticity_defect, matrix_entries_one_at_a_time
 from weylsep import (
@@ -10,7 +12,7 @@ from weylsep import (
     decompose_bipartite,
     validate_density,
 )
-from weylsep.fileio import MATRIX_FORMAT, load_state, matrix_entries, save_state
+from weylsep.fileio import MATRIX_FORMAT, json_text, load_state, matrix_entries, save_state
 from weylsep.states import isotropic, random_mixed
 
 
@@ -50,6 +52,54 @@ def test_matrix_entries_serialize_as_the_entrywise_loop():
         assert json.dumps(entries) == json.dumps(matrix_entries_one_at_a_time(a))
         assert all(type(x) is float for pair in entries for x in pair)
     assert json.dumps(matrix_entries(m[0, :1])) == "[[-0.0, -0.0]]"
+
+
+_FLOATS = st.one_of(
+    st.floats(),  # nan, +-inf and subnormals among them
+    st.sampled_from([-0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 1e-4, 1.7976931348623157e308]),
+)
+_SCALARS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),  # a float subclass, written by float.__repr__
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),  # non-ASCII and control characters among them
+    st.sampled_from(["", "\x00\n\t\"\\", "\u00e9\u2028\U0001f600", "nan", "\n"]),
+)
+_KEYS = st.one_of(st.text(), st.integers(), _FLOATS, st.booleans(), st.none())
+# [re, im] pairs, now and then with a member that is not a float
+_PAIRS = st.lists(st.lists(st.one_of(_FLOATS, _FLOATS, _FLOATS, _SCALARS), min_size=2, max_size=2))
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, st.lists(_FLOATS), _PAIRS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(value=_VALUES)
+@example(value={"entries": [[0.5, -0.0], [1e16, float("nan")], [1, 2.0]], "dims": [2, 3]})
+@example(value=[[0.0, 1.0], (2.0, 3.0), [4.0, 5.0, 6.0]])
+@example(value=[{1.0: "a", 2.0: "b"}, {2.5: None, -1.0: True}])
+@example(value={"a": {}, "b": [], "c": (), "d": [[]], "e": {"": [{}]}})
+def test_json_text_is_json_dumps_with_indent_two(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_save_state_writes_json_dumps_with_indent_two(tmp_path):
+    path = tmp_path / "state.json"
+    pair = validate_density(random_mixed(6, 3, seed=2).matrix, [2, 3])
+    for rho in (isotropic(3, 0.4), pair, validate_density(np.eye(2) / 2, [2])):
+        save_state(path, rho)
+        payload = {"format": MATRIX_FORMAT, "dims": list(rho.dims),
+                   "entries": matrix_entries(rho.matrix)}
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_load_rejects_wrong_format_tag(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -138,9 +139,24 @@ def test_mean_value_rejects_a_nan_operator():
         mean_value(max_entangled(2), op)
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_mean_value_rejects_an_inf_operator_without_a_warning(entry, where):
+    # inf times a zero entry of the state warned in the elementwise product
+    # before the check could run
+    matrix = np.eye(4, dtype=complex)
+    matrix[where] = entry
+    op = teleport.DetectionOperator(2, np.eye(2), matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=r"^mean value has imaginary part (nan|-inf); "):
+            mean_value(isotropic(2, 0.5), op)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_detection_path_matches_the_numpy_wrappers_bit_for_bit(d):
-    # np.outer, np.eye and np.sum forms of the operator, the defect and the mean
+    # np.outer and np.eye forms of the operator and the defect, bit for bit,
+    # and the np.sum form of the mean, to round-off: np.vdot sums in another order
     for seed in range(12):
         u = haar_unitary(d, seed=(d, seed))
         v = u.reshape(-1)
@@ -150,7 +166,8 @@ def test_detection_path_matches_the_numpy_wrappers_bit_for_bit(d):
             np.max(np.abs(u @ u.conj().T - np.eye(d)))
         )
         rho = dataclasses.replace(random_mixed(d * d, 1 + seed % (d * d), seed), dims=(d, d))
-        assert mean_value(rho, op) == float(complex(np.sum(rho.matrix * op.matrix.T)).real)
+        reference = float(complex(np.sum(rho.matrix * op.matrix.T)).real)
+        assert abs(mean_value(rho, op) - reference) <= 16 * d * d * np.finfo(float).eps
 
 
 def test_mean_value_on_max_entangled():

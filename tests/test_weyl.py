@@ -152,6 +152,24 @@ def test_basis_is_cached_and_read_only():
         basis.ops[0, 0, 0] = 0.0
 
 
+def test_a_float_dimension_fails_whatever_was_cached_before():
+    # an untyped cache keys np.int64(2) and 2.0 alike, so 2.0 raised in a
+    # fresh process and returned the d = 2 basis after np.int64(2)
+    with pytest.raises(TypeError):
+        weyl_basis(2.0)
+    assert weyl_basis(np.int64(2)).ops.tobytes() == weyl_basis(2).ops.tobytes()
+    with pytest.raises(TypeError):
+        weyl_basis(2.0)
+    assert weyl_basis.cache_info().misses >= 2  # the benchmark reads the counters
+
+
+@pytest.mark.parametrize(
+    "cached, args", [(fourier, (3,)), (cyclic_index, (2, 3)), (hermitian_rows, (3,))]
+)
+def test_caches_keep_numpy_integers_and_floats_apart(cached, args):
+    assert cached(*map(np.int64, args)) is not cached(*map(float, args))
+
+
 def test_indices_reduce_modulo_d():
     np.testing.assert_allclose(weyl_op(3, 4, 5), weyl_op(3, 1, 2), atol=1e-15)
 
