@@ -61,7 +61,7 @@ from .teleport import (
     optimal_fidelity,
     teleportation_verdict,
 )
-from .weyl import WeylBasis, weyl_basis, weyl_dagger_index, weyl_op
+from .weyl import WeylBasis, weyl_basis, weyl_op
 
 __version__ = "0.1.0"
 
@@ -112,7 +112,6 @@ __all__ = [
     "teleportation_verdict",
     "validate_density",
     "weyl_basis",
-    "weyl_dagger_index",
     "weyl_op",
     "weyl_separability_criterion",
 ]

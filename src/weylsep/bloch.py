@@ -34,18 +34,12 @@ from .weyl import weyl_assemble, weyl_coefficients
 class BlochVector:
     """Coefficients over the non-identity Weyl operators, lexicographic order.
 
+    The coefficient of ``W(n, m)`` is ``coeffs[weyl_basis(d).index(n, m) - 1]``.
     :func:`decompose` marks ``coeffs`` read-only.
     """
 
     d: int
     coeffs: np.ndarray
-
-    def coefficient(self, n: int, m: int) -> complex:
-        """Coefficient at index (n, m); (0, 0) is excluded by construction."""
-        k = (n % self.d) * self.d + (m % self.d)
-        if k == 0:
-            raise ValueError("the identity component is fixed at 1/d and not stored")
-        return complex(self.coeffs[k - 1])
 
 
 def decompose(rho: DensityMatrix) -> BlochVector:

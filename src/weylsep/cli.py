@@ -296,14 +296,7 @@ def cmd_decompose(args) -> int:
 def cmd_check_sep(args) -> int:
     rho, descriptor = _load_input(args)
     summary = _bipartite_summary(rho)
-    verdicts = [weyl_separability_criterion(rho)]
-    # PPT runs only when a factor has at most 3 levels, a rule as old as the
-    # command and with no recorded reason. Run at every size, it would take
-    # 6% (4x4), 13% (6x6) and 21% (8x8) of this command's in-process time on
-    # a random full-rank state with one BLAS thread: 0.02, 0.09 and 0.3 ms,
-    # against about 80 ms to start the interpreter.
-    if min(rho.dims) <= 3:
-        verdicts.append(ppt_criterion(rho))
+    verdicts = [weyl_separability_criterion(rho), ppt_criterion(rho)]
     report = _report_header(args, descriptor)
     report["decomposition"] = summary
     report["verdicts"] = [dict(vars(v)) for v in verdicts]

@@ -9,13 +9,19 @@ the matrix directly: it is the matrix validation would store, and the
 parameter check proves what validation's spectrum would. Every other
 constructor goes through :func:`~weylsep.linalg.validate_density`. Either
 way the state has the same matrix and, once read, the same spectrum, byte
-for byte. The random families are deterministic functions of their seed:
-the same seed and parameters reproduce the output bit for bit, so results
-can be replicated across machines and implementations.
+for byte. The real parameters of the named families (not the dimension)
+may be Python or numpy real scalars or 0-d real arrays; each is made a
+Python float once, on entry, so an ``np.float32`` p builds the state of
+``float(p)``, byte for byte. Anything else, a complex number, a string or
+an array of more than one element, raises :class:`ValidationError`
+naming the value. The random families are deterministic functions of
+their seed: the same seed and parameters reproduce the output bit for
+bit, so results can be replicated across machines and implementations.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache, lru_cache
 
 import numpy as np
@@ -52,6 +58,30 @@ def _certified(m: np.ndarray, d: int) -> DensityMatrix:
     return DensityMatrix(m, (int(d), int(d)))
 
 
+#: The scalar types a family parameter may have, besides a 0-d array holding one.
+_REAL_SCALARS = (float, int, np.floating, np.integer)
+
+
+def _real(value, name: str) -> float:
+    """A family parameter as a Python float, which the closed forms' proofs assume.
+
+    Python and numpy real scalars and 0-d real arrays are accepted; an
+    ``np.float32`` is widened exactly, so ``1.0 - p`` is then a float64
+    operation, and an int beyond the float range becomes +-inf, as IEEE
+    rounding would make it. Anything else raises :class:`ValidationError`
+    naming it.
+    """
+    x = value
+    if not isinstance(x, _REAL_SCALARS) and isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x[()]
+    if not isinstance(x, _REAL_SCALARS):
+        raise ValidationError(f"{name} must be a real scalar, got {value!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto the maximally entangled state of a d x d system.
 
@@ -67,14 +97,13 @@ def isotropic(d: int, p: float) -> DensityMatrix:
     ``(1-p)/d^2 * I + p * |psi+><psi+|`` with ``0 <= p <= 1``; separable
     exactly for ``p <= 1/(d+1)``. The spectrum is ``p + (1-p)/d^2`` once
     and ``(1-p)/d^2`` ``d^2 - 1`` times, so every p in [0, 1] gives a
-    state and the parameter check is the whole positivity rule. An int or
-    float p (np.float64 included) gives the state without validation; any
-    other p (a numpy array, an np.float32) is validated.
+    state and the parameter check is the whole positivity rule: every
+    accepted p, made a float on entry, gives the state without validation.
     """
-    if not 0.0 <= p <= 1.0:
+    x = _real(p, "mixing parameter")
+    if not 0.0 <= x <= 1.0:
         raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
-    m = isotropic_matrix(d, p)
-    return _certified(m, d) if isinstance(p, (int, float)) else validate_density(m, [d, d])
+    return _certified(isotropic_matrix(d, x), d)
 
 
 # typed, so that a float d such as 2.0 fails as a dimension, as
@@ -118,21 +147,22 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     vertices (-1,-1,-1), (-1,1,1), (1,-1,1), (1,1,-1). Separable exactly
     when ``|t1| + |t2| + |t3| <= 1``.
 
-    Non-finite parameters are rejected first. Int or float parameters whose
-    smallest Bell weight is at least ``-POSITIVITY_TOL`` give the state
-    without validation; that closed form differs from validation's
-    spectral rule only within round-off of ``-POSITIVITY_TOL``. Any other
-    parameters are validated, so every rejection (a non-finite entry, a
-    trace that round-off moved off one, a negative eigenvalue) keeps the
-    validation message and its spectral value.
+    Each parameter is made a float on entry, and non-finite ones are
+    rejected first. Parameters whose smallest Bell weight is at least
+    ``-POSITIVITY_TOL`` give the state without validation; that closed
+    form differs from validation's spectral rule only within round-off of
+    ``-POSITIVITY_TOL``. The others are validated, so every rejection (a
+    non-finite entry, a trace that round-off moved off one, a negative
+    eigenvalue) keeps the validation message and its spectral value.
     """
-    if not np.all(np.isfinite([t1, t2, t3])):
+    name = "correlation parameter"
+    a, b, c = _real(t1, name), _real(t2, name), _real(t3, name)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValidationError(f"correlation parameters must be finite, got {(t1, t2, t3)}")
-    m = bell_diagonal_matrix(t1, t2, t3)
-    if all(isinstance(t, (int, float)) for t in (t1, t2, t3)):
-        a, b, c = float(t1), float(t2), float(t3)  # an overflow gives +-inf, with no warning
-        if min(1 + a - b + c, 1 - a + b + c, 1 + a + b - c, 1 - a - b - c) / 4 >= -POSITIVITY_TOL:
-            return _certified(m, 2)
+    m = bell_diagonal_matrix(a, b, c)
+    # a float overflow here gives +-inf, with no warning
+    if min(1 + a - b + c, 1 - a + b + c, 1 + a + b - c, 1 - a - b - c) / 4 >= -POSITIVITY_TOL:
+        return _certified(m, 2)
     return validate_density(m, [2, 2])
 
 
@@ -182,16 +212,18 @@ def example4(p: float) -> DensityMatrix:
     psi+ (see :func:`max_entangled_ket`) and the singlet is written phi-,
     which swaps the usual textbook labels. The two projectors are
     orthogonal, so the spectrum is ``p``, ``1-p``, 0 and 0, and every p in
-    [0, 1] gives a state. The state stores the Hermitian part of the
-    mixture, which fixes the signed zeros of the complex outer product.
+    [0, 1], made a float on entry, gives a state. The state stores the
+    Hermitian part of the mixture, which fixes the signed zeros of the
+    complex outer product.
     """
-    if not 0.0 <= p <= 1.0:
+    x = _real(p, "mixing parameter")
+    if not 0.0 <= x <= 1.0:
         raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
     phi = np.zeros(4, dtype=complex)
     phi[1] = 1.0 / np.sqrt(2.0)
     phi[2] = -1.0 / np.sqrt(2.0)
-    m = p * np.outer(phi, phi.conj())
-    m[0, 0] += 1.0 - p
+    m = x * np.outer(phi, phi.conj())
+    m[0, 0] += 1.0 - x
     return _certified(hermitian_part(m), 2)
 
 

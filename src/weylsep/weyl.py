@@ -34,17 +34,6 @@ def weyl_op(d: int, n: int, m: int) -> np.ndarray:
     return w
 
 
-def weyl_dagger_index(d: int, n: int, m: int) -> tuple[complex, tuple[int, int]]:
-    """Phase and index pair with ``W(n, m)^dag == phase * W(idx2)``.
-
-    The phase is ``exp(2j*pi*n*m/d)``, the conjugate of ``fourier(d)[n, m]``,
-    and ``idx2 = (-n mod d, -m mod d)``.
-    """
-    n %= d
-    m %= d
-    return complex(fourier(d)[n, m].conj()), ((-n) % d, (-m) % d)
-
-
 @dataclass(frozen=True, eq=False)
 class WeylBasis:
     """All d^2 Weyl operators, lexicographic in (n, m), identity first.
@@ -143,10 +132,11 @@ def weyl_assemble(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
 def hermitian_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Hermitian Weyl basis of dimension d: the sparse rows of a unitary P.
 
-    ``H_k = sum_s P[k, s] W_s^dag`` is Hermitian for every k. ``W_s^dag`` and
-    ``W_{-s}^dag`` are each other's adjoints up to the phase
-    ``F_s = fourier(d)[n, m]``, the conjugate of :func:`weyl_dagger_index`'s,
-    so for each pair ``s < -s`` (lexicographic positions)
+    ``H_k = sum_s P[k, s] W_s^dag`` is Hermitian for every k. For
+    ``s = (n, m)`` and ``-s = (-n mod d, -m mod d)``, ``W_s^dag`` equals
+    ``exp(2j*pi*n*m/d) W_{-s}``, so ``W_s^dag`` and ``W_{-s}^dag`` are each
+    other's adjoints up to the phase ``F_s = fourier(d)[n, m]``, and for
+    each pair ``s < -s`` (lexicographic positions)
 
         H_s = (W_s^dag + F_s W_{-s}^dag) / sqrt(2),
         H_{-s} = i (W_s^dag - F_s W_{-s}^dag) / sqrt(2),

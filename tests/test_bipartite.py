@@ -202,9 +202,37 @@ def test_product_test_rejects_entangled_pure_states():
         assert product_test(rho) is None
 
 
-def test_product_test_rejects_mixed_input():
-    with pytest.raises(ValueError, match="pure"):
-        product_test(_random_bipartite(2, 2, 4, seed=8))
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 4), (4, 4), (5, 3)])
+def test_product_test_accepts_mixed_products(da, db):
+    # rho = rho_A (x) rho_B exactly when L = alpha beta^T, for mixed states too
+    from weylsep.bloch import BlochVector
+
+    rho_a, rho_b = random_mixed(da, da, seed=da), random_mixed(db, 2, seed=10 + db)
+    rho = validate_density(np.kron(rho_a.matrix, rho_b.matrix), [da, db])
+    result = product_test(rho)
+    assert result is not None
+    alpha, beta = result
+    assert np.max(np.abs(reconstruct(BlochVector(da, alpha)) - rho_a.matrix)) <= 1e-12
+    assert np.max(np.abs(reconstruct(BlochVector(db, beta)) - rho_b.matrix)) <= 1e-12
+    assert np.max(np.abs(reconstruct(BlochVector(da, alpha)) - partial_trace(rho, 0).matrix)) <= 1e-12
+
+
+def test_product_test_rejects_a_mixed_correlated_state():
+    assert product_test(_random_bipartite(2, 3, 6, seed=8)) is None
+
+
+@pytest.mark.parametrize("da, db", [(1, 4), (3, 1)])
+def test_product_test_with_a_one_level_factor(da, db):
+    # the correlation matrix is empty, so the state is the product of its marginals
+    from weylsep.bloch import BlochVector
+
+    rho = random_product_pure(da, db, 1)
+    result = product_test(rho)
+    assert result is not None
+    alpha, beta = result
+    assert (alpha.shape, beta.shape) == ((da * da - 1,), (db * db - 1,))
+    d, coeffs = (db, beta) if da == 1 else (da, alpha)
+    assert np.max(np.abs(reconstruct(BlochVector(d, coeffs)) - rho.matrix)) <= 1e-12
 
 
 def test_reconstruct_bipartite_zero_coefficients():

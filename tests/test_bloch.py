@@ -14,7 +14,7 @@ from weylsep import (
 )
 from weylsep.bloch import BlochVector
 from weylsep.states import isotropic
-from weylsep.weyl import hermitian_coefficients
+from weylsep.weyl import hermitian_coefficients, weyl_basis
 
 from oracles import weyl_coefficient_table
 
@@ -31,7 +31,7 @@ def test_maximally_mixed_has_zero_vector():
 def test_ground_state_projector_d2():
     vec = decompose(validate_density(np.diag([1.0, 0.0]), [2]))
     np.testing.assert_allclose(vec.coeffs, [0.0, 1.0, 0.0], atol=1e-15)
-    assert vec.coefficient(1, 0) == pytest.approx(1.0)
+    assert vec.coeffs[weyl_basis(2).index(1, 0) - 1] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -129,9 +129,3 @@ def test_dimension_mismatch_errors():
     bipartite = validate_density(np.eye(4) / 4, [2, 2])
     with pytest.raises(DimensionMismatchError):
         decompose(bipartite)
-
-
-def test_identity_coefficient_not_stored():
-    vec = decompose(random_mixed(2, 1, seed=2))
-    with pytest.raises(ValueError):
-        vec.coefficient(0, 0)

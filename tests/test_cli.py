@@ -775,6 +775,8 @@ def test_the_commands_run_without_scipy(tmp_path):
         (("check-tele", "--state", "isotropic:d=5,p=0.5", "--seed", "1"), 1),
         (("decompose", "--state", "random-mixed:da=5,db=5,rank=5,seed=2"), 0),
         (("check-sep", "--state", "random-mixed:da=3,db=6,rank=3,seed=1"), 1),
+        # PPT runs at every size
+        (("check-sep", "--state", "random-mixed:da=4,db=4,rank=5,seed=2"), 2),
         # the named families are not validated: eigvalsh runs only for the
         # PPT test's partial transpose or for the FEF cap's spectrum
         (("check-sep", "--state", "isotropic:d=3,p=0.3"), 1),
@@ -785,7 +787,7 @@ def test_the_commands_run_without_scipy(tmp_path):
           "0.5", "--ppt", "--out", "-"), 1),
     ],
     ids=["check-tele", "decompose-pair", "check-sep-ppt", "check-tele-5x5", "decompose-5x5",
-         "check-sep-3x6", "check-sep-isotropic", "decompose-bell-diagonal", "check-tele-example4",
+         "check-sep-3x6", "check-sep-4x4", "check-sep-isotropic", "decompose-bell-diagonal", "check-tele-example4",
          "scan-ppt"],
 )
 def test_one_spectrum_per_state(monkeypatch, args, solves):

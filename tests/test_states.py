@@ -18,7 +18,7 @@ from weylsep import (
     teleportation_verdict,
     weyl_separability_criterion,
 )
-from weylsep.linalg import hermitian_part
+from weylsep.linalg import TRACE_TOL, hermitian_part
 from weylsep.states import (
     bell_diagonal,
     bell_diagonal_matrix,
@@ -361,13 +361,41 @@ def test_named_families_take_numpy_parameters_as_python_ones():
     for d in (np.int64(3), 3):
         assert isotropic(d, np.float64(0.3)).matrix.tobytes() == isotropic(3, 0.3).matrix.tobytes()
         assert max_entangled(d).dims == (3, 3) and type(max_entangled(d).dims[0]) is int
-    # a 0-d array or a float32 is validated, to the same state
+    # a 0-d array or a float32 is made a float on entry, to the same state
     assert isotropic(2, np.array(0.3)).matrix.tobytes() == isotropic(2, 0.3).matrix.tobytes()
     t = np.float32(0.25)
     assert bell_diagonal(t, t, t).matrix.tobytes() == bell_diagonal(0.25, 0.25, 0.25).matrix.tobytes()
 
 
-# messages of validation, from before the families skipped it
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_named_families_take_narrow_floats_as_their_float64_values(dtype):
+    # 1.0 - np.float32(p) stays float32 under NEP 50, which the closed forms'
+    # proofs do not allow for: each family must build the state of float(p)
+    for p in np.linspace(0.0, 1.0, 201):
+        x = dtype(p)
+        states = [(isotropic(d, x), isotropic(d, float(x))) for d in range(2, 9)]
+        states.append((example4(x), example4(float(x))))
+        t = dtype(p / 3)
+        states.append((bell_diagonal(t, t, -t), bell_diagonal(float(t), float(t), -float(t))))
+        for rho, expected in states:
+            assert abs(np.trace(rho.matrix) - 1.0) <= TRACE_TOL
+            assert rho.matrix.tobytes() == expected.matrix.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.5j, "0.5", np.array([0.5, 0.5])], ids=["complex", "str", "array"])
+@pytest.mark.parametrize("make, slot", [
+    (lambda x: isotropic(3, x), "mixing"),
+    (example4, "mixing"),
+    (lambda x: bell_diagonal(x, 0.0, 0.0), "correlation"),
+    (lambda x: bell_diagonal(0.0, 0.0, x), "correlation"),
+], ids=["isotropic", "example4", "bell-diagonal-t1", "bell-diagonal-t3"])
+def test_named_families_reject_a_parameter_that_is_not_a_real_scalar(make, slot, bad):
+    with pytest.raises(ValidationError) as info:
+        make(bad)
+    assert str(info.value) == f"{slot} parameter must be a real scalar, got {bad!r}"
+
+
+# messages of the parameter checks, and of validation from before the families skipped it
 _REJECTIONS = [
     (bell_diagonal, (1, 1, 1), NotPositiveSemidefiniteError,
      "negative eigenvalue -5.000e-01 below -1e-10"),
@@ -384,14 +412,14 @@ _REJECTIONS = [
     (bell_diagonal, (0, float("inf"), 0), ValidationError,
      "correlation parameters must be finite, got (0, inf, 0)"),
     (bell_diagonal, (0.1j, 0, 0), ValidationError,
-     "not Hermitian: max |m - m^dag| = 5.000e-02 exceeds 1e-10"),
+     "correlation parameter must be a real scalar, got 0.1j"),
     (isotropic, (3, -0.1), ValidationError, "mixing parameter must lie in [0, 1], got -0.1"),
     (isotropic, (3, 1.2), ValidationError, "mixing parameter must lie in [0, 1], got 1.2"),
     (isotropic, (3, float("nan")), ValidationError, "mixing parameter must lie in [0, 1], got nan"),
     (isotropic, (1, 0.5), ValidationError, "dimension must be >= 2, got 1"),
     (isotropic, (True, 0.5), ValidationError, "dimension must be >= 2, got True"),
     (isotropic, (2, np.array([0.5])), ValidationError,
-     "expected a square matrix, got shape (1, 4, 4)"),
+     "mixing parameter must be a real scalar, got array([0.5])"),
     (example4, (-0.1,), ValidationError, "mixing parameter must lie in [0, 1], got -0.1"),
     (example4, (1.2,), ValidationError, "mixing parameter must lie in [0, 1], got 1.2"),
     (example4, (float("nan"),), ValidationError, "mixing parameter must lie in [0, 1], got nan"),
@@ -404,6 +432,17 @@ def test_named_family_rejections_keep_their_messages(make, args, error, message)
     with pytest.raises(error) as info:
         make(*args)
     assert str(info.value) == message
+
+
+def test_an_int_beyond_the_float_range_is_infinite():
+    huge = 2**1024
+    for make in (lambda: isotropic(3, huge), lambda: example4(huge)):
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert str(info.value) == f"mixing parameter must lie in [0, 1], got {huge}"
+    with pytest.raises(ValidationError) as info:
+        bell_diagonal(-huge, 0, 0)
+    assert str(info.value) == f"correlation parameters must be finite, got ({-huge}, 0, 0)"
 
 
 @pytest.mark.parametrize("make", [isotropic, max_entangled])

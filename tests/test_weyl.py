@@ -9,7 +9,6 @@ from weylsep import (
     haar_unitary,
     max_entangled_ket,
     weyl_basis,
-    weyl_dagger_index,
     weyl_op,
 )
 from weylsep.weyl import (
@@ -89,25 +88,21 @@ def test_composition_law(d):
 
 @pytest.mark.parametrize("d", DIMS)
 def test_dagger_law(d):
+    # W(n, m)^dag = exp(2 pi i nm/d) W(-n, -m), the phase computed here
     basis = weyl_basis(d)
     for n, m in basis.pairs:
-        phase, (n2, m2) = weyl_dagger_index(d, n, m)
+        phase = np.exp(2j * np.pi * n * m / d)
         lhs = basis.op(n, m).conj().T
-        assert np.max(np.abs(lhs - phase * basis.op(n2, m2))) <= 1e-12
+        assert np.max(np.abs(lhs - phase * basis.op(-n, -m))) <= 1e-12
 
 
 def test_dagger_index_examples():
-    phase, idx = weyl_dagger_index(2, 1, 1)
-    assert idx == (1, 1)
-    assert abs(phase - (-1.0)) <= 1e-15
-
-    phase, idx = weyl_dagger_index(3, 1, 2)
-    assert idx == (2, 1)
-    assert abs(phase - np.exp(4j * np.pi / 3)) <= 1e-15
-
+    # W(1, 1) = i sigma_y is anti-Hermitian: W(1, 1)^dag = -W(1, 1)
+    assert np.max(np.abs(weyl_op(2, 1, 1).conj().T + weyl_op(2, 1, 1))) <= 1e-15
+    lhs = weyl_op(3, 1, 2).conj().T
+    assert np.max(np.abs(lhs - np.exp(4j * np.pi / 3) * weyl_op(3, 2, 1))) <= 1e-12
     for d in DIMS:
-        phase, idx = weyl_dagger_index(d, 0, 0)
-        assert idx == (0, 0) and phase == 1.0
+        assert np.array_equal(weyl_op(d, 0, 0).conj().T, np.eye(d))
 
 
 @pytest.mark.parametrize("d", DIMS)
