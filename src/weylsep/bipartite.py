@@ -36,14 +36,20 @@ the imaginary part, the O(eps) defect of the transform, moves each
 singular value by at most its spectral norm (Weyl's perturbation
 inequality for singular values).
 
+The named Weyl-diagonal families skip the transform and the SVD
+(:func:`weyl_diagonal_decomposition`): their table is nonzero only at the
+pairs ``(s, s-bar)``, with ``W_{s-bar} = conj(W_s)``, so their correlation
+matrix is monomial and its singular values are the moduli of its entries.
+
 The PPT cross-check reads the smallest eigenvalue of the partial
 transpose, :func:`ppt_statistic`, for one state or a stack of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,12 +99,15 @@ class BipartiteDecomposition:
     :func:`decompose_bipartite` marks it read-only, so its views ``alpha``
     (length dA^2 - 1), ``beta`` (length dB^2 - 1) and ``correlation``
     (shape (dA^2 - 1, dB^2 - 1)) are read-only too, and the cached
-    singular values cannot go stale.
+    singular values cannot go stale. A decomposition built in closed form
+    (:func:`weyl_diagonal_decomposition`) holds its singular values from
+    the start.
     """
 
     da: int
     db: int
     table: np.ndarray
+    _singular_values: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -115,14 +124,20 @@ class BipartiteDecomposition:
         """The correlation matrix L: the table without its identity row and column."""
         return self.table[1:, 1:]
 
-    @cached_property
+    @property
     def singular_values(self) -> np.ndarray:
-        """Singular values of ``correlation``, nonincreasing; one SVD on first read.
+        """Singular values of ``correlation``, nonincreasing and read-only; one SVD on first read.
 
         See :func:`correlation_singular_values`: a complex SVD up to
         ``D = EAGER_MAX_DIM``, a real one in the Hermitian Weyl basis above.
+        Two threads that read unsolved values at once both solve them, to
+        the same bits.
         """
-        return correlation_singular_values(self.table, self.da, self.db)
+        if self._singular_values is None:
+            values = correlation_singular_values(self.table, self.da, self.db)
+            values.flags.writeable = False
+            object.__setattr__(self, "_singular_values", values)
+        return self._singular_values
 
 
 def correlation_singular_values(table: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -140,6 +155,59 @@ def correlation_singular_values(table: np.ndarray, da: int, db: int) -> np.ndarr
     return singular_values(hermitian_coefficients(table, da, db).real[..., 1:, 1:])
 
 
+def weyl_diagonal_singular_values(coefficients: np.ndarray) -> np.ndarray:
+    """The correlation singular values of :func:`weyl_diagonal_decomposition`, per row of a stack.
+
+    They are ``|c_s|`` for ``s != 0``, nonincreasing: shape ``(..., d^2 - 1)``
+    for coefficients of shape ``(..., d^2)``. Each row of a stack is the
+    single row's result bit for bit.
+    """
+    values = np.abs(coefficients[..., 1:])
+    values.sort(axis=-1)
+    # contiguous, so that a row of a stack sums in the order a single row does
+    return values[..., ::-1].copy()
+
+
+@lru_cache(maxsize=None)
+def _conjugate_pairs(d: int) -> np.ndarray:
+    """Flat positions of the pairs ``(s, s-bar)`` in a ``d^2 x d^2`` table, read-only.
+
+    Conjugation negates the phases of ``W(n, m)`` and keeps its entries'
+    places, so ``W_{s-bar} = conj(W(n, m)) = W(-n mod d, m)``.
+    """
+    s = np.arange(d * d)
+    n, m = np.divmod(s, d)
+    positions = s * (d * d) + (-n % d) * d + m
+    positions.flags.writeable = False
+    return positions
+
+
+def weyl_diagonal_decomposition(coefficients: np.ndarray) -> BipartiteDecomposition:
+    """The decomposition of a d x d Weyl-diagonal state from its d^2 coefficients, in closed form.
+
+    A Weyl-diagonal state is ``sum_k p_k |Omega_k><Omega_k|`` with
+    ``Omega_k = (W_k (x) I)|psi+>``: the isotropic states, and at d = 2 the
+    Bell-diagonal ones. Since ``<psi+|A (x) B|psi+> = Tr[A B^T] / d`` and
+    ``(W_t^dag)^T = conj(W_t)``, the table of ``|psi+><psi+|`` is
+    ``Tr[W_s^dag conj(W_t)] / d``: 1 where ``conj(W_t) = W_s``, that is at
+    ``t = s-bar``, and 0 elsewhere.
+    Conjugating by ``W_k (x) I`` multiplies entry ``(s, s-bar)`` by the
+    commutation phase of ``W_k`` and ``W_s``, so the state's table holds
+    ``c_s = sum_k p_k chi_k(s)`` at ``(s, s-bar)`` and 0 elsewhere, with
+    ``c_0 = Tr rho = 1``. The correlation block is then monomial (one
+    nonzero entry per row and column), so ``L L^dag`` is diagonal and its
+    singular values are the ``|c_s|``, ``s != 0``
+    (:func:`weyl_diagonal_singular_values`). No transform and no SVD are run.
+    """
+    d = math.isqrt(len(coefficients))
+    table = np.zeros((d * d, d * d), dtype=complex)
+    table.flat[_conjugate_pairs(d)] = coefficients
+    table.flags.writeable = False
+    values = weyl_diagonal_singular_values(coefficients)
+    values.flags.writeable = False
+    return BipartiteDecomposition(d, d, table, values)
+
+
 def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
     """All local and joint Weyl coefficients of a bipartite state.
 
@@ -147,14 +215,21 @@ def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
     decomposition on the state; later calls return that same object, so
     ``decompose_bipartite(rho) is decompose_bipartite(rho)`` and its
     singular values are solved once per state (see
-    :class:`~weylsep.linalg.DensityMatrix`).
+    :class:`~weylsep.linalg.DensityMatrix`). A state that a named
+    Weyl-diagonal family built in closed form (:mod:`weylsep.states`) gets
+    its table and singular values from :func:`weyl_diagonal_decomposition`
+    instead, with no transform and no SVD.
     """
     if rho._decomposition is None:
         da, db = _require_bipartite(rho)
-        table = weyl_coefficients(rho.matrix, da, db)
-        table[0, 0] = 1.0
-        table.flags.writeable = False
-        object.__setattr__(rho, "_decomposition", BipartiteDecomposition(da, db, table))
+        if rho._weyl_diagonal is not None:
+            dec = weyl_diagonal_decomposition(rho._weyl_diagonal())
+        else:
+            table = weyl_coefficients(rho.matrix, da, db)
+            table[0, 0] = 1.0
+            table.flags.writeable = False
+            dec = BipartiteDecomposition(da, db, table)
+        object.__setattr__(rho, "_decomposition", dec)
     return rho._decomposition
 
 
@@ -177,7 +252,7 @@ def kyfan_norm(m: np.ndarray) -> float:
 
 def kyfan_bound(da: int, db: int) -> float:
     """The separable bound ``sqrt((dA-1)*(dB-1))`` on the Ky Fan norm of the correlation matrix."""
-    return float(np.sqrt((da - 1) * (db - 1)))
+    return math.sqrt((da - 1) * (db - 1))
 
 
 def correlation_outcome(statistic: float, threshold: float) -> str:
@@ -196,7 +271,7 @@ def weyl_separability_criterion(rho: DensityMatrix) -> Verdict:
     decomposed pays for no second transform and no second SVD.
     """
     dec = decompose_bipartite(rho)
-    statistic = float(np.sum(dec.singular_values))
+    statistic = float(dec.singular_values.sum())
     threshold = kyfan_bound(dec.da, dec.db)
     outcome = correlation_outcome(statistic, threshold)
     return Verdict("weyl-correlation", outcome, statistic, threshold)

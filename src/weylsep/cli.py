@@ -46,12 +46,12 @@ import numpy as np
 from . import __version__
 from .bipartite import (
     correlation_outcome,
-    correlation_singular_values,
     decompose_bipartite,
     kyfan_bound,
     ppt_criterion,
     ppt_statistic,
     reconstruct_bipartite,
+    weyl_diagonal_singular_values,
     weyl_separability_criterion,
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
@@ -59,9 +59,11 @@ from .fileio import json_text, load_state, matrix_entries
 from .linalg import DensityMatrix, ValidationError
 from .states import (
     bell_diagonal,
+    bell_diagonal_coefficients,
     bell_diagonal_matrix,
     example4,
     isotropic,
+    isotropic_coefficients,
     isotropic_matrix,
     max_entangled,
     ppt_3x3,
@@ -70,7 +72,7 @@ from .states import (
     random_separable,
 )
 from .teleport import fef_search, optimal_fidelity, verdict_from_estimate
-from .weyl import weyl_basis, weyl_coefficients
+from .weyl import weyl_basis
 
 
 #: Largest local dimension the command line accepts (``D <= MAX_DIM**2`` for a pair).
@@ -249,7 +251,7 @@ def _bipartite_summary(rho: DensityMatrix) -> dict:
     return {
         "alpha_length": float(np.linalg.norm(dec.alpha)),
         "beta_length": float(np.linalg.norm(dec.beta)),
-        "kyfan_norm": float(np.sum(dec.singular_values)),
+        "kyfan_norm": float(dec.singular_values.sum()),
         "top_singular_values": [float(s) for s in dec.singular_values[:5]],
         "reconstruction_residual": _residual(reconstruct_bipartite(dec), rho),
     }
@@ -353,6 +355,7 @@ def cmd_scan(args) -> int:
         d = _dim(args.d)
         da = db = d
         make = lambda p: isotropic(d, p)  # noqa: E731
+        coefficients = lambda ps: isotropic_coefficients(d, ps)  # noqa: E731
         build = lambda ps: isotropic_matrix(d, ps)  # noqa: E731
     else:
         if args.d is not None:
@@ -369,15 +372,19 @@ def cmd_scan(args) -> int:
             raise UsageError(f"--direction must be finite, got {args.direction}")
         da = db = 2
         make = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
+        coefficients = lambda ss: bell_diagonal_coefficients(*(ss * t for t in direction))  # noqa: E731
         build = lambda ss: bell_diagonal_matrix(*(ss * t for t in direction))  # noqa: E731
 
     # Both families are affine in the parameter, so along the grid the trace
     # is affine and lambda_min is concave: valid end points make every row
     # valid. The family constructors check them once, before --out is
     # opened, in closed form (the range of p, the least Bell weight) and
-    # without validation. Both builders are Hermitian bit for bit, so each
-    # block of rows is built, transformed and solved as one stack without
-    # another check, and written when it is done.
+    # without validation. Every row is then a state that the constructor
+    # would certify, so its Ky Fan statistic is read, as the constructor's
+    # state reads it, from the closed-form singular values of its
+    # Weyl-diagonal coefficients: no matrix, transform or SVD. With --ppt,
+    # each block of rows is also built, Hermitian bit for bit, and solved
+    # as one stack without another check. Each block is written when done.
     make(grid[0])
     make(grid[-1])
     threshold = kyfan_bound(da, db)
@@ -390,13 +397,12 @@ def cmd_scan(args) -> int:
         writer.writerow(header)
         for start in range(0, len(grid), block):
             params = grid[start : start + block]
-            h = build(np.array(params))
-            tables = weyl_coefficients(h, da, db)
-            kyfan = np.sum(correlation_singular_values(tables, da, db), axis=-1).tolist()
+            ps = np.array(params)
+            kyfan = weyl_diagonal_singular_values(coefficients(ps)).sum(axis=-1).tolist()
             verdicts = [correlation_outcome(k, threshold) for k in kyfan]
             columns = [params, kyfan, [threshold] * len(params), verdicts]
             if args.ppt:
-                columns.append(ppt_statistic(h, da, db).tolist())
+                columns.append(ppt_statistic(build(ps), da, db).tolist())
             writer.writerows(zip(*columns))
     return 0
 

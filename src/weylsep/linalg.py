@@ -9,6 +9,7 @@ index ``i * dB + j``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -84,12 +85,22 @@ class DensityMatrix:
     with the state. A relabel starts with an empty slot, so it never
     serves a table built for the old dims. Two threads that decompose an
     undecomposed state at once both compute the table, to the same bits.
+
+    The Weyl-diagonal named families (``isotropic``, ``max_entangled`` and
+    the certified ``bell_diagonal`` states) also set ``_weyl_diagonal``, a
+    function of no arguments that returns the state's d^2 coefficients
+    ``c_s``. :func:`~weylsep.bipartite.decompose_bipartite` then builds the
+    table and its singular values from them in closed form, on first call,
+    with no transform and no SVD
+    (:func:`~weylsep.bipartite.weyl_diagonal_decomposition`). Until then
+    the state holds no table. A relabel does not inherit the closed form.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     _spectrum: np.ndarray | None = field(default=None, repr=False)
     _decomposition: BipartiteDecomposition | None = field(default=None, init=False, repr=False)
+    _weyl_diagonal: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:

@@ -9,9 +9,25 @@ the matrix directly: it is the matrix validation would store, and the
 parameter check proves what validation's spectrum would. Every other
 constructor goes through :func:`~weylsep.linalg.validate_density`. Either
 way the state has the same matrix and, once read, the same spectrum, byte
-for byte. The real parameters of the named families (not the dimension)
-may be Python or numpy real scalars or 0-d real arrays; each is made a
-Python float once, on entry, so an ``np.float32`` p builds the state of
+for byte.
+
+Three of those families are Weyl-diagonal: :func:`isotropic`,
+:func:`max_entangled` and the :func:`bell_diagonal` states that skip
+validation. Their states also carry their Weyl decomposition in closed
+form, as the d^2 coefficients :func:`isotropic_coefficients` and
+:func:`bell_diagonal_coefficients`. The first
+:func:`~weylsep.bipartite.decompose_bipartite` of such a state builds the
+table from them, with singular values ``p`` (``d^2 - 1`` times) or
+``|t1|, |t2|, |t3|`` in nonincreasing order, and runs no transform and
+no SVD (:func:`~weylsep.bipartite.weyl_diagonal_decomposition`). Those
+agree with the transform route to round-off, not bit for bit.
+:func:`example4` is not Weyl-diagonal and keeps the transform.
+
+A dimension must be an int or a numpy integer (not a bool) of at least
+2; anything else raises :class:`ValidationError` naming it, before any
+per-d cache is read. The real parameters of the named families may be
+Python or numpy real scalars or 0-d real arrays; each is made a Python
+float once, on entry, so an ``np.float32`` p builds the state of
 ``float(p)``, byte for byte. Anything else, a complex number, a string or
 an array of more than one element, raises :class:`ValidationError`
 naming the value. The random families are deterministic functions of
@@ -22,7 +38,7 @@ bit, so results can be replicated across machines and implementations.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -30,21 +46,30 @@ from .linalg import (
     POSITIVITY_TOL,
     DensityMatrix,
     ValidationError,
+    _is_count,
     hermitian_part,
     validate_density,
 )
 
 
+def _dimension(d) -> int:
+    """A local dimension as a Python int, once it is checked to be an integer of at least 2."""
+    if not _is_count(d, 2):
+        if isinstance(d, (int, np.integer)):
+            raise ValidationError(f"dimension must be >= 2, got {d}")
+        raise ValidationError(f"dimension must be an integer, got {d!r}")
+    return int(d)
+
+
 def max_entangled_ket(d: int) -> np.ndarray:
     """The ket ``sum_i |ii> / sqrt(d)``."""
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     ket = np.zeros(d * d, dtype=complex)
     ket[:: d + 1] = 1.0 / np.sqrt(d)
     return ket
 
 
-def _certified(m: np.ndarray, d: int) -> DensityMatrix:
+def _certified(m: np.ndarray, d: int, coefficients=None) -> DensityMatrix:
     """The ``d x d`` state of a family matrix that its parameters prove valid, unvalidated.
 
     The caller has checked that m is the matrix validation would store
@@ -52,10 +77,15 @@ def _certified(m: np.ndarray, d: int) -> DensityMatrix:
     that its trace is one, and, from the closed form of its spectrum, that
     its smallest eigenvalue is at least ``-POSITIVITY_TOL``. The spectrum
     is solved on first read by the ``eigvalsh`` validation would have run
-    on the same bytes.
+    on the same bytes. A Weyl-diagonal family also passes ``coefficients``,
+    a function of no arguments that returns the state's d^2 Weyl-diagonal
+    coefficients; it runs on the state's first decomposition, not here.
     """
     m.flags.writeable = False
-    return DensityMatrix(m, (int(d), int(d)))
+    rho = DensityMatrix(m, (d, d))
+    if coefficients is not None:
+        object.__setattr__(rho, "_weyl_diagonal", coefficients)
+    return rho
 
 
 #: The scalar types a family parameter may have, besides a 0-d array holding one.
@@ -86,9 +116,12 @@ def max_entangled(d: int) -> DensityMatrix:
     """Projector onto the maximally entangled state of a d x d system.
 
     Its spectrum is 1 once and 0 ``d^2 - 1`` times. Every call shares one
-    read-only matrix per d, the one :func:`isotropic_matrix` mixes in.
+    read-only matrix per d, the one :func:`isotropic_matrix` mixes in. It
+    is the isotropic state at ``p = 1``, and decomposes as that state does:
+    every correlation singular value is 1.
     """
-    return _certified(_isotropic_terms(d)[1], d)
+    d = _dimension(d)
+    return _certified(_isotropic_terms(d)[1], d, partial(isotropic_coefficients, d, 1.0))
 
 
 def isotropic(d: int, p: float) -> DensityMatrix:
@@ -99,15 +132,30 @@ def isotropic(d: int, p: float) -> DensityMatrix:
     and ``(1-p)/d^2`` ``d^2 - 1`` times, so every p in [0, 1] gives a
     state and the parameter check is the whole positivity rule: every
     accepted p, made a float on entry, gives the state without validation.
+    Its correlation singular values are all p (:func:`isotropic_coefficients`).
     """
+    d = _dimension(d)
     x = _real(p, "mixing parameter")
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
-    return _certified(isotropic_matrix(d, x), d)
+    return _certified(isotropic_matrix(d, x), d, partial(isotropic_coefficients, d, x))
 
 
-# typed, so that a float d such as 2.0 fails as a dimension, as
-# max_entangled_ket makes it, instead of hitting the entry of np.int64(2)
+def isotropic_coefficients(d: int, p) -> np.ndarray:
+    """The Weyl-diagonal coefficients of :func:`isotropic`, or a ``(..., d^2)`` stack for an array ``p``.
+
+    ``c_0 = 1`` and ``c_s = p`` for the other ``d^2 - 1`` indices s: the
+    table of ``I`` is ``d^2`` at ``(0, 0)`` and 0 elsewhere, and that of
+    ``|psi+><psi+|`` is 1 at every ``(s, s-bar)``
+    (:func:`~weylsep.bipartite.weyl_diagonal_decomposition`), so the
+    mixture has ``(1-p) + p = 1`` at ``(0, 0)`` and p at the other pairs.
+    A ``-0.0`` p gives ``+0.0`` coefficients.
+    """
+    c = np.add.outer(p, np.zeros(d * d))
+    c[..., 0] = 1.0
+    return c
+
+
 @lru_cache(maxsize=None, typed=True)
 def _isotropic_terms(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only complex ``I`` and ``|psi+><psi+|`` of a d x d system."""
@@ -131,11 +179,9 @@ def isotropic_matrix(d: int, p) -> np.ndarray:
     return m
 
 
-#: ``XX``, ``YY`` and ``ZZ``, the Pauli products of :func:`bell_diagonal`, read-only.
-_PAULI_PRODUCTS = np.stack([
-    np.kron(p, p) for p in np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-])
-_PAULI_PRODUCTS.flags.writeable = False
+#: Where each entry of :func:`bell_diagonal_matrix` is in ``(1 + t3, 1 - t3, t1 - t2, t1 + t2, 0)``.
+_BELL_ENTRIES = np.array([[0, 4, 4, 2], [4, 1, 3, 4], [4, 3, 1, 4], [2, 4, 4, 0]])
+_BELL_ENTRIES.flags.writeable = False
 
 
 def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
@@ -153,7 +199,10 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     form differs from validation's spectral rule only within round-off of
     ``-POSITIVITY_TOL``. The others are validated, so every rejection (a
     non-finite entry, a trace that round-off moved off one, a negative
-    eigenvalue) keeps the validation message and its spectral value.
+    eigenvalue) keeps the validation message and its spectral value. Only
+    the states that skip validation carry their decomposition in closed
+    form (:func:`bell_diagonal_coefficients`), with correlation singular
+    values ``|t1|, |t2|, |t3|`` in nonincreasing order.
     """
     name = "correlation parameter"
     a, b, c = _real(t1, name), _real(t2, name), _real(t3, name)
@@ -162,21 +211,42 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     m = bell_diagonal_matrix(a, b, c)
     # a float overflow here gives +-inf, with no warning
     if min(1 + a - b + c, 1 - a + b + c, 1 + a + b - c, 1 - a - b - c) / 4 >= -POSITIVITY_TOL:
-        return _certified(m, 2)
+        return _certified(m, 2, partial(bell_diagonal_coefficients, a, b, c))
     return validate_density(m, [2, 2])
+
+
+def bell_diagonal_coefficients(t1, t2, t3) -> np.ndarray:
+    """The Weyl-diagonal coefficients of :func:`bell_diagonal`, or a ``(..., 4)`` stack for arrays.
+
+    They are ``(1, t1, t3, -t2)``: in Weyl order the operators are ``I``,
+    ``W(0, 1) = X``, ``W(1, 0) = Z`` and ``W(1, 1) = iY``, ``s-bar = s`` at
+    d = 2, and ``(iY)^dag (x) (iY)^dag = -(Y (x) Y)``. A ``-0.0`` becomes
+    ``+0.0``.
+    """
+    c = np.array([t1, t1, t3, -t2]) + 0.0
+    c[0] = 1.0
+    return c.transpose((*range(1, c.ndim), 0))
 
 
 def bell_diagonal_matrix(t1, t2, t3) -> np.ndarray:
     """The unchecked :func:`bell_diagonal` matrix, or a ``(..., 4, 4)`` stack for arrays ``t``.
 
-    Each finite matrix is Hermitian bit for bit: it equals its own
+    ``XX``, ``YY`` and ``ZZ`` are real, with entries 0 and +-1, so
+    ``(I + t1 XX + t2 YY + t3 ZZ) / 4`` holds five numbers: ``(1 +- t3)/4``
+    on the diagonal, ``(t1 -+ t2)/4`` on the anti-diagonal, and 0. Each is
+    one sum, divided by 4 as a complex number, and one gather through a
+    read-only index places them. Those are the bytes of summing the three
+    products onto I term by term and dividing by 4, signed zeros and
+    overflows included: each entry of that sum is one of these sums plus
+    exact zeros, and the complex division by 4 turns a -0 real part into
+    +0 either way. No numpy warning is raised. Each finite matrix is
+    Hermitian bit for bit: it equals its own
     :func:`~weylsep.linalg.hermitian_part`, byte for byte.
     """
-    m = np.eye(4, dtype=complex)
+    # the zero is 0 * t3, so that it broadcasts as the parameters do
     with np.errstate(over="ignore", invalid="ignore"):  # validation rejects a non-finite entry
-        for t, product in zip((t1, t2, t3), _PAULI_PRODUCTS):
-            m = m + np.multiply.outer(t, product)
-        return m / 4.0
+        w = np.array([1 + t3, 1 - t3, t1 - t2, t1 + t2, 0.0 * t3], dtype=complex) / 4.0
+    return w.transpose((*range(1, w.ndim), 0))[..., _BELL_ENTRIES]
 
 
 @cache
@@ -283,8 +353,7 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     which removes the QR gauge freedom and makes the distribution exactly
     Haar. Deterministic given the seed.
     """
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     z = _ginibre(np.random.default_rng(seed), d, d)
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     ph = np.diagonal(r)

@@ -7,7 +7,21 @@ Run it from the repository root, once on each tree to compare::
 It prints one line per argv: the exit code, the SHA-256 of stdout, the
 SHA-256 of stderr, and the argv. Two trees give the same outputs, byte for
 byte, exactly when their listings are the same; ``diff`` names the argvs
-that differ. Every argv runs in-process through ``cli.main``, in a scratch
+that differ. To measure how far they differ, write each tree's outputs to
+a directory and compare the two::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/cli_corpus.py --write before
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/cli_corpus.py --write after
+    PYTHONPATH=src python tests/cli_corpus.py --compare before after
+
+``--write`` stores each argv's stdout as ``NNN.out`` and an ``index.txt``
+with one line per argv: its number, exit code and argv. ``--compare``
+matches the argvs of two such directories and prints one line per argv
+whose exit code or stdout differ: the largest absolute difference between
+corresponding numbers of the two reports (JSON) or CSV cells, then each
+difference that is not numeric (a verdict, a key, a row count) on its own
+indented line. A last line counts the argvs that differ and gives the
+largest difference of all. Every argv runs in-process through ``cli.main``, in a scratch
 directory that holds the corpus's matrix files, so the file paths in the
 reports are the same relative names on every run. Reports omit their
 timestamp. Output is byte-identical per numpy and BLAS build and BLAS
@@ -25,13 +39,21 @@ max-entangled at d = 2-8, and every family rejection. The last three are
 long reports, for the JSON writer: ``basis --d 8``, ``decompose`` on a
 full-rank 6x6 random-mixed pair and ``check-tele`` on a full-rank d = 5
 state.
+
+Isotropic, max-entangled and certified Bell-diagonal states also
+decompose in closed form, with no Weyl transform and no SVD, so their
+``check-sep``, ``decompose`` and ``scan`` numbers are round-off away from
+those of the transform route; ``--compare`` measures how far.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
 import os
 import sys
 import tempfile
@@ -196,6 +218,118 @@ def listing(directory) -> list[str]:
             for argv, rc, out, err in results(directory)]
 
 
-if __name__ == "__main__":
+def write_outputs(out_dir) -> None:
+    """Write every argv's stdout to ``out_dir/NNN.out``, and ``index.txt`` naming them."""
+    os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        sys.stdout.write("".join(line + "\n" for line in listing(scratch)))
+        runs = results(scratch)
+    index = []
+    for number, (argv, rc, out, _) in enumerate(runs):
+        with open(os.path.join(out_dir, f"{number:03d}.out"), "w", newline="") as fh:
+            fh.write(out)
+        index.append(f"{number:03d}\t{rc}\t{json.dumps(argv)}\n")
+    with open(os.path.join(out_dir, "index.txt"), "w") as fh:
+        fh.write("".join(index))
+
+
+def _read_outputs(out_dir) -> dict[str, tuple[int, str]]:
+    """``{argv as JSON: (exit code, stdout)}`` of a directory that :func:`write_outputs` wrote."""
+    outputs = {}
+    with open(os.path.join(out_dir, "index.txt")) as fh:
+        for line in fh:
+            number, rc, argv = line.rstrip("\n").split("\t")
+            with open(os.path.join(out_dir, f"{number}.out"), newline="") as out:
+                outputs[argv] = int(rc), out.read()
+    return outputs
+
+
+def _parse(text: str):
+    """A report as JSON, else a CSV as a list of rows, else the text itself."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    if text.startswith("param,"):
+        return list(csv.reader(io.StringIO(text)))
+    return text
+
+
+def _number(value) -> float | None:
+    """A JSON number or a numeric CSV cell as a float; None for anything else."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    return None
+
+
+def differences(a, b, path: str = "") -> tuple[float, list[str]]:
+    """The largest absolute difference between numbers of a and b, and their other differences.
+
+    Numbers are compared wherever both sides hold one at the same path (a
+    CSV cell that parses as a float counts as one); two NaNs, or two equal
+    infinities, differ by 0. Anything else that differs is described, with
+    its path, in the returned list.
+    """
+    x, y = _number(a), _number(b)
+    if x is not None and y is not None:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            return 0.0, []
+        if math.isfinite(x) and math.isfinite(y):
+            return abs(x - y), []
+        return 0.0, [f"{path}: {a!r} -> {b!r}"]
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return 0.0, [f"{path}: keys {list(a)} -> {list(b)}"]
+        pairs = [(a[k], b[k], f"{path}/{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return 0.0, [f"{path}: length {len(a)} -> {len(b)}"]
+        pairs = [(u, v, f"{path}/{i}") for i, (u, v) in enumerate(zip(a, b))]
+    else:
+        return 0.0, [] if a == b else [f"{path}: {a!r} -> {b!r}"]
+    largest, other = 0.0, []
+    for u, v, where in pairs:
+        diff, notes = differences(u, v, where)
+        largest = max(largest, diff)
+        other += notes
+    return largest, other
+
+
+def compare(before_dir, after_dir) -> list[str]:
+    """One line per argv whose exit code or stdout differ between two written directories."""
+    before, after = _read_outputs(before_dir), _read_outputs(after_dir)
+    lines, changed, largest = [], 0, 0.0
+    for argv in [*before, *(argv for argv in after if argv not in before)]:
+        if argv not in before or argv not in after:
+            lines.append(f"only in {'after' if argv in after else 'before'}: {argv}")
+            changed += 1
+            continue
+        (rc_a, out_a), (rc_b, out_b) = before[argv], after[argv]
+        if (rc_a, out_a) == (rc_b, out_b):
+            continue
+        diff, notes = differences(_parse(out_a), _parse(out_b))
+        if rc_a != rc_b:
+            notes.insert(0, f"exit code {rc_a} -> {rc_b}")
+        changed += 1
+        largest = max(largest, diff)
+        lines.append(f"{diff:.3e} {argv}")
+        lines += [f"    {note}" for note in notes]
+    return lines + [f"{changed} of {len(before)} distinct argvs differ; largest difference {largest:.3e}"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--write"] and len(sys.argv) == 3:
+        write_outputs(sys.argv[2])
+    elif sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        sys.stdout.write("".join(line + "\n" for line in compare(sys.argv[2], sys.argv[3])))
+    elif len(sys.argv) == 1:
+        with tempfile.TemporaryDirectory() as scratch:
+            sys.stdout.write("".join(line + "\n" for line in listing(scratch)))
+    else:
+        sys.exit("usage: cli_corpus.py [--write DIR | --compare DIR DIR]")

@@ -1,3 +1,8 @@
+import pytest
+
+from weylsep import states
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance check in the terminal summary."""
     rows = []
@@ -12,3 +17,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance checks")
         for name, out in sorted(rows):
             terminalreporter.write_line(f"{out:6s} {name}")
+
+
+@pytest.fixture
+def forget_isotropic_terms():
+    """Free the per-d isotropic terms after a test that builds states up to d = 32.
+
+    The terms of one d take ``32 d^4`` bytes and are kept for the life of
+    the process: 221 MiB for every d from 2 to 32.
+    """
+    yield
+    states._isotropic_terms.cache_clear()

@@ -237,6 +237,74 @@ def weyl_diagonal_matrix(weights) -> np.ndarray:
     return sum(p * np.outer(k, k.conj()) for p, k in zip(weights, kets))
 
 
+def weyl_diagonal_kyfan(weights) -> float:
+    """The Ky Fan statistic of :func:`weyl_diagonal_matrix` in closed form: ``sum_{s != 0} |p-hat(s)|``.
+
+    ``p-hat(s) = sum_k p_k chi_k(s)``, where ``chi_k(s) = exp(2j*pi*(n_k m_s
+    - m_k n_s)/d)`` is the commutation phase of ``W_k = W(n_k, m_k)`` and
+    ``W_s``. The state's table is ``p-hat(s)`` at ``(s, s-bar)`` and 0
+    elsewhere, so its correlation matrix is monomial with singular values
+    ``|p-hat(s)|`` (Baumgartner, Hiesmayr and Narnhofer, PRA 74, 032327,
+    2006). The sign convention of the phase does not change a modulus.
+    """
+    weights = np.asarray(weights, dtype=float)
+    d = int(round(np.sqrt(weights.size)))
+    n, m = np.divmod(np.arange(d * d), d)
+    chi = np.exp(2j * np.pi * ((np.outer(n, m) - np.outer(m, n)) % d) / d)  # [k, s]
+    return float(np.abs(weights @ chi)[1:].sum())
+
+
+def isotropic_weights(d: int, p: float) -> np.ndarray:
+    """The magic-simplex weights of the isotropic state: ``p + (1-p)/d^2`` on psi+, ``(1-p)/d^2`` elsewhere."""
+    weights = np.full(d * d, (1.0 - p) / (d * d))
+    weights[0] += p
+    return weights
+
+
+def bell_diagonal_weights(t) -> np.ndarray:
+    """The magic-simplex weights of ``(I + t1 XX + t2 YY + t3 ZZ) / 4``, in Weyl order.
+
+    ``Omega_k = (W_k (x) I)|psi+>`` for ``W_k = I, X, Z, iY`` is
+    ``|00> + |11>``, ``|01> + |10>``, ``|00> - |11>`` and ``|01> - |10>``
+    (normalized, up to phase), on which XX, YY, ZZ take the values
+    ``(1, -1, 1)``, ``(1, 1, -1)``, ``(-1, 1, 1)`` and ``(-1, -1, -1)``.
+    """
+    signs = np.array([[1, -1, 1], [1, 1, -1], [-1, 1, 1], [-1, -1, -1]], dtype=float)
+    return (1.0 + signs @ np.asarray(t, dtype=float)) / 4
+
+
+def octahedron_face_points() -> list[tuple[float, float, float]]:
+    """Bell-diagonal parameters with ``|t1| + |t2| + |t3| = 1``, the separable boundary.
+
+    Fixed points on the axes, an edge and a face, then one seeded point of
+    each of the octahedron's eight faces. Each lies in the tetrahedron of
+    states, which holds the octahedron.
+    """
+    points = [(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.5, -0.5, 0.0), (-0.25, 0.25, 0.5)]
+    rng = np.random.default_rng(31)
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+                  (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)):
+        w = rng.dirichlet(np.ones(3))
+        points.append(tuple((np.array(signs) * w / w.sum()).tolist()))
+    return points
+
+
+def bell_diagonal_matrix_by_terms(t1, t2, t3) -> np.ndarray:
+    """``(I + t1 XX + t2 YY + t3 ZZ) / 4`` summed term by term, or a stack for arrays ``t``.
+
+    The Pauli products are complex Kronecker products, each term is a
+    complex ``np.multiply.outer`` product added to the running sum, and the
+    sum is divided by 4 as a complex array: the bytes every formula of the
+    Bell-diagonal matrix is held to.
+    """
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    m = np.eye(4, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, p in zip((t1, t2, t3), paulis):
+            m = m + np.multiply.outer(t, np.kron(p, p))
+        return m / 4.0
+
+
 def weyl_coefficient_table(rho: np.ndarray, da: int, db: int) -> np.ndarray:
     """``Tr[rho (W_s^dag (x) W_t^dag)]`` for every pair, by explicit traces.
 

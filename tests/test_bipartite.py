@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,12 +25,29 @@ from weylsep import (
     validate_density,
     weyl_separability_criterion,
 )
-from weylsep import bipartite, weyl
+from weylsep import bipartite, cli, weyl
 from weylsep.linalg import EAGER_MAX_DIM, DimensionMismatchError
-from weylsep.states import bell_diagonal, haar_unitary, isotropic, max_entangled, ppt_3x3
+from weylsep.states import (
+    bell_diagonal,
+    example4,
+    haar_unitary,
+    isotropic,
+    max_entangled,
+    ppt_3x3,
+)
 from weylsep.weyl import hermitian_coefficients, weyl_basis
 
-from oracles import random_entangled_pure_matrix, weyl_coefficient_table
+import cli_corpus
+from oracles import (
+    bell_diagonal_weights,
+    isotropic_weights,
+    octahedron_face_points,
+    random_entangled_pure_matrix,
+    realigned_kyfan,
+    weyl_coefficient_table,
+    weyl_diagonal_kyfan,
+    weyl_diagonal_matrix,
+)
 
 
 def _random_bipartite(da, db, rank, seed):
@@ -412,3 +430,135 @@ def test_two_threads_decomposing_one_state_get_the_same_bytes(monkeypatch):
     assert results[0].table.tobytes() == results[1].table.tobytes()
     monkeypatch.undo()
     assert any(decompose_bipartite(rho) is dec for dec in results)
+
+
+_TETRAHEDRON = np.array([(-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)], dtype=float)
+
+
+def _tetrahedron_points():
+    """Bell-diagonal parameters at the vertices, on the edges and inside the tetrahedron."""
+    points = [tuple(v) for v in _TETRAHEDRON.tolist()]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for w in (0.5, 0.3):
+                points.append(tuple((w * _TETRAHEDRON[i] + (1 - w) * _TETRAHEDRON[j]).tolist()))
+    rng = np.random.default_rng(29)
+    points += [tuple((w @ _TETRAHEDRON).tolist()) for w in rng.dirichlet(np.ones(4), size=8)]
+    return points + [(0.0, 0.0, 0.0), (0.2, 0.2, 0.2), (-0.0, 0.5, -0.0)]
+
+
+_WEYL_DIAGONAL = [
+    *(("isotropic", d, p) for d in range(2, 17) for p in (0.0, 1 / (d + 1), 0.5, 1.0)),
+    *(("max-entangled", d, None) for d in range(2, 17)),
+    *(("bell-diagonal", 2, t) for t in _tetrahedron_points()),
+]
+
+
+def _weyl_diagonal_state(family, d, param):
+    """A state of a Weyl-diagonal family and its magic-simplex weights."""
+    if family == "isotropic":
+        return isotropic(d, param), isotropic_weights(d, param)
+    if family == "max-entangled":
+        return max_entangled(d), isotropic_weights(d, 1.0)
+    return bell_diagonal(*param), bell_diagonal_weights(param)
+
+
+@pytest.mark.parametrize("family, d, param", _WEYL_DIAGONAL)
+def test_weyl_diagonal_families_decompose_as_the_transform_does(family, d, param):
+    rho, weights = _weyl_diagonal_state(family, d, param)
+    # the weights are the state's: the oracle builds it term by term
+    np.testing.assert_allclose(weyl_diagonal_matrix(weights), rho.matrix, rtol=0, atol=1e-14)
+    dec = decompose_bipartite(rho)
+    table = weyl.weyl_coefficients(rho.matrix, d, d)
+    table[0, 0] = 1.0
+    assert np.abs(dec.table - table).max() <= 1e-14
+    values = bipartite.correlation_singular_values(table, d, d)
+    assert np.abs(dec.singular_values - values).max() <= 1e-14
+    statistic = weyl_separability_criterion(rho).statistic
+    assert abs(statistic - weyl_diagonal_kyfan(weights)) <= 1e-12
+    assert abs(statistic - realigned_kyfan(rho.matrix, d, d)) <= 1e-12
+    assert not dec.table.flags.writeable and not dec.singular_values.flags.writeable
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec", ["isotropic:d=3,p=0.4", "isotropic:d=5,p=0", "max-entangled:d=4",
+             "bell-diagonal:t=0.2,-0.3,0.1", "bell-diagonal:t=-1,-1,-1"],
+)
+def test_weyl_diagonal_families_run_no_transform_and_no_svd(monkeypatch, spec):
+    transforms, svds = _count_transforms(monkeypatch), _count_svds(monkeypatch)
+    rho = cli.state_from_spec(spec)
+    assert rho._decomposition is None
+    verdict = weyl_separability_criterion(rho)
+    product_test(rho)
+    for command in ("check-sep", "decompose"):
+        rc, out, err = cli_corpus.run([command, "--state", spec, "--no-timestamp"])
+        assert (rc, err) == (0, "")
+    assert (transforms, svds) == ([], [])
+    dec = decompose_bipartite(rho)
+    assert verdict.statistic == float(dec.singular_values.sum())
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: example4(0.3), lambda: validate_density(isotropic(3, 0.4).matrix, [3, 3]),
+             lambda: dataclasses.replace(isotropic(3, 0.4), dims=(3, 3)),
+             lambda: dataclasses.replace(max_entangled(2), dims=(1, 4))],
+    ids=["example4", "validated-isotropic", "relabelled-isotropic", "relabelled-1x4"],
+)
+def test_other_states_keep_the_transform(monkeypatch, make):
+    # example4 is not Weyl-diagonal, and a validated or relabelled state does
+    # not inherit a family's closed form
+    rho = make()
+    transforms = _count_transforms(monkeypatch)
+    dec = decompose_bipartite(rho)
+    assert transforms == [rho.dims]
+    assert dec.table.shape == (rho.dims[0] ** 2, rho.dims[1] ** 2)
+
+
+def test_a_family_state_holds_no_table_until_it_is_decomposed(forget_isotropic_terms):
+    d = 32
+    isotropic(d, 0.5)  # the two terms it mixes are built once per d
+    tracemalloc.start()
+    try:
+        rho = isotropic(d, 0.3)
+        held, _ = tracemalloc.get_traced_memory()
+        dec = decompose_bipartite(rho)
+        decomposed, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.matrix.nbytes == dec.table.nbytes == 16 * d**4
+    assert held < 1.1 * rho.matrix.nbytes
+    assert decomposed - held >= dec.table.nbytes
+    assert dec.singular_values.tolist() == [0.3] * (d * d - 1)
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_isotropic_on_the_separable_boundary_stays_inconclusive(forget_isotropic_terms, d):
+    verdict = weyl_separability_criterion(isotropic(d, 1 / (d + 1)))
+    assert verdict.outcome == INCONCLUSIVE
+    assert abs(verdict.statistic - verdict.threshold) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_isotropic_just_past_the_boundary_is_entangled(d):
+    verdict = weyl_separability_criterion(isotropic(d, 1 / (d + 1) + 1e-8))
+    assert verdict.outcome == ENTANGLED
+    assert verdict.statistic - verdict.threshold == pytest.approx((d * d - 1) * 1e-8, rel=1e-6)
+
+
+@pytest.mark.parametrize("t", octahedron_face_points())
+def test_bell_diagonal_on_the_separable_boundary_stays_inconclusive(t):
+    verdict = weyl_separability_criterion(bell_diagonal(*t))
+    assert verdict.outcome == INCONCLUSIVE
+    assert abs(verdict.statistic - 1.0) <= 1e-15

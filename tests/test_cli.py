@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cli_corpus
-from oracles import matrix_entries_one_at_a_time, scan_one_row_at_a_time
+from oracles import matrix_entries_one_at_a_time, octahedron_face_points, scan_one_row_at_a_time
 import weylsep
 from weylsep import bipartite, cli, states, validate_density, weyl
 from weylsep.fileio import save_state
@@ -589,13 +589,15 @@ def test_scan_direction_error_names_the_input():
 
 
 def test_scan_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path):
-    # the end points are checked through states.isotropic; every row of the
-    # sweep starts with the stacked build that the cli imports
+    # the end points are checked through states.isotropic; every block of the
+    # sweep starts with the stacked coefficients, and with --ppt the stacked
+    # matrices, that the cli imports
     calls = []
+    monkeypatch.setattr(cli, "isotropic_coefficients", lambda d, ps: calls.append(ps))
     monkeypatch.setattr(cli, "isotropic_matrix", lambda d, ps: calls.append(ps))
     rc, out, err = run_main(
         "scan", "--family", "isotropic", "--d", "3", "--from", "0", "--to", "1",
-        "--step", "0.01", "--out", str(tmp_path / "missing" / "scan.csv"),
+        "--step", "0.01", "--out", str(tmp_path / "missing" / "scan.csv"), "--ppt",
     )
     assert (rc, out, calls) == (2, "", [])
     assert err.startswith("error:")
@@ -638,6 +640,31 @@ def test_scan_csv_is_the_one_row_at_a_time_csv(family, start, stop, step, ppt):
     assert out == _one_row_at_a_time(family, start, stop, step, ppt)
 
 
+def _scan_rows(*argv):
+    rc, out, err = run_main(*argv, "--out", "-")
+    assert (rc, err) == (0, "")
+    return [row.split(",") for row in out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_scan_rows_on_the_isotropic_boundary(forget_isotropic_terms, d):
+    # on the separable bound the row stays INCONCLUSIVE; 1e-8 past it, ENTANGLED
+    ps = [1 / (d + 1)] + ([1 / (d + 1) + 1e-8] if d <= 8 else [])
+    for p, verdict in zip(ps, ["INCONCLUSIVE", "ENTANGLED"]):
+        rows = _scan_rows("scan", "--family", "isotropic", "--d", str(d), "--from", repr(p), "--to",
+                          repr(p), "--step", "1")
+        assert [(float(row[0]), row[3]) for row in rows] == [(p, verdict)]
+
+
+@pytest.mark.parametrize("t", octahedron_face_points())
+def test_scan_rows_on_the_bell_diagonal_boundary(t):
+    direction = "--direction=" + ",".join(map(repr, t))
+    rows = _scan_rows("scan", "--family", "bell-diagonal", direction, "--from", "0", "--to", "1",
+                      "--step", "0.5")
+    assert [row[3] for row in rows] == ["INCONCLUSIVE"] * 3
+    assert abs(float(rows[-1][1]) - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("ppt", [False, True])
 @pytest.mark.parametrize(
     "family,start,stop,step,rows",
@@ -655,6 +682,7 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
     events = []
     isotropic = family[0] == "isotropic"
     make = cli.isotropic if isotropic else cli.bell_diagonal
+    coefficients = cli.isotropic_coefficients if isotropic else cli.bell_diagonal_coefficients
     build = cli.isotropic_matrix if isotropic else cli.bell_diagonal_matrix
     validate = states.validate_density
 
@@ -662,21 +690,25 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
         return lambda *args, **kwargs: events.append(event(args)) or fn(*args, **kwargs)
 
     monkeypatch.setattr(cli, make.__name__, record(lambda args: "make", make))
-    monkeypatch.setattr(cli, build.__name__, record(lambda args: len(args[-1]), build))
+    monkeypatch.setattr(cli, coefficients.__name__, record(lambda args: len(args[-1]), coefficients))
+    monkeypatch.setattr(cli, build.__name__, record(lambda args: ("built", len(args[-1])), build))
     monkeypatch.setattr(cli, "open", record(lambda args: "open", open), raising=False)
     monkeypatch.setattr(states, "validate_density", record(lambda args: "validate", validate))
     path = tmp_path / "scan.csv"
     assert run_main(*_scan_argv(family, start, stop, step, ppt, out=str(path))) == (0, "", "")
     # the family constructors check the two end points, in closed form and
-    # without validation, before --out is opened; no row is validated, and
-    # every row is built in blocks of the capped size
+    # without validation, before --out is opened; no row is validated, every
+    # row's statistic is read from its coefficients in blocks of the capped
+    # size, and only --ppt builds matrices, one stack per block
     assert events[:3] == ["make", "make", "open"]
-    built = events[3:]
-    assert all(isinstance(rows_built, int) for rows_built in built)
+    blocks = [event for event in events[3:] if isinstance(event, int)]
+    built = [event[1] for event in events[3:] if isinstance(event, tuple)]
+    assert len(blocks) + len(built) == len(events) - 3
     expected = _one_row_at_a_time(family, start, stop, step, ppt)
     assert path.read_bytes() == expected.encode()
-    assert len(built) >= 3 and set(built[:-1]) == {rows}
-    assert sum(built) == expected.count("\n") - 1
+    assert len(blocks) >= 3 and set(blocks[:-1]) == {rows}
+    assert sum(blocks) == expected.count("\n") - 1
+    assert built == (blocks if ppt else [])
 
 
 @pytest.mark.parametrize("command", ["check-sep", "decompose"])
@@ -699,7 +731,6 @@ def test_one_decomposition_and_one_svd_per_report(monkeypatch, command, spec):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(weyl, "weyl_coefficients", counted_transform)
     monkeypatch.setattr(bipartite, "weyl_coefficients", counted_transform)
-    monkeypatch.setattr(cli, "weyl_coefficients", counted_transform)
     rc, out, err = run_main(command, "--state", spec, "--no-timestamp")
     assert (rc, err) == (0, "")
     assert calls == {"svd": 1, "transform": 1}

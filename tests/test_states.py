@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import bell_weights, example4_spectrum, isotropic_spectrum
+from oracles import bell_diagonal_matrix_by_terms, bell_weights, example4_spectrum, isotropic_spectrum
 from weylsep import (
     ENTANGLED,
     NotPositiveSemidefiniteError,
@@ -18,13 +20,16 @@ from weylsep import (
     teleportation_verdict,
     weyl_separability_criterion,
 )
+from weylsep.bipartite import weyl_diagonal_singular_values
 from weylsep.linalg import TRACE_TOL, hermitian_part
 from weylsep.states import (
     bell_diagonal,
+    bell_diagonal_coefficients,
     bell_diagonal_matrix,
     example4,
     haar_unitary,
     isotropic,
+    isotropic_coefficients,
     isotropic_matrix,
     max_entangled,
     max_entangled_ket,
@@ -84,6 +89,47 @@ def test_bell_diagonal_matrix_stack_is_the_constructors_matrices():
     assert stack.shape == (5, 4, 4)
     for s, m in zip(ss.tolist(), stack):
         np.testing.assert_array_equal(m, bell_diagonal(*(s * t for t in ray)).matrix)
+
+
+#: Signed zeros, subnormals, the unit, thirds, neighbours of 1 and values whose sums overflow.
+_EDGE_VALUES = [0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 1 / 3, -1 / 3, 5e-324, -5e-324, 1.5e-323,
+                2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 1e-17, -1e-17, 2.0,
+                1.0000000000000002, 0.9999999999999999]
+
+
+def test_bell_diagonal_matrix_is_the_term_by_term_sum_byte_for_byte():
+    # warnings are errors in this suite, so neither route may warn
+    points = np.array(list(itertools.product(_EDGE_VALUES, repeat=3)))
+    for t in points.tolist():
+        assert bell_diagonal_matrix(*t).tobytes() == bell_diagonal_matrix_by_terms(*t).tobytes()
+    assert bell_diagonal_matrix(*points.T).tobytes() == bell_diagonal_matrix_by_terms(*points.T).tobytes()
+    rng = np.random.default_rng(23)
+    ts = rng.uniform(-1.0, 1.0, size=(3, 5, 7))
+    ts[:, 0] = np.round(ts[:, 0], 1)  # sums that cancel to zero
+    assert bell_diagonal_matrix(*ts).shape == (5, 7, 4, 4)
+    assert bell_diagonal_matrix(*ts).tobytes() == bell_diagonal_matrix_by_terms(*ts).tobytes()
+
+
+def test_coefficient_stacks_are_the_single_states_coefficients():
+    ps = np.array([0.0, -0.0, 0.25, 1 / 3, 1.0])
+    for d in (2, 3, 5):
+        stack = isotropic_coefficients(d, ps)
+        assert stack.shape == (5, d * d)
+        values = weyl_diagonal_singular_values(stack)
+        for p, row, row_values in zip(ps.tolist(), stack, values):
+            assert row.tobytes() == isotropic_coefficients(d, p).tobytes()
+            assert row_values.tobytes() == weyl_diagonal_singular_values(row).tobytes()
+            assert row_values.sum() == weyl_diagonal_singular_values(row).sum()
+        assert not np.signbit(isotropic_coefficients(d, -0.0)).any()
+    ts = np.array(list(itertools.product([0.0, -0.0, 0.3, -0.7], repeat=3))).T
+    stack = bell_diagonal_coefficients(*ts)
+    values = weyl_diagonal_singular_values(stack)
+    for t, row, row_values in zip(ts.T.tolist(), stack, values):
+        assert row.tobytes() == bell_diagonal_coefficients(*t).tobytes()
+        assert row.tolist() == [1.0, t[0], t[2], -t[1]]
+        assert not np.signbit(row[row == 0]).any()  # no -0.0 coefficient
+        assert row_values.tobytes() == weyl_diagonal_singular_values(row).tobytes()
+        assert row_values.tolist() == sorted(map(abs, t), reverse=True)
 
 
 def _assert_hermitian_bit_for_bit(stack):
@@ -445,13 +491,17 @@ def test_an_int_beyond_the_float_range_is_infinite():
     assert str(info.value) == f"correlation parameters must be finite, got ({-huge}, 0, 0)"
 
 
-@pytest.mark.parametrize("make", [isotropic, max_entangled])
+@pytest.mark.parametrize("make", [isotropic, max_entangled, max_entangled_ket])
 def test_a_float_dimension_fails_after_its_integer_was_cached(make):
-    # an untyped cache keys np.int64(2) and 2.0 alike
+    # the dimension is checked before any per-d cache, which keys
+    # np.int64(2) and 2.0 alike unless it is typed
     args = (0.5,) if make is isotropic else ()
     make(np.int64(2), *args)
-    with pytest.raises(TypeError):
-        make(2.0, *args)
+    for d in (2.0, np.float64(3.0), "2", None):
+        with pytest.raises(ValidationError) as info:
+            make(d, *args)
+        assert info.type is ValidationError
+        assert str(info.value) == f"dimension must be an integer, got {d!r}"
 
 
 @pytest.mark.parametrize("face", range(4))
