@@ -223,7 +223,7 @@ def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
     if rho._decomposition is None:
         da, db = _require_bipartite(rho)
         if rho._weyl_diagonal is not None:
-            dec = weyl_diagonal_decomposition(rho._weyl_diagonal())
+            dec = weyl_diagonal_decomposition(rho._weyl_diagonal)
         else:
             table = weyl_coefficients(rho.matrix, da, db)
             table[0, 0] = 1.0

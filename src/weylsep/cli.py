@@ -58,6 +58,8 @@ from .bloch import bloch_length, decompose, purity_from_length, reconstruct
 from .fileio import json_text, load_state, matrix_entries
 from .linalg import DensityMatrix, ValidationError
 from .states import (
+    _dimension,
+    _mixing,
     bell_diagonal,
     bell_diagonal_coefficients,
     bell_diagonal_matrix,
@@ -352,9 +354,8 @@ def cmd_scan(args) -> int:
             raise UsageError("--direction applies only to the bell-diagonal family")
         if args.d is None:
             raise UsageError("isotropic scan requires --d")
-        d = _dim(args.d)
-        da = db = d
-        make = lambda p: isotropic(d, p)  # noqa: E731
+        da = db = d = _dimension(_dim(args.d))
+        check = _mixing
         coefficients = lambda ps: isotropic_coefficients(d, ps)  # noqa: E731
         build = lambda ps: isotropic_matrix(d, ps)  # noqa: E731
     else:
@@ -371,22 +372,24 @@ def cmd_scan(args) -> int:
         if not np.isfinite(direction).all():
             raise UsageError(f"--direction must be finite, got {args.direction}")
         da = db = 2
-        make = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
+        check = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
         coefficients = lambda ss: bell_diagonal_coefficients(*(ss * t for t in direction))  # noqa: E731
         build = lambda ss: bell_diagonal_matrix(*(ss * t for t in direction))  # noqa: E731
 
     # Both families are affine in the parameter, so along the grid the trace
     # is affine and lambda_min is concave: valid end points make every row
-    # valid. The family constructors check them once, before --out is
-    # opened, in closed form (the range of p, the least Bell weight) and
-    # without validation. Every row is then a state that the constructor
-    # would certify, so its Ky Fan statistic is read, as the constructor's
-    # state reads it, from the closed-form singular values of its
-    # Weyl-diagonal coefficients: no matrix, transform or SVD. With --ppt,
-    # each block of rows is also built, Hermitian bit for bit, and solved
-    # as one stack without another check. Each block is written when done.
-    make(grid[0])
-    make(grid[-1])
+    # valid. They are checked once, before --out is opened, by the family's
+    # own rules: an isotropic one by the dimension (above) and mixing
+    # rules, with no state built; a Bell-diagonal one by bell_diagonal,
+    # which builds the 4x4 state so that a rejection keeps validation's
+    # message. Every row is then a state that the constructor would
+    # certify, so its Ky Fan statistic is read, as the constructor's state
+    # reads it, from the closed-form singular values of its Weyl-diagonal
+    # coefficients: no matrix, transform or SVD. With --ppt, each block of
+    # rows is also built, Hermitian bit for bit, and solved as one stack
+    # without another check. Each block is written when done.
+    check(grid[0])
+    check(grid[-1])
     threshold = kyfan_bound(da, db)
     block = max(1, SCAN_BLOCK_BYTES // (16 * (da * db) ** 2))
     header = ["param", "kyfan", "threshold", "verdict"] + (["ppt_min_eig"] if args.ppt else [])

@@ -9,7 +9,6 @@ index ``i * dB + j``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -87,11 +86,11 @@ class DensityMatrix:
     undecomposed state at once both compute the table, to the same bits.
 
     The Weyl-diagonal named families (``isotropic``, ``max_entangled`` and
-    the certified ``bell_diagonal`` states) also set ``_weyl_diagonal``, a
-    function of no arguments that returns the state's d^2 coefficients
-    ``c_s``. :func:`~weylsep.bipartite.decompose_bipartite` then builds the
-    table and its singular values from them in closed form, on first call,
-    with no transform and no SVD
+    the certified ``bell_diagonal`` states) also set ``_weyl_diagonal`` to
+    the state's d^2 coefficients ``c_s``, a read-only array.
+    :func:`~weylsep.bipartite.decompose_bipartite` then builds the table
+    and its singular values from them in closed form, on first call, with
+    no transform and no SVD
     (:func:`~weylsep.bipartite.weyl_diagonal_decomposition`). Until then
     the state holds no table. A relabel does not inherit the closed form.
     """
@@ -100,7 +99,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
     _spectrum: np.ndarray | None = field(default=None, repr=False)
     _decomposition: BipartiteDecomposition | None = field(default=None, init=False, repr=False)
-    _weyl_diagonal: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
+    _weyl_diagonal: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -157,13 +156,8 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep}")
     r4 = rho.matrix.reshape(da, db, da, db)
-    if keep == 0:
-        reduced = np.einsum("abcb->ac", r4)
-        d = da
-    else:
-        reduced = np.einsum("abad->bd", r4)
-        d = db
-    return validate_density(reduced, [d])
+    reduced = np.einsum("abcb->ac" if keep == 0 else "abad->bd", r4)
+    return validate_density(reduced, [len(reduced)])
 
 
 def partial_transpose(rho: DensityMatrix, sys: int) -> np.ndarray:

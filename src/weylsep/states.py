@@ -11,11 +11,17 @@ constructor goes through :func:`~weylsep.linalg.validate_density`. Either
 way the state has the same matrix and, once read, the same spectrum, byte
 for byte.
 
+The isotropic matrix is built from its structure, with no per-d array
+kept (:func:`isotropic_matrix`), and :func:`max_entangled` is the
+isotropic state at ``p = 1``. :func:`isotropic` and :func:`example4`
+check their mixing parameter by one rule, ``0 <= p <= 1``.
+
 Three of those families are Weyl-diagonal: :func:`isotropic`,
 :func:`max_entangled` and the :func:`bell_diagonal` states that skip
 validation. Their states also carry their Weyl decomposition in closed
-form, as the d^2 coefficients :func:`isotropic_coefficients` and
-:func:`bell_diagonal_coefficients`. The first
+form, as the read-only array of their d^2 coefficients
+(:func:`isotropic_coefficients`, :func:`bell_diagonal_coefficients`),
+computed when the state is built. The first
 :func:`~weylsep.bipartite.decompose_bipartite` of such a state builds the
 table from them, with singular values ``p`` (``d^2 - 1`` times) or
 ``|t1|, |t2|, |t3|`` in nonincreasing order, and runs no transform and
@@ -24,8 +30,8 @@ agree with the transform route to round-off, not bit for bit.
 :func:`example4` is not Weyl-diagonal and keeps the transform.
 
 A dimension must be an int or a numpy integer (not a bool) of at least
-2; anything else raises :class:`ValidationError` naming it, before any
-per-d cache is read. The real parameters of the named families may be
+2; anything else raises :class:`ValidationError` naming it, before
+anything is built. The real parameters of the named families may be
 Python or numpy real scalars or 0-d real arrays; each is made a Python
 float once, on entry, so an ``np.float32`` p builds the state of
 ``float(p)``, byte for byte. Anything else, a complex number, a string or
@@ -38,7 +44,7 @@ bit, so results can be replicated across machines and implementations.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -69,7 +75,7 @@ def max_entangled_ket(d: int) -> np.ndarray:
     return ket
 
 
-def _certified(m: np.ndarray, d: int, coefficients=None) -> DensityMatrix:
+def _certified(m: np.ndarray, d: int, coefficients: np.ndarray | None = None) -> DensityMatrix:
     """The ``d x d`` state of a family matrix that its parameters prove valid, unvalidated.
 
     The caller has checked that m is the matrix validation would store
@@ -78,12 +84,13 @@ def _certified(m: np.ndarray, d: int, coefficients=None) -> DensityMatrix:
     its smallest eigenvalue is at least ``-POSITIVITY_TOL``. The spectrum
     is solved on first read by the ``eigvalsh`` validation would have run
     on the same bytes. A Weyl-diagonal family also passes ``coefficients``,
-    a function of no arguments that returns the state's d^2 Weyl-diagonal
-    coefficients; it runs on the state's first decomposition, not here.
+    the state's d^2 Weyl-diagonal coefficients, which the state keeps
+    read-only; its first decomposition builds the table from them.
     """
     m.flags.writeable = False
     rho = DensityMatrix(m, (d, d))
     if coefficients is not None:
+        coefficients.flags.writeable = False
         object.__setattr__(rho, "_weyl_diagonal", coefficients)
     return rho
 
@@ -112,16 +119,22 @@ def _real(value, name: str) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _mixing(p) -> float:
+    """A mixing parameter as a Python float, once it is checked to lie in [0, 1]."""
+    x = _real(p, "mixing parameter")
+    if not 0.0 <= x <= 1.0:
+        raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
+    return x
+
+
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto the maximally entangled state of a d x d system.
 
-    Its spectrum is 1 once and 0 ``d^2 - 1`` times. Every call shares one
-    read-only matrix per d, the one :func:`isotropic_matrix` mixes in. It
-    is the isotropic state at ``p = 1``, and decomposes as that state does:
-    every correlation singular value is 1.
+    It is the isotropic state at ``p = 1``, built and decomposed as that
+    state is: its spectrum is 1 once and 0 ``d^2 - 1`` times, and every
+    correlation singular value is 1.
     """
-    d = _dimension(d)
-    return _certified(_isotropic_terms(d)[1], d, partial(isotropic_coefficients, d, 1.0))
+    return isotropic(d, 1.0)
 
 
 def isotropic(d: int, p: float) -> DensityMatrix:
@@ -134,11 +147,8 @@ def isotropic(d: int, p: float) -> DensityMatrix:
     accepted p, made a float on entry, gives the state without validation.
     Its correlation singular values are all p (:func:`isotropic_coefficients`).
     """
-    d = _dimension(d)
-    x = _real(p, "mixing parameter")
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
-    return _certified(isotropic_matrix(d, x), d, partial(isotropic_coefficients, d, x))
+    d, x = _dimension(d), _mixing(p)
+    return _certified(isotropic_matrix(d, x), d, isotropic_coefficients(d, x))
 
 
 def isotropic_coefficients(d: int, p) -> np.ndarray:
@@ -151,31 +161,41 @@ def isotropic_coefficients(d: int, p) -> np.ndarray:
     mixture has ``(1-p) + p = 1`` at ``(0, 0)`` and p at the other pairs.
     A ``-0.0`` p gives ``+0.0`` coefficients.
     """
-    c = np.add.outer(p, np.zeros(d * d))
+    stack = getattr(p, "shape", ())  # np.shape would first make a float an array
+    c = np.empty((*stack, d * d))
+    c[...] = (p + 0.0)[..., None] if stack else p + 0.0
     c[..., 0] = 1.0
     return c
-
-
-@lru_cache(maxsize=None, typed=True)
-def _isotropic_terms(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only complex ``I`` and ``|psi+><psi+|`` of a d x d system."""
-    ket = max_entangled_ket(d)
-    terms = np.eye(d * d, dtype=complex), np.outer(ket, ket.conj())
-    for term in terms:
-        term.flags.writeable = False
-    return terms
 
 
 def isotropic_matrix(d: int, p) -> np.ndarray:
     """The unchecked :func:`isotropic` matrix, or a ``(..., d*d, d*d)`` stack for an array ``p``.
 
-    Each matrix is Hermitian bit for bit: it equals its own
-    :func:`~weylsep.linalg.hermitian_part`, byte for byte. The two terms
-    it mixes are built once per d and kept for the life of the process.
+    The matrix is built from its structure, with no per-d array kept:
+    ``(1-p)/d^2`` on the diagonal, ``p * (1/sqrt(d))^2`` on the strided view
+    ``[::d+1, ::d+1]``, whose ``d^2`` entries ``|ii><jj|`` are exactly the
+    nonzero entries of ``|psi+><psi+|``, and the sum of the two on the
+    ``d`` entries ``|ii><ii|`` that both terms hold. For every p in
+    [0, 1], ``-0.0`` included, these are the bytes of the term-by-term sum
+    ``(1-p)/d^2 * I + p * |psi+><psi+|`` over the complex I and the outer
+    product of :func:`max_entangled_ket`: each entry of that sum is one of
+    these values plus exact zeros, and ``+0 + -0`` is ``+0``, so a
+    ``-0.0`` projector weight is written as ``+0.0``. Each matrix is
+    Hermitian bit for bit: it equals its own
+    :func:`~weylsep.linalg.hermitian_part`, byte for byte.
     """
-    identity, projector = _isotropic_terms(d)
-    m = np.multiply.outer((1.0 - p) / (d * d), identity)
-    m += np.multiply.outer(p, projector)
+    n, a = d * d, 1.0 / math.sqrt(d)
+    x, y = (1.0 - p) / n, p * (a * a) + 0.0
+    stack = getattr(p, "shape", ())
+    # a stack holds one value per matrix, broadcast over that matrix's entries
+    x, y, both = (x[..., None], y[..., None, None], (x + y)[..., None]) if stack else (x, y, x + y)
+    m = np.zeros((*stack, n, n), dtype=complex)
+    # written, not added: at d <= 4 an in-place add on a strided view costs
+    # more than the rest of the build
+    m[..., :: d + 1, :: d + 1] = y
+    diagonal = m.reshape(*stack, n * n)[..., :: n + 1]
+    diagonal[...] = x
+    diagonal[..., :: d + 1] = both
     return m
 
 
@@ -211,7 +231,7 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     m = bell_diagonal_matrix(a, b, c)
     # a float overflow here gives +-inf, with no warning
     if min(1 + a - b + c, 1 - a + b + c, 1 + a + b - c, 1 - a - b - c) / 4 >= -POSITIVITY_TOL:
-        return _certified(m, 2, partial(bell_diagonal_coefficients, a, b, c))
+        return _certified(m, 2, bell_diagonal_coefficients(a, b, c))
     return validate_density(m, [2, 2])
 
 
@@ -286,9 +306,7 @@ def example4(p: float) -> DensityMatrix:
     Hermitian part of the mixture, which fixes the signed zeros of the
     complex outer product.
     """
-    x = _real(p, "mixing parameter")
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"mixing parameter must lie in [0, 1], got {p}")
+    x = _mixing(p)
     phi = np.zeros(4, dtype=complex)
     phi[1] = 1.0 / np.sqrt(2.0)
     phi[2] = -1.0 / np.sqrt(2.0)

@@ -35,10 +35,11 @@ and twelve usage and input errors. The rest exercise the four named
 families that build their states in closed form: isotropic at d = 2-8
 with p at 0, 1/(d+1) and 1, Bell-diagonal points at the vertices, edges
 and faces of the tetrahedron and just outside it, example4 over [0, 1],
-max-entangled at d = 2-8, and every family rejection. The last three are
-long reports, for the JSON writer: ``basis --d 8``, ``decompose`` on a
-full-rank 6x6 random-mixed pair and ``check-tele`` on a full-rank d = 5
-state.
+max-entangled at d = 2-8, every family rejection, and scans whose end
+points are checked without building a state (isotropic at d = 1 and
+d = 32, and from below 0). The last three are long reports, for the
+JSON writer: ``basis --d 8``, ``decompose`` on a full-rank 6x6
+random-mixed pair and ``check-tele`` on a full-rank d = 5 state.
 
 Isotropic, max-entangled and certified Bell-diagonal states also
 decompose in closed form, with no Weyl transform and no SVD, so their
@@ -166,6 +167,14 @@ def argvs() -> list[list[str]]:
         ["scan", "--family", "bell-diagonal", "--direction=1,1,1", "--from", "0", "--to", "0.34",
          "--step", "0.01", "--out", "-"],
         ["scan", "--family", "isotropic", "--d", "3", "--from", "0", "--to", "1.5", "--step",
+         "0.5", "--out", "-"],
+        # isotropic end points are checked without building a state: a
+        # dimension below 2, a large d, and a first point below 0
+        ["scan", "--family", "isotropic", "--d", "1", "--from", "0", "--to", "1", "--step", "0.5",
+         "--out", "-"],
+        ["scan", "--family", "isotropic", "--d", "32", "--from", "0", "--to", "1", "--step",
+         "0.5", "--out", "-"],
+        ["scan", "--family", "isotropic", "--d", "3", "--from", "-0.5", "--to", "1", "--step",
          "0.5", "--out", "-"],
     ]
     out += [

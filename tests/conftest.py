@@ -1,8 +1,3 @@
-import pytest
-
-from weylsep import states
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance check in the terminal summary."""
     rows = []
@@ -18,13 +13,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for name, out in sorted(rows):
             terminalreporter.write_line(f"{out:6s} {name}")
 
-
-@pytest.fixture
-def forget_isotropic_terms():
-    """Free the per-d isotropic terms after a test that builds states up to d = 32.
-
-    The terms of one d take ``32 d^4`` bytes and are kept for the life of
-    the process: 221 MiB for every d from 2 to 32.
-    """
-    yield
-    states._isotropic_terms.cache_clear()

@@ -3,8 +3,9 @@
 Nothing here goes through the library's search or decomposition paths, so
 these values can certify them. The exceptions are
 :func:`scan_one_row_at_a_time`, which pins the stacked ``scan`` to the
-library's single-state functions, and :func:`matrix_entries_one_at_a_time`,
-the entrywise form of the CLI's JSON serializer.
+library's single-state functions, :func:`matrix_entries_one_at_a_time`,
+the entrywise form of the CLI's JSON serializer, and
+:func:`isotropic_matrix_by_terms`, which mixes the library's ket.
 """
 
 from __future__ import annotations
@@ -303,6 +304,22 @@ def bell_diagonal_matrix_by_terms(t1, t2, t3) -> np.ndarray:
         for t, p in zip((t1, t2, t3), paulis):
             m = m + np.multiply.outer(t, np.kron(p, p))
         return m / 4.0
+
+
+def isotropic_matrix_by_terms(d: int, p) -> np.ndarray:
+    """``(1-p)/d^2 * I + p * |psi+><psi+|`` summed term by term, or a stack for an array ``p``.
+
+    The identity is complex, the projector is the complex outer product of
+    :func:`weylsep.max_entangled_ket` with its conjugate, and each term is a
+    complex ``np.multiply.outer`` product: the bytes every formula of the
+    isotropic matrix is held to.
+    """
+    from weylsep import max_entangled_ket
+
+    ket = max_entangled_ket(d)
+    m = np.multiply.outer((1.0 - p) / (d * d), np.eye(d * d, dtype=complex))
+    m += np.multiply.outer(p, np.outer(ket, ket.conj()))
+    return m
 
 
 def weyl_coefficient_table(rho: np.ndarray, da: int, db: int) -> np.ndarray:

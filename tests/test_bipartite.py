@@ -526,9 +526,8 @@ def test_other_states_keep_the_transform(monkeypatch, make):
     assert dec.table.shape == (rho.dims[0] ** 2, rho.dims[1] ** 2)
 
 
-def test_a_family_state_holds_no_table_until_it_is_decomposed(forget_isotropic_terms):
+def test_a_family_state_holds_no_table_until_it_is_decomposed():
     d = 32
-    isotropic(d, 0.5)  # the two terms it mixes are built once per d
     tracemalloc.start()
     try:
         rho = isotropic(d, 0.3)
@@ -544,7 +543,7 @@ def test_a_family_state_holds_no_table_until_it_is_decomposed(forget_isotropic_t
 
 
 @pytest.mark.parametrize("d", range(2, 33))
-def test_isotropic_on_the_separable_boundary_stays_inconclusive(forget_isotropic_terms, d):
+def test_isotropic_on_the_separable_boundary_stays_inconclusive(d):
     verdict = weyl_separability_criterion(isotropic(d, 1 / (d + 1)))
     assert verdict.outcome == INCONCLUSIVE
     assert abs(verdict.statistic - verdict.threshold) <= 1e-12

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -589,9 +590,9 @@ def test_scan_direction_error_names_the_input():
 
 
 def test_scan_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path):
-    # the end points are checked through states.isotropic; every block of the
-    # sweep starts with the stacked coefficients, and with --ppt the stacked
-    # matrices, that the cli imports
+    # the end points are checked by the dimension and mixing rules; every
+    # block of the sweep starts with the stacked coefficients, and with --ppt
+    # the stacked matrices, that the cli imports
     calls = []
     monkeypatch.setattr(cli, "isotropic_coefficients", lambda d, ps: calls.append(ps))
     monkeypatch.setattr(cli, "isotropic_matrix", lambda d, ps: calls.append(ps))
@@ -647,7 +648,7 @@ def _scan_rows(*argv):
 
 
 @pytest.mark.parametrize("d", range(2, 33))
-def test_scan_rows_on_the_isotropic_boundary(forget_isotropic_terms, d):
+def test_scan_rows_on_the_isotropic_boundary(d):
     # on the separable bound the row stays INCONCLUSIVE; 1e-8 past it, ENTANGLED
     ps = [1 / (d + 1)] + ([1 / (d + 1) + 1e-8] if d <= 8 else [])
     for p, verdict in zip(ps, ["INCONCLUSIVE", "ENTANGLED"]):
@@ -681,7 +682,6 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
     monkeypatch.setattr(cli, "SCAN_BLOCK_BYTES", rows * 16 * dim**2)
     events = []
     isotropic = family[0] == "isotropic"
-    make = cli.isotropic if isotropic else cli.bell_diagonal
     coefficients = cli.isotropic_coefficients if isotropic else cli.bell_diagonal_coefficients
     build = cli.isotropic_matrix if isotropic else cli.bell_diagonal_matrix
     validate = states.validate_density
@@ -689,21 +689,26 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
     def record(event, fn):
         return lambda *args, **kwargs: events.append(event(args)) or fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, make.__name__, record(lambda args: "make", make))
+    for make in (cli.isotropic, cli.bell_diagonal):
+        monkeypatch.setattr(cli, make.__name__, record(lambda args: "make", make))
     monkeypatch.setattr(cli, coefficients.__name__, record(lambda args: len(args[-1]), coefficients))
     monkeypatch.setattr(cli, build.__name__, record(lambda args: ("built", len(args[-1])), build))
     monkeypatch.setattr(cli, "open", record(lambda args: "open", open), raising=False)
     monkeypatch.setattr(states, "validate_density", record(lambda args: "validate", validate))
     path = tmp_path / "scan.csv"
     assert run_main(*_scan_argv(family, start, stop, step, ppt, out=str(path))) == (0, "", "")
-    # the family constructors check the two end points, in closed form and
-    # without validation, before --out is opened; no row is validated, every
-    # row's statistic is read from its coefficients in blocks of the capped
-    # size, and only --ppt builds matrices, one stack per block
-    assert events[:3] == ["make", "make", "open"]
-    blocks = [event for event in events[3:] if isinstance(event, int)]
-    built = [event[1] for event in events[3:] if isinstance(event, tuple)]
-    assert len(blocks) + len(built) == len(events) - 3
+    # the two end points are checked before --out is opened, without
+    # validation: an isotropic one by the dimension and mixing rules, with no
+    # constructor called, a Bell-diagonal one by bell_diagonal; no row is
+    # validated, every row's statistic is read from its coefficients in
+    # blocks of the capped size, and only --ppt builds matrices, one stack
+    # per block
+    checks = [] if isotropic else ["make", "make"]
+    opened = len(checks) + 1
+    assert events[:opened] == [*checks, "open"]
+    blocks = [event for event in events[opened:] if isinstance(event, int)]
+    built = [event[1] for event in events[opened:] if isinstance(event, tuple)]
+    assert len(blocks) + len(built) == len(events) - opened
     expected = _one_row_at_a_time(family, start, stop, step, ppt)
     assert path.read_bytes() == expected.encode()
     assert len(blocks) >= 3 and set(blocks[:-1]) == {rows}
@@ -792,6 +797,37 @@ def test_the_commands_run_without_scipy(tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_isotropic_states_keep_no_memory_once_dropped():
+    # a fresh interpreter, so that no earlier test has filled a cache; the
+    # states of d = 32 alone take 16 MiB each while they are held
+    code = (
+        "import tracemalloc\n"
+        "from weylsep import isotropic, max_entangled\n"
+        "tracemalloc.start()\n"
+        "for d in range(2, 33):\n"
+        "    isotropic(d, 0.5)\n"
+        "    max_entangled(d)\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2**20
+
+
+def test_isotropic_scan_without_ppt_builds_no_matrix():
+    # one 1024 x 1024 complex matrix would take 16 MiB
+    argv = ("scan", "--family", "isotropic", "--d", "32", "--from", "0", "--to", "1", "--step", "0.5",
+            "--out", "-")
+    tracemalloc.start()
+    try:
+        rc, out, err = run_main(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, err, out.count("\n")) == (0, "", 4)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

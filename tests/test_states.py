@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import bell_diagonal_matrix_by_terms, bell_weights, example4_spectrum, isotropic_spectrum
+from oracles import (
+    bell_diagonal_matrix_by_terms,
+    bell_weights,
+    example4_spectrum,
+    isotropic_matrix_by_terms,
+    isotropic_spectrum,
+)
 from weylsep import (
     ENTANGLED,
     NotPositiveSemidefiniteError,
@@ -82,6 +88,27 @@ def test_isotropic_matrix_stack_is_the_constructors_matrices(d):
         np.testing.assert_array_equal(m, isotropic(d, p).matrix)
 
 
+@pytest.mark.parametrize("d", range(2, 33))
+def test_isotropic_matrix_is_the_term_by_term_sum_byte_for_byte(d):
+    edges = [0.0, -0.0, 1.0, 1 / (d + 1), 5e-324, 1 - 2**-53]
+    ps = np.concatenate([edges, np.random.default_rng(d).uniform(0.0, 1.0, 6)])
+    for p in ps.tolist():
+        assert isotropic_matrix(d, p).tobytes() == isotropic_matrix_by_terms(d, p).tobytes()
+    for stack in (ps, ps[:6].reshape(2, 3)):
+        assert isotropic_matrix(d, stack).shape == (*stack.shape, d * d, d * d)
+        assert isotropic_matrix(d, stack).tobytes() == isotropic_matrix_by_terms(d, stack).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+def test_max_entangled_is_the_isotropic_state_at_one(d):
+    rho, iso = max_entangled(d), isotropic(d, 1.0)
+    assert rho.dims == iso.dims == (d, d)
+    assert rho.matrix.tobytes() == iso.matrix.tobytes()
+    assert rho.spectrum.tobytes() == iso.spectrum.tobytes()
+    assert rho._weyl_diagonal.tobytes() == iso._weyl_diagonal.tobytes()
+    assert not rho._weyl_diagonal.flags.writeable
+
+
 def test_bell_diagonal_matrix_stack_is_the_constructors_matrices():
     ss = np.linspace(-0.3, 0.9, 5)
     ray = (0.3, -0.2, 0.5)
@@ -121,6 +148,9 @@ def test_coefficient_stacks_are_the_single_states_coefficients():
             assert row_values.tobytes() == weyl_diagonal_singular_values(row).tobytes()
             assert row_values.sum() == weyl_diagonal_singular_values(row).sum()
         assert not np.signbit(isotropic_coefficients(d, -0.0)).any()
+        grid = ps[:4].reshape(2, 2)
+        assert isotropic_coefficients(d, grid).tobytes() == isotropic_coefficients(d, ps[:4]).tobytes()
+        assert isotropic_coefficients(d, grid).shape == (2, 2, d * d)
     ts = np.array(list(itertools.product([0.0, -0.0, 0.3, -0.7], repeat=3))).T
     stack = bell_diagonal_coefficients(*ts)
     values = weyl_diagonal_singular_values(stack)
