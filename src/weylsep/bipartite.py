@@ -42,7 +42,9 @@ pairs ``(s, s-bar)``, with ``W_{s-bar} = conj(W_s)``, so their correlation
 matrix is monomial and its singular values are the moduli of its entries.
 
 The PPT cross-check reads the smallest eigenvalue of the partial
-transpose, :func:`ppt_statistic`, for one state or a stack of them.
+transpose. The named families that skip validation carry it in closed
+form (:mod:`weylsep.states`); for every other state it is solved
+(:func:`ppt_statistic`).
 """
 
 from __future__ import annotations
@@ -277,14 +279,14 @@ def weyl_separability_criterion(rho: DensityMatrix) -> Verdict:
     return Verdict("weyl-correlation", outcome, statistic, threshold)
 
 
-def ppt_statistic(h: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Smallest eigenvalue of the partial transpose on the second factor, per matrix of a stack.
+def ppt_statistic(h: np.ndarray, da: int, db: int) -> float:
+    """Smallest eigenvalue of the partial transpose of one matrix on its second factor.
 
     h must be Hermitian bit for bit, as a validated state is
     (:func:`weylsep.linalg.validate_density`): the partial transpose permutes
     its entries, so it is too, and its spectrum is solved as it stands.
     """
-    return np.linalg.eigvalsh(transpose_factor(h, da, db, 1))[..., 0]
+    return float(np.linalg.eigvalsh(transpose_factor(h, da, db, 1))[0])
 
 
 def ppt_criterion(rho: DensityMatrix) -> Verdict:
@@ -293,9 +295,23 @@ def ppt_criterion(rho: DensityMatrix) -> Verdict:
     A negative eigenvalue of the partial transpose certifies entanglement;
     a positive partial transpose is reported INCONCLUSIVE (it proves
     separability only at 2x2 and 2x3, and verdicts stay one-sided here).
+
+    The statistic is that least eigenvalue. A state that a named family
+    built without validation carries it in closed form of the family's
+    parameters, which is read with no partial transpose and no
+    eigensolve: ``(1-p)/d^2 - p/d`` for an isotropic state, as
+    ``(|psi+><psi+|)^T_B = SWAP/d`` has eigenvalues ``+-1/d``; one half
+    less the largest Bell weight for a Bell-diagonal state, as the
+    transpose of the second qubit negates ``t2``; and the least root of
+    the ``|00>, |11>`` block ``[[1-p, -p/2], [-p/2, 0]]`` for example4
+    (:mod:`weylsep.states` gives each proof in full). They agree with the
+    solved value to round-off. Every other state, a relabel of a family
+    state included, has its partial transpose solved (:func:`ppt_statistic`).
     """
     da, db = _require_bipartite(rho)
-    statistic = float(ppt_statistic(rho.matrix, da, db))
+    statistic = rho._ppt_min_eig
+    if statistic is None:
+        statistic = ppt_statistic(rho.matrix, da, db)
     outcome = ENTANGLED if statistic < -STATISTIC_MARGIN else INCONCLUSIVE
     return Verdict("ppt", outcome, statistic, 0.0)
 

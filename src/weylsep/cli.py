@@ -49,7 +49,6 @@ from .bipartite import (
     decompose_bipartite,
     kyfan_bound,
     ppt_criterion,
-    ppt_statistic,
     reconstruct_bipartite,
     weyl_diagonal_singular_values,
     weyl_separability_criterion,
@@ -62,11 +61,11 @@ from .states import (
     _mixing,
     bell_diagonal,
     bell_diagonal_coefficients,
-    bell_diagonal_matrix,
+    bell_diagonal_ppt_min_eig,
     example4,
     isotropic,
     isotropic_coefficients,
-    isotropic_matrix,
+    isotropic_ppt_min_eig,
     max_entangled,
     ppt_3x3,
     random_mixed,
@@ -90,9 +89,11 @@ MAX_BUDGET = MAX_DIM**2
 #: Most rows one ``scan`` may write: a 1e-5 step over [0, 1].
 MAX_SCAN_ROWS = 100_001
 
-#: Bytes of one ``scan`` block, a ``(rows, D, D)`` stack of complex states:
-#: 3,236 rows at D = 9, and one row, over budget, at D = 1024.
-SCAN_BLOCK_BYTES = 4 * 2**20
+#: Bytes of one ``scan`` block's largest array, its ``(rows, d^2)`` stack of
+#: Weyl-diagonal coefficients: 32,768 rows at d = 2, 14,563 at d = 3 and 128
+#: at d = 32. A block's Python row lists cost about as much again at d = 2,
+#: so a larger cap would raise the peak memory of a long scan there.
+SCAN_BLOCK_BYTES = 2**20
 
 
 class UsageError(ValueError):
@@ -357,7 +358,7 @@ def cmd_scan(args) -> int:
         da = db = d = _dimension(_dim(args.d))
         check = _mixing
         coefficients = lambda ps: isotropic_coefficients(d, ps)  # noqa: E731
-        build = lambda ps: isotropic_matrix(d, ps)  # noqa: E731
+        ppt_min_eig = lambda ps: isotropic_ppt_min_eig(d, ps)  # noqa: E731
     else:
         if args.d is not None:
             raise UsageError("--d applies only to the isotropic family")
@@ -374,7 +375,7 @@ def cmd_scan(args) -> int:
         da = db = 2
         check = lambda s: bell_diagonal(*(s * t for t in direction))  # noqa: E731
         coefficients = lambda ss: bell_diagonal_coefficients(*(ss * t for t in direction))  # noqa: E731
-        build = lambda ss: bell_diagonal_matrix(*(ss * t for t in direction))  # noqa: E731
+        ppt_min_eig = lambda ss: bell_diagonal_ppt_min_eig(*(ss * t for t in direction))  # noqa: E731
 
     # Both families are affine in the parameter, so along the grid the trace
     # is affine and lambda_min is concave: valid end points make every row
@@ -385,13 +386,14 @@ def cmd_scan(args) -> int:
     # message. Every row is then a state that the constructor would
     # certify, so its Ky Fan statistic is read, as the constructor's state
     # reads it, from the closed-form singular values of its Weyl-diagonal
-    # coefficients: no matrix, transform or SVD. With --ppt, each block of
-    # rows is also built, Hermitian bit for bit, and solved as one stack
-    # without another check. Each block is written when done.
+    # coefficients: no matrix, transform or SVD. With --ppt, the least
+    # eigenvalue of each row's partial transpose is the constructor's closed
+    # form, run on the block's parameters as one array: no matrix and no
+    # eigensolve. Each block is written when done.
     check(grid[0])
     check(grid[-1])
     threshold = kyfan_bound(da, db)
-    block = max(1, SCAN_BLOCK_BYTES // (16 * (da * db) ** 2))
+    block = max(1, SCAN_BLOCK_BYTES // (8 * da * db))
     header = ["param", "kyfan", "threshold", "verdict"] + (["ppt_min_eig"] if args.ppt else [])
     with (
         contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", newline="")
@@ -405,7 +407,7 @@ def cmd_scan(args) -> int:
             verdicts = [correlation_outcome(k, threshold) for k in kyfan]
             columns = [params, kyfan, [threshold] * len(params), verdicts]
             if args.ppt:
-                columns.append(ppt_statistic(build(ps), da, db).tolist())
+                columns.append(ppt_min_eig(ps).tolist())
             writer.writerows(zip(*columns))
     return 0
 

@@ -93,6 +93,21 @@ class DensityMatrix:
     no transform and no SVD
     (:func:`~weylsep.bipartite.weyl_diagonal_decomposition`). Until then
     the state holds no table. A relabel does not inherit the closed form.
+
+    Every state a named family builds without validation (``isotropic``,
+    ``max_entangled``, ``example4`` and the certified ``bell_diagonal``
+    states) also sets ``_ppt_min_eig`` to the least eigenvalue of its
+    partial transpose, a float in closed form of its parameters, within
+    round-off of the solved value: ``(1-p)/d^2 - p/d`` for an isotropic
+    state, whose partial transpose is ``(1-p)/d^2 * I + p * SWAP/d``
+    (:func:`weylsep.states.isotropic_ppt_min_eig`); one half less the
+    largest Bell weight, since transposing the second qubit negates ``t2``
+    and so maps each weight w to ``1/2 - w``
+    (:func:`weylsep.states.bell_diagonal_ppt_min_eig`); and the least root
+    of example4's one 2x2 block (:func:`weylsep.states.example4`).
+    :func:`~weylsep.bipartite.ppt_criterion` reads it and solves no
+    spectrum; a validated state, and a relabel, which does not inherit
+    the value, leave the slot empty and get the solve.
     """
 
     matrix: np.ndarray
@@ -100,6 +115,7 @@ class DensityMatrix:
     _spectrum: np.ndarray | None = field(default=None, repr=False)
     _decomposition: BipartiteDecomposition | None = field(default=None, init=False, repr=False)
     _weyl_diagonal: np.ndarray | None = field(default=None, init=False, repr=False)
+    _ppt_min_eig: float | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:

@@ -29,6 +29,20 @@ no SVD (:func:`~weylsep.bipartite.weyl_diagonal_decomposition`). Those
 agree with the transform route to round-off, not bit for bit.
 :func:`example4` is not Weyl-diagonal and keeps the transform.
 
+Every state that skips validation also carries the least eigenvalue of
+its partial transpose in closed form, which
+:func:`~weylsep.bipartite.ppt_criterion` reads with no partial transpose
+and no eigensolve: ``(1-p)/d^2 - p/d`` for :func:`isotropic` and
+:func:`max_entangled`, since ``(|psi+><psi+|)^T_B = SWAP/d``
+(:func:`isotropic_ppt_min_eig`); one half less the largest Bell weight
+for :func:`bell_diagonal`, since the transpose of the second qubit
+negates ``t2`` (:func:`bell_diagonal_ppt_min_eig`); and
+``-p^2 / (2 ((1-p) + hypot(1-p, p)))`` for :func:`example4`, the least
+root of its one 2x2 block. Each agrees with the solved value to round-off
+(within 1e-15 on the families' parameter ranges), not bit for bit. The
+first two also take an array of parameters, as ``scan --ppt`` does, and
+give each entry the scalar result bit for bit.
+
 A dimension must be an int or a numpy integer (not a bool) of at least
 2; anything else raises :class:`ValidationError` naming it, before
 anything is built. The real parameters of the named families may be
@@ -75,7 +89,9 @@ def max_entangled_ket(d: int) -> np.ndarray:
     return ket
 
 
-def _certified(m: np.ndarray, d: int, coefficients: np.ndarray | None = None) -> DensityMatrix:
+def _certified(
+    m: np.ndarray, d: int, ppt_min_eig: float, coefficients: np.ndarray | None = None
+) -> DensityMatrix:
     """The ``d x d`` state of a family matrix that its parameters prove valid, unvalidated.
 
     The caller has checked that m is the matrix validation would store
@@ -83,12 +99,27 @@ def _certified(m: np.ndarray, d: int, coefficients: np.ndarray | None = None) ->
     that its trace is one, and, from the closed form of its spectrum, that
     its smallest eigenvalue is at least ``-POSITIVITY_TOL``. The spectrum
     is solved on first read by the ``eigvalsh`` validation would have run
-    on the same bytes. A Weyl-diagonal family also passes ``coefficients``,
-    the state's d^2 Weyl-diagonal coefficients, which the state keeps
-    read-only; its first decomposition builds the table from them.
+    on the same bytes.
+
+    The caller also passes ``ppt_min_eig``, the least eigenvalue of the
+    partial transpose of m in closed form of the family's parameters,
+    which :func:`~weylsep.bipartite.ppt_criterion` reads instead of
+    solving it; it agrees with the solved value to round-off. For an
+    isotropic state it is ``(1-p)/d^2 - p/d``, as the partial transpose of
+    ``|psi+><psi+|`` is ``SWAP/d``, with eigenvalues ``+-1/d``; for a
+    Bell-diagonal one, one half less the largest Bell weight, as the
+    transpose of the second qubit negates ``t2`` and so maps each weight w
+    to ``1/2 - w``; for example4, the least root of the partial
+    transpose's one 2x2 block. :func:`isotropic_ppt_min_eig`,
+    :func:`bell_diagonal_ppt_min_eig` and :func:`example4` give the proofs
+    in full. A Weyl-diagonal family also passes
+    ``coefficients``, the state's d^2 Weyl-diagonal coefficients, which
+    the state keeps read-only; its first decomposition builds the table
+    from them.
     """
     m.flags.writeable = False
     rho = DensityMatrix(m, (d, d))
+    object.__setattr__(rho, "_ppt_min_eig", ppt_min_eig)
     if coefficients is not None:
         coefficients.flags.writeable = False
         object.__setattr__(rho, "_weyl_diagonal", coefficients)
@@ -145,10 +176,14 @@ def isotropic(d: int, p: float) -> DensityMatrix:
     and ``(1-p)/d^2`` ``d^2 - 1`` times, so every p in [0, 1] gives a
     state and the parameter check is the whole positivity rule: every
     accepted p, made a float on entry, gives the state without validation.
-    Its correlation singular values are all p (:func:`isotropic_coefficients`).
+    Its correlation singular values are all p (:func:`isotropic_coefficients`),
+    and the least eigenvalue of its partial transpose is
+    ``(1-p)/d^2 - p/d`` (:func:`isotropic_ppt_min_eig`).
     """
     d, x = _dimension(d), _mixing(p)
-    return _certified(isotropic_matrix(d, x), d, isotropic_coefficients(d, x))
+    return _certified(
+        isotropic_matrix(d, x), d, isotropic_ppt_min_eig(d, x), isotropic_coefficients(d, x)
+    )
 
 
 def isotropic_coefficients(d: int, p) -> np.ndarray:
@@ -168,8 +203,23 @@ def isotropic_coefficients(d: int, p) -> np.ndarray:
     return c
 
 
-def isotropic_matrix(d: int, p) -> np.ndarray:
-    """The unchecked :func:`isotropic` matrix, or a ``(..., d*d, d*d)`` stack for an array ``p``.
+def isotropic_ppt_min_eig(d: int, p):
+    """``(1-p)/d^2 - p/d``, the least eigenvalue of the partial transpose of :func:`isotropic`.
+
+    The partial transpose of ``|psi+><psi+| = sum_ij |ii><jj| / d`` is
+    ``sum_ij |ij><ji| / d = SWAP / d`` (M. and P. Horodecki, PRA 59, 4206
+    (1999)), and SWAP is a Hermitian involution with both eigenvalues +1
+    (symmetric) and -1 (antisymmetric) at ``d >= 2``. The partial
+    transpose of the state, ``(1-p)/d^2 * I + p * SWAP/d``, thus has the
+    spectrum ``(1-p)/d^2 +- p/d``, whose least value, for ``p >= 0``, is
+    this one. An array ``p`` gives the value per entry, each the scalar
+    result bit for bit: the same four IEEE operations run on each.
+    """
+    return (1.0 - p) / (d * d) - p / d
+
+
+def isotropic_matrix(d: int, p: float) -> np.ndarray:
+    """The unchecked :func:`isotropic` matrix.
 
     The matrix is built from its structure, with no per-d array kept:
     ``(1-p)/d^2`` on the diagonal, ``p * (1/sqrt(d))^2`` on the strided view
@@ -180,22 +230,19 @@ def isotropic_matrix(d: int, p) -> np.ndarray:
     ``(1-p)/d^2 * I + p * |psi+><psi+|`` over the complex I and the outer
     product of :func:`max_entangled_ket`: each entry of that sum is one of
     these values plus exact zeros, and ``+0 + -0`` is ``+0``, so a
-    ``-0.0`` projector weight is written as ``+0.0``. Each matrix is
+    ``-0.0`` projector weight is written as ``+0.0``. The matrix is
     Hermitian bit for bit: it equals its own
     :func:`~weylsep.linalg.hermitian_part`, byte for byte.
     """
     n, a = d * d, 1.0 / math.sqrt(d)
     x, y = (1.0 - p) / n, p * (a * a) + 0.0
-    stack = getattr(p, "shape", ())
-    # a stack holds one value per matrix, broadcast over that matrix's entries
-    x, y, both = (x[..., None], y[..., None, None], (x + y)[..., None]) if stack else (x, y, x + y)
-    m = np.zeros((*stack, n, n), dtype=complex)
+    m = np.zeros((n, n), dtype=complex)
     # written, not added: at d <= 4 an in-place add on a strided view costs
     # more than the rest of the build
-    m[..., :: d + 1, :: d + 1] = y
-    diagonal = m.reshape(*stack, n * n)[..., :: n + 1]
+    m[:: d + 1, :: d + 1] = y
+    diagonal = m.reshape(n * n)[:: n + 1]
     diagonal[...] = x
-    diagonal[..., :: d + 1] = both
+    diagonal[:: d + 1] = x + y
     return m
 
 
@@ -222,7 +269,9 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     eigenvalue) keeps the validation message and its spectral value. Only
     the states that skip validation carry their decomposition in closed
     form (:func:`bell_diagonal_coefficients`), with correlation singular
-    values ``|t1|, |t2|, |t3|`` in nonincreasing order.
+    values ``|t1|, |t2|, |t3|`` in nonincreasing order, and the least
+    eigenvalue of their partial transpose, one half less the largest Bell
+    weight (:func:`bell_diagonal_ppt_min_eig`).
     """
     name = "correlation parameter"
     a, b, c = _real(t1, name), _real(t2, name), _real(t3, name)
@@ -230,9 +279,31 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
         raise ValidationError(f"correlation parameters must be finite, got {(t1, t2, t3)}")
     m = bell_diagonal_matrix(a, b, c)
     # a float overflow here gives +-inf, with no warning
-    if min(1 + a - b + c, 1 - a + b + c, 1 + a + b - c, 1 - a - b - c) / 4 >= -POSITIVITY_TOL:
-        return _certified(m, 2, bell_diagonal_coefficients(a, b, c))
+    if min(_bell_weights(a, b, c)) / 4 >= -POSITIVITY_TOL:
+        ppt_min_eig = bell_diagonal_ppt_min_eig(a, b, c)
+        return _certified(m, 2, ppt_min_eig, bell_diagonal_coefficients(a, b, c))
     return validate_density(m, [2, 2])
+
+
+def _bell_weights(t1, t2, t3) -> tuple:
+    """Four times the Bell weights of :func:`bell_diagonal`, ``1 + s . t`` over ``s1 s2 s3 = -1``."""
+    return (1 + t1 - t2 + t3, 1 - t1 + t2 + t3, 1 + t1 + t2 - t3, 1 - t1 - t2 - t3)
+
+
+def bell_diagonal_ppt_min_eig(t1, t2, t3):
+    """The least eigenvalue of the partial transpose of :func:`bell_diagonal`, per entry of arrays.
+
+    It is one half less the largest Bell weight (R. and M. Horodecki, PRA
+    54, 1838 (1996)). Transposing the second qubit fixes X and Z and
+    negates Y, so it maps the state to the one of ``(t1, -t2, t3)``, whose
+    Bell weights are ``(1 - s . t)/4 = 1/2 - (1 + s . t)/4`` over
+    ``s1 s2 s3 = -1``: one half less each weight of the state. Arrays
+    give the value per entry, each the scalar result bit for bit: the same
+    sums run on each, and the largest is picked exactly.
+    """
+    weights = _bell_weights(t1, t2, t3)
+    largest = np.maximum.reduce(weights) if getattr(t1, "shape", ()) else max(weights)
+    return 0.5 - largest / 4
 
 
 def bell_diagonal_coefficients(t1, t2, t3) -> np.ndarray:
@@ -241,15 +312,19 @@ def bell_diagonal_coefficients(t1, t2, t3) -> np.ndarray:
     They are ``(1, t1, t3, -t2)``: in Weyl order the operators are ``I``,
     ``W(0, 1) = X``, ``W(1, 0) = Z`` and ``W(1, 1) = iY``, ``s-bar = s`` at
     d = 2, and ``(iY)^dag (x) (iY)^dag = -(Y (x) Y)``. A ``-0.0`` becomes
-    ``+0.0``.
+    ``+0.0``: ``t + 0.0`` and ``0.0 - t`` are ``t`` and ``-t`` with the
+    sign of a zero cleared.
     """
-    c = np.array([t1, t1, t3, -t2]) + 0.0
-    c[0] = 1.0
-    return c.transpose((*range(1, c.ndim), 0))
+    c = np.empty((*getattr(t1, "shape", ()), 4))
+    c[..., 0] = 1.0
+    c[..., 1] = t1 + 0.0
+    c[..., 2] = t3 + 0.0
+    c[..., 3] = 0.0 - t2
+    return c
 
 
-def bell_diagonal_matrix(t1, t2, t3) -> np.ndarray:
-    """The unchecked :func:`bell_diagonal` matrix, or a ``(..., 4, 4)`` stack for arrays ``t``.
+def bell_diagonal_matrix(t1: float, t2: float, t3: float) -> np.ndarray:
+    """The unchecked :func:`bell_diagonal` matrix.
 
     ``XX``, ``YY`` and ``ZZ`` are real, with entries 0 and +-1, so
     ``(I + t1 XX + t2 YY + t3 ZZ) / 4`` holds five numbers: ``(1 +- t3)/4``
@@ -259,14 +334,13 @@ def bell_diagonal_matrix(t1, t2, t3) -> np.ndarray:
     products onto I term by term and dividing by 4, signed zeros and
     overflows included: each entry of that sum is one of these sums plus
     exact zeros, and the complex division by 4 turns a -0 real part into
-    +0 either way. No numpy warning is raised. Each finite matrix is
+    +0 either way. No numpy warning is raised. A finite matrix is
     Hermitian bit for bit: it equals its own
     :func:`~weylsep.linalg.hermitian_part`, byte for byte.
     """
-    # the zero is 0 * t3, so that it broadcasts as the parameters do
     with np.errstate(over="ignore", invalid="ignore"):  # validation rejects a non-finite entry
-        w = np.array([1 + t3, 1 - t3, t1 - t2, t1 + t2, 0.0 * t3], dtype=complex) / 4.0
-    return w.transpose((*range(1, w.ndim), 0))[..., _BELL_ENTRIES]
+        w = np.array([1 + t3, 1 - t3, t1 - t2, t1 + t2, 0.0], dtype=complex) / 4.0
+    return w[_BELL_ENTRIES]
 
 
 @cache
@@ -305,14 +379,23 @@ def example4(p: float) -> DensityMatrix:
     [0, 1], made a float on entry, gives a state. The state stores the
     Hermitian part of the mixture, which fixes the signed zeros of the
     complex outer product.
+
+    Transposing the second qubit maps ``|01><10|`` to ``|00><11|``, so the
+    partial transpose is ``p/2`` on ``|01>`` and ``|10>`` and the block
+    ``[[1-p, -p/2], [-p/2, 0]]`` on ``|00>, |11>``. Its least eigenvalue,
+    at most 0 and so the least of all, is
+    ``((1-p) - hypot(1-p, p)) / 2``, stored as the equal
+    ``-p^2 / (2 ((1-p) + hypot(1-p, p)))``, which has no cancellation;
+    the zero at ``p = 0`` is ``+0.0``.
     """
     x = _mixing(p)
+    q = 1.0 - x
     phi = np.zeros(4, dtype=complex)
     phi[1] = 1.0 / np.sqrt(2.0)
     phi[2] = -1.0 / np.sqrt(2.0)
     m = x * np.outer(phi, phi.conj())
-    m[0, 0] += 1.0 - x
-    return _certified(hermitian_part(m), 2)
+    m[0, 0] += q
+    return _certified(hermitian_part(m), 2, 0.0 - x * x / (2.0 * (q + math.hypot(q, x))))
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -14,12 +14,13 @@ a directory and compare the two::
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/cli_corpus.py --write after
     PYTHONPATH=src python tests/cli_corpus.py --compare before after
 
-``--write`` stores each argv's stdout as ``NNN.out`` and an ``index.txt``
-with one line per argv: its number, exit code and argv. ``--compare``
-matches the argvs of two such directories and prints one line per argv
-whose exit code or stdout differ: the largest absolute difference between
-corresponding numbers of the two reports (JSON) or CSV cells, then each
-difference that is not numeric (a verdict, a key, a row count) on its own
+``--write`` stores each argv's stdout as ``NNN.out``, its stderr as
+``NNN.err``, and an ``index.txt`` with one line per argv: its number, exit
+code and argv. ``--compare`` matches the argvs of two such directories and
+prints one line per argv whose exit code, stdout or stderr differ: the
+largest absolute difference between corresponding numbers of the two
+reports (JSON) or CSV cells, then each difference that is not numeric (a
+verdict, a key, a row count, an exit code, the stderr text) on its own
 indented line. A last line counts the argvs that differ and gives the
 largest difference of all. Every argv runs in-process through ``cli.main``, in a scratch
 directory that holds the corpus's matrix files, so the file paths in the
@@ -42,9 +43,11 @@ JSON writer: ``basis --d 8``, ``decompose`` on a full-rank 6x6
 random-mixed pair and ``check-tele`` on a full-rank d = 5 state.
 
 Isotropic, max-entangled and certified Bell-diagonal states also
-decompose in closed form, with no Weyl transform and no SVD, so their
+decompose in closed form, with no Weyl transform and no SVD, and these
+and example4 states carry their PPT statistic in closed form, so their
 ``check-sep``, ``decompose`` and ``scan`` numbers are round-off away from
-those of the transform route; ``--compare`` measures how far.
+those of the transform and eigensolve routes; ``--compare`` measures how
+far.
 """
 
 from __future__ import annotations
@@ -228,27 +231,32 @@ def listing(directory) -> list[str]:
 
 
 def write_outputs(out_dir) -> None:
-    """Write every argv's stdout to ``out_dir/NNN.out``, and ``index.txt`` naming them."""
+    """Write every argv's stdout and stderr to ``out_dir/NNN.out`` and ``NNN.err``, and ``index.txt``."""
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         runs = results(scratch)
     index = []
-    for number, (argv, rc, out, _) in enumerate(runs):
-        with open(os.path.join(out_dir, f"{number:03d}.out"), "w", newline="") as fh:
-            fh.write(out)
+    for number, (argv, rc, out, err) in enumerate(runs):
+        for suffix, text in (("out", out), ("err", err)):
+            with open(os.path.join(out_dir, f"{number:03d}.{suffix}"), "w", newline="") as fh:
+                fh.write(text)
         index.append(f"{number:03d}\t{rc}\t{json.dumps(argv)}\n")
     with open(os.path.join(out_dir, "index.txt"), "w") as fh:
         fh.write("".join(index))
 
 
-def _read_outputs(out_dir) -> dict[str, tuple[int, str]]:
-    """``{argv as JSON: (exit code, stdout)}`` of a directory that :func:`write_outputs` wrote."""
+def _read_outputs(out_dir) -> dict[str, tuple[int, str, str]]:
+    """``{argv as JSON: (exit code, stdout, stderr)}`` of a directory :func:`write_outputs` wrote."""
+
+    def read(name: str) -> str:
+        with open(os.path.join(out_dir, name), newline="") as fh:
+            return fh.read()
+
     outputs = {}
     with open(os.path.join(out_dir, "index.txt")) as fh:
         for line in fh:
             number, rc, argv = line.rstrip("\n").split("\t")
-            with open(os.path.join(out_dir, f"{number}.out"), newline="") as out:
-                outputs[argv] = int(rc), out.read()
+            outputs[argv] = int(rc), read(f"{number}.out"), read(f"{number}.err")
     return outputs
 
 
@@ -311,7 +319,7 @@ def differences(a, b, path: str = "") -> tuple[float, list[str]]:
 
 
 def compare(before_dir, after_dir) -> list[str]:
-    """One line per argv whose exit code or stdout differ between two written directories."""
+    """One line per argv whose exit code, stdout or stderr differ between two written directories."""
     before, after = _read_outputs(before_dir), _read_outputs(after_dir)
     lines, changed, largest = [], 0, 0.0
     for argv in [*before, *(argv for argv in after if argv not in before)]:
@@ -319,10 +327,12 @@ def compare(before_dir, after_dir) -> list[str]:
             lines.append(f"only in {'after' if argv in after else 'before'}: {argv}")
             changed += 1
             continue
-        (rc_a, out_a), (rc_b, out_b) = before[argv], after[argv]
-        if (rc_a, out_a) == (rc_b, out_b):
+        (rc_a, out_a, err_a), (rc_b, out_b, err_b) = before[argv], after[argv]
+        if (rc_a, out_a, err_a) == (rc_b, out_b, err_b):
             continue
         diff, notes = differences(_parse(out_a), _parse(out_b))
+        if err_a != err_b:
+            notes.insert(0, f"stderr {err_a!r} -> {err_b!r}")
         if rc_a != rc_b:
             notes.insert(0, f"exit code {rc_a} -> {rc_b}")
         changed += 1

@@ -11,6 +11,7 @@ the entrywise form of the CLI's JSON serializer, and
 from __future__ import annotations
 
 import csv
+import functools
 import io
 
 import numpy as np
@@ -306,19 +307,30 @@ def bell_diagonal_matrix_by_terms(t1, t2, t3) -> np.ndarray:
         return m / 4.0
 
 
+@functools.lru_cache(maxsize=1)
+def _isotropic_terms(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complex identity and ``|psi+><psi+|`` of one d, kept for the next call with that d."""
+    from weylsep import max_entangled_ket
+
+    ket = max_entangled_ket(d)
+    terms = np.eye(d * d, dtype=complex), np.outer(ket, ket.conj())
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
 def isotropic_matrix_by_terms(d: int, p) -> np.ndarray:
     """``(1-p)/d^2 * I + p * |psi+><psi+|`` summed term by term, or a stack for an array ``p``.
 
     The identity is complex, the projector is the complex outer product of
     :func:`weylsep.max_entangled_ket` with its conjugate, and each term is a
     complex ``np.multiply.outer`` product: the bytes every formula of the
-    isotropic matrix is held to.
+    isotropic matrix is held to. The two terms are built once per d, for
+    consecutive calls with the same d.
     """
-    from weylsep import max_entangled_ket
-
-    ket = max_entangled_ket(d)
-    m = np.multiply.outer((1.0 - p) / (d * d), np.eye(d * d, dtype=complex))
-    m += np.multiply.outer(p, np.outer(ket, ket.conj()))
+    identity, projector = _isotropic_terms(d)
+    m = np.multiply.outer((1.0 - p) / (d * d), identity)
+    m += np.multiply.outer(p, projector)
     return m
 
 

@@ -32,6 +32,7 @@ from weylsep.states import (
     example4,
     haar_unitary,
     isotropic,
+    isotropic_ppt_min_eig,
     max_entangled,
     ppt_3x3,
 )
@@ -40,6 +41,7 @@ from weylsep.weyl import hermitian_coefficients, weyl_basis
 import cli_corpus
 from oracles import (
     bell_diagonal_weights,
+    bell_weights,
     isotropic_weights,
     octahedron_face_points,
     random_entangled_pure_matrix,
@@ -561,3 +563,112 @@ def test_bell_diagonal_on_the_separable_boundary_stays_inconclusive(t):
     verdict = weyl_separability_criterion(bell_diagonal(*t))
     assert verdict.outcome == INCONCLUSIVE
     assert abs(verdict.statistic - 1.0) <= 1e-15
+
+
+def _solved_ppt(rho) -> float:
+    """The PPT statistic by the full solve: eigvalsh of the partial transpose of the state's matrix."""
+    return bipartite.ppt_statistic(rho.matrix, *rho.dims)
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_isotropic_ppt_closed_form_is_the_solved_value(d):
+    for p in (0.0, 1 / (d + 1), 1.0):
+        rho = isotropic(d, p)
+        statistic = ppt_criterion(rho).statistic
+        assert statistic == rho._ppt_min_eig == isotropic_ppt_min_eig(d, p)
+        # the matrix is real, so the real symmetric solve is the same problem, at a quarter
+        # of the cost at d = 32
+        assert not rho.matrix.imag.any()
+        assert abs(statistic - bipartite.ppt_statistic(rho.matrix.real, d, d)) <= 1e-15
+        if d <= 16:
+            assert abs(statistic - _solved_ppt(rho)) <= 1e-15
+    assert max_entangled(d)._ppt_min_eig == isotropic(d, 1.0)._ppt_min_eig == -1 / d
+
+
+def _bell_ppt_points():
+    """Tetrahedron vertices, edges and inside, points on its faces, and points with |t|_1 = 1."""
+    rng = np.random.default_rng(37)
+    faces = []
+    for _ in range(40):
+        w = rng.dirichlet(np.ones(4))
+        w[rng.integers(4)] = 0.0
+        faces.append(tuple((w / w.sum() @ _TETRAHEDRON).tolist()))
+    return _tetrahedron_points() + faces + octahedron_face_points()
+
+
+def test_bell_diagonal_ppt_closed_form_is_the_solved_value():
+    for t in _bell_ppt_points():
+        rho = bell_diagonal(*t)
+        statistic = ppt_criterion(rho).statistic
+        assert statistic == rho._ppt_min_eig
+        assert abs(statistic - _solved_ppt(rho)) <= 1e-15
+        # one half less the largest Bell weight
+        assert abs(statistic - (0.5 - bell_weights(t)[-1])) <= 1e-15
+    for t in octahedron_face_points():
+        # on the separable boundary the partial transpose is singular, not negative
+        assert ppt_criterion(bell_diagonal(*t)).outcome == INCONCLUSIVE
+
+
+def test_example4_ppt_closed_form_is_the_solved_value():
+    for p in [0.0, 1e-300, 5e-324, 1.0, *np.linspace(0.0, 1.0, 101).tolist()]:
+        rho = example4(p)
+        statistic = ppt_criterion(rho).statistic
+        assert statistic == rho._ppt_min_eig
+        assert abs(statistic - _solved_ppt(rho)) <= 1e-15
+    assert str(ppt_criterion(example4(0.0)).statistic) == "0.0"  # no -0.0 in a report
+    assert ppt_criterion(example4(1.0)).statistic == -0.5
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec", ["isotropic:d=3,p=0.4", "isotropic:d=32,p=0.3", "max-entangled:d=4",
+             "bell-diagonal:t=0.2,-0.3,0.1", "bell-diagonal:t=-1,-1,-1", "example4:p=0.6"],
+)
+def test_family_states_solve_no_partial_transpose(monkeypatch, spec):
+    rho = cli.state_from_spec(spec)
+    solves = _count_eigvalsh(monkeypatch)
+    verdict = ppt_criterion(rho)
+    assert solves == []
+    assert verdict.statistic == rho._ppt_min_eig
+
+
+@pytest.mark.parametrize(
+    "make, dims",
+    [(lambda: isotropic(4, 0.7), (2, 8)), (lambda: isotropic(3, 0.5), (3, 3)),
+     (lambda: bell_diagonal(0.2, -0.3, 0.1), (2, 2)), (lambda: example4(0.6), (1, 4)),
+     (lambda: validate_density(isotropic(3, 0.5).matrix, [3, 3]), (3, 3))],
+    ids=["isotropic-2x8", "isotropic-3x3", "bell-diagonal-2x2", "example4-1x4", "validated"],
+)
+def test_a_relabel_or_a_validated_state_solves_the_partial_transpose(monkeypatch, make, dims):
+    rho = dataclasses.replace(make(), dims=dims)
+    assert rho._ppt_min_eig is None
+    solves = _count_eigvalsh(monkeypatch)
+    verdict = ppt_criterion(rho)
+    assert solves == [(rho.dim, rho.dim)]
+    assert verdict.statistic == _solved_ppt(rho)
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_isotropic_ppt_on_the_separable_boundary_stays_inconclusive(d):
+    verdict = ppt_criterion(isotropic(d, 1 / (d + 1)))
+    assert verdict.outcome == INCONCLUSIVE
+    assert abs(verdict.statistic) <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_isotropic_ppt_just_past_the_boundary_is_entangled(d):
+    verdict = ppt_criterion(isotropic(d, 1 / (d + 1) + 1e-8))
+    assert verdict.outcome == ENTANGLED
+    # the least eigenvalue falls by (1/d^2 + 1/d) per unit of p
+    assert verdict.statistic == pytest.approx(-(d + 1) / d**2 * 1e-8, rel=1e-6)

@@ -324,6 +324,24 @@ def test_the_byte_identity_corpus_exits_cleanly(tmp_path):
         assert err == "" if rc == 0 else err.splitlines()[-1].startswith(("error:", "weylsep")), argv
 
 
+def test_the_corpus_compares_stderr_too(monkeypatch, tmp_path):
+    # a changed error message, with the same exit code and an empty stdout, is a difference
+    argvs = [["basis", "--d", "0"], ["basis", "--d", "1"]]
+    monkeypatch.setattr(cli_corpus, "argvs", lambda: argvs)
+    before, after = tmp_path / "before", tmp_path / "after"
+    cli_corpus.write_outputs(before)
+    cli_corpus.write_outputs(after)
+    assert cli_corpus.compare(before, after) == ["0 of 2 distinct argvs differ; largest difference 0.000e+00"]
+    assert (before / "000.err").read_text().startswith("error:")
+    (after / "000.err").write_text("error: another message\n")
+    first = json.dumps(argvs[0])
+    assert cli_corpus.compare(before, after) == [
+        f"0.000e+00 {first}",
+        f"    stderr {(before / '000.err').read_text()!r} -> 'error: another message\\n'",
+        "1 of 2 distinct argvs differ; largest difference 0.000e+00",
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ("decompose", "--state", "random-mixed:da=8,db=8,rank=64,seed=3", "--no-timestamp"),
     ("basis", "--d", "4"),
@@ -592,10 +610,10 @@ def test_scan_direction_error_names_the_input():
 def test_scan_unwritable_out_fails_before_the_sweep(monkeypatch, tmp_path):
     # the end points are checked by the dimension and mixing rules; every
     # block of the sweep starts with the stacked coefficients, and with --ppt
-    # the stacked matrices, that the cli imports
+    # the stacked partial-transpose minima, that the cli imports
     calls = []
     monkeypatch.setattr(cli, "isotropic_coefficients", lambda d, ps: calls.append(ps))
-    monkeypatch.setattr(cli, "isotropic_matrix", lambda d, ps: calls.append(ps))
+    monkeypatch.setattr(cli, "isotropic_ppt_min_eig", lambda d, ps: calls.append(ps))
     rc, out, err = run_main(
         "scan", "--family", "isotropic", "--d", "3", "--from", "0", "--to", "1",
         "--step", "0.01", "--out", str(tmp_path / "missing" / "scan.csv"), "--ppt",
@@ -672,19 +690,20 @@ def test_scan_rows_on_the_bell_diagonal_boundary(t):
     [
         (("isotropic", 3), 0.0, 1.0, 0.05, 4),
         (("bell-diagonal", (1.0, 1.0, -1.0)), 0.0, 1.0, 0.1, 3),
-        # one row per block above D = 16, as at d = 32: the end points are blocks of their own
+        # one row per block: the end points are blocks of their own
         (("isotropic", 5), 0.0, 1.0, 0.25, 1),
     ],
 )
 def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, family, start, stop,
                                                        step, rows, ppt):
     dim = family[1] ** 2 if family[0] == "isotropic" else 4
-    monkeypatch.setattr(cli, "SCAN_BLOCK_BYTES", rows * 16 * dim**2)
+    monkeypatch.setattr(cli, "SCAN_BLOCK_BYTES", rows * 8 * dim)
     events = []
     isotropic = family[0] == "isotropic"
     coefficients = cli.isotropic_coefficients if isotropic else cli.bell_diagonal_coefficients
-    build = cli.isotropic_matrix if isotropic else cli.bell_diagonal_matrix
+    ppt_min_eig = cli.isotropic_ppt_min_eig if isotropic else cli.bell_diagonal_ppt_min_eig
     validate = states.validate_density
+    matrix_builders = (states.isotropic_matrix, states.bell_diagonal_matrix)
 
     def record(event, fn):
         return lambda *args, **kwargs: events.append(event(args)) or fn(*args, **kwargs)
@@ -692,28 +711,31 @@ def test_scan_over_several_blocks_writes_the_same_file(monkeypatch, tmp_path, fa
     for make in (cli.isotropic, cli.bell_diagonal):
         monkeypatch.setattr(cli, make.__name__, record(lambda args: "make", make))
     monkeypatch.setattr(cli, coefficients.__name__, record(lambda args: len(args[-1]), coefficients))
-    monkeypatch.setattr(cli, build.__name__, record(lambda args: ("built", len(args[-1])), build))
+    monkeypatch.setattr(cli, ppt_min_eig.__name__,
+                        record(lambda args: ("ppt", len(args[-1])), ppt_min_eig))
+    for build in matrix_builders:
+        monkeypatch.setattr(states, build.__name__, record(lambda args: "built", build))
     monkeypatch.setattr(cli, "open", record(lambda args: "open", open), raising=False)
     monkeypatch.setattr(states, "validate_density", record(lambda args: "validate", validate))
     path = tmp_path / "scan.csv"
     assert run_main(*_scan_argv(family, start, stop, step, ppt, out=str(path))) == (0, "", "")
     # the two end points are checked before --out is opened, without
     # validation: an isotropic one by the dimension and mixing rules, with no
-    # constructor called, a Bell-diagonal one by bell_diagonal; no row is
-    # validated, every row's statistic is read from its coefficients in
-    # blocks of the capped size, and only --ppt builds matrices, one stack
-    # per block
-    checks = [] if isotropic else ["make", "make"]
+    # constructor called, a Bell-diagonal one by bell_diagonal, which builds
+    # its 4x4 matrix; no row is validated or built, every row's statistic is
+    # read from its coefficients in blocks of the capped size, and --ppt
+    # reads the closed form once per block
+    checks = [] if isotropic else ["make", "built", "make", "built"]
     opened = len(checks) + 1
     assert events[:opened] == [*checks, "open"]
     blocks = [event for event in events[opened:] if isinstance(event, int)]
-    built = [event[1] for event in events[opened:] if isinstance(event, tuple)]
-    assert len(blocks) + len(built) == len(events) - opened
+    minima = [event[1] for event in events[opened:] if isinstance(event, tuple)]
+    assert len(blocks) + len(minima) == len(events) - opened
     expected = _one_row_at_a_time(family, start, stop, step, ppt)
     assert path.read_bytes() == expected.encode()
     assert len(blocks) >= 3 and set(blocks[:-1]) == {rows}
     assert sum(blocks) == expected.count("\n") - 1
-    assert built == (blocks if ppt else [])
+    assert minima == (blocks if ppt else [])
 
 
 @pytest.mark.parametrize("command", ["check-sep", "decompose"])
@@ -816,10 +838,12 @@ def test_isotropic_states_keep_no_memory_once_dropped():
     assert int(proc.stdout) < 2**20
 
 
-def test_isotropic_scan_without_ppt_builds_no_matrix():
-    # one 1024 x 1024 complex matrix would take 16 MiB
+@pytest.mark.parametrize("ppt", [False, True])
+def test_isotropic_scan_builds_no_matrix(ppt):
+    # one 1024 x 1024 complex matrix would take 16 MiB; the ppt_min_eig column is read in
+    # closed form
     argv = ("scan", "--family", "isotropic", "--d", "32", "--from", "0", "--to", "1", "--step", "0.5",
-            "--out", "-")
+            "--out", "-", *(["--ppt"] if ppt else []))
     tracemalloc.start()
     try:
         rc, out, err = run_main(*argv)
@@ -844,18 +868,24 @@ def test_isotropic_scan_without_ppt_builds_no_matrix():
         (("check-sep", "--state", "random-mixed:da=3,db=6,rank=3,seed=1"), 1),
         # PPT runs at every size
         (("check-sep", "--state", "random-mixed:da=4,db=4,rank=5,seed=2"), 2),
-        # the named families are not validated: eigvalsh runs only for the
-        # PPT test's partial transpose or for the FEF cap's spectrum
-        (("check-sep", "--state", "isotropic:d=3,p=0.3"), 1),
+        # the named families are not validated, and carry the PPT statistic in
+        # closed form: eigvalsh runs only for the FEF cap's spectrum
+        (("check-sep", "--state", "isotropic:d=3,p=0.3"), 0),
+        (("check-sep", "--state", "isotropic:d=32,p=0.3"), 0),
+        (("check-sep", "--state", "bell-diagonal:t=0.2,0.2,0.2"), 0),
+        (("check-sep", "--state", "example4:p=0.8"), 0),
         (("decompose", "--state", "bell-diagonal:t=0.2,0.2,0.2"), 0),
         (("check-tele", "--state", "example4:p=0.8", "--seed", "1"), 1),
-        # one stacked solve for the ppt_min_eig column, none for the end points
+        # the ppt_min_eig column is read in closed form, with no solve
         (("scan", "--family", "isotropic", "--d", "3", "--from", "0", "--to", "1", "--step",
-          "0.5", "--ppt", "--out", "-"), 1),
+          "0.5", "--ppt", "--out", "-"), 0),
+        (("scan", "--family", "bell-diagonal", "--direction=1,1,-1", "--from", "0", "--to", "1",
+          "--step", "0.5", "--ppt", "--out", "-"), 0),
     ],
     ids=["check-tele", "decompose-pair", "check-sep-ppt", "check-tele-5x5", "decompose-5x5",
-         "check-sep-3x6", "check-sep-4x4", "check-sep-isotropic", "decompose-bell-diagonal", "check-tele-example4",
-         "scan-ppt"],
+         "check-sep-3x6", "check-sep-4x4", "check-sep-isotropic", "check-sep-isotropic-32",
+         "check-sep-bell-diagonal", "check-sep-example4", "decompose-bell-diagonal",
+         "check-tele-example4", "scan-ppt", "scan-bell-diagonal-ppt"],
 )
 def test_one_spectrum_per_state(monkeypatch, args, solves):
     calls = []
