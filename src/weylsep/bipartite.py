@@ -44,7 +44,7 @@ matrix is monomial and its singular values are the moduli of its entries.
 The PPT cross-check reads the smallest eigenvalue of the partial
 transpose. The named families that skip validation carry it in closed
 form (:mod:`weylsep.states`); for every other state it is solved
-(:func:`ppt_statistic`).
+(:func:`ppt_statistic`) on first use and kept on the state.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .linalg import (
     EAGER_MAX_DIM,
     DensityMatrix,
     DimensionMismatchError,
+    _kept,
     _require_bipartite,
     singular_values,
     transpose_factor,
@@ -100,10 +101,10 @@ class BipartiteDecomposition:
     ordering with the identity first, and ``table[0, 0] = 1`` exactly.
     :func:`decompose_bipartite` marks it read-only, so its views ``alpha``
     (length dA^2 - 1), ``beta`` (length dB^2 - 1) and ``correlation``
-    (shape (dA^2 - 1, dB^2 - 1)) are read-only too, and the cached
-    singular values cannot go stale. A decomposition built in closed form
-    (:func:`weyl_diagonal_decomposition`) holds its singular values from
-    the start.
+    (shape (dA^2 - 1, dB^2 - 1)) are read-only too, and the kept
+    singular values (:func:`~weylsep.linalg._kept`) cannot go stale. A
+    decomposition built in closed form (:func:`weyl_diagonal_decomposition`)
+    holds its singular values from the start.
     """
 
     da: int
@@ -132,18 +133,14 @@ class BipartiteDecomposition:
 
         See :func:`correlation_singular_values`: a complex SVD up to
         ``D = EAGER_MAX_DIM``, a real one in the Hermitian Weyl basis above.
-        Two threads that read unsolved values at once both solve them, to
-        the same bits.
         """
-        if self._singular_values is None:
-            values = correlation_singular_values(self.table, self.da, self.db)
-            values.flags.writeable = False
-            object.__setattr__(self, "_singular_values", values)
-        return self._singular_values
+        return _kept(
+            self, "_singular_values", lambda: correlation_singular_values(self.table, self.da, self.db)
+        )
 
 
 def correlation_singular_values(table: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Singular values of the correlation block of a coefficient table, or of each table of a stack.
+    """Singular values of the correlation block of a coefficient table.
 
     Up to ``D = da*db = EAGER_MAX_DIM`` they are those of the complex block
     ``T[1:, 1:]``. Above, they are those of the real block
@@ -153,8 +150,8 @@ def correlation_singular_values(table: np.ndarray, da: int, db: int) -> np.ndarr
     and cost less from about D = 35; below the gate they cost more.
     """
     if da * db <= EAGER_MAX_DIM:
-        return singular_values(table[..., 1:, 1:])
-    return singular_values(hermitian_coefficients(table, da, db).real[..., 1:, 1:])
+        return singular_values(table[1:, 1:])
+    return singular_values(hermitian_coefficients(table, da, db).real[1:, 1:])
 
 
 def weyl_diagonal_singular_values(coefficients: np.ndarray) -> np.ndarray:
@@ -222,17 +219,18 @@ def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
     its table and singular values from :func:`weyl_diagonal_decomposition`
     instead, with no transform and no SVD.
     """
-    if rho._decomposition is None:
-        da, db = _require_bipartite(rho)
-        if rho._weyl_diagonal is not None:
-            dec = weyl_diagonal_decomposition(rho._weyl_diagonal)
-        else:
-            table = weyl_coefficients(rho.matrix, da, db)
-            table[0, 0] = 1.0
-            table.flags.writeable = False
-            dec = BipartiteDecomposition(da, db, table)
-        object.__setattr__(rho, "_decomposition", dec)
-    return rho._decomposition
+    return _kept(rho, "_decomposition", lambda: _decompose(rho))
+
+
+def _decompose(rho: DensityMatrix) -> BipartiteDecomposition:
+    """A bipartite state's decomposition: in closed form when it is Weyl-diagonal, else by transform."""
+    da, db = _require_bipartite(rho)
+    if rho._weyl_diagonal is not None:
+        return weyl_diagonal_decomposition(rho._weyl_diagonal)
+    table = weyl_coefficients(rho.matrix, da, db)
+    table[0, 0] = 1.0
+    table.flags.writeable = False
+    return BipartiteDecomposition(da, db, table)
 
 
 def reconstruct_bipartite(dec: BipartiteDecomposition) -> np.ndarray:
@@ -296,22 +294,16 @@ def ppt_criterion(rho: DensityMatrix) -> Verdict:
     a positive partial transpose is reported INCONCLUSIVE (it proves
     separability only at 2x2 and 2x3, and verdicts stay one-sided here).
 
-    The statistic is that least eigenvalue. A state that a named family
-    built without validation carries it in closed form of the family's
-    parameters, which is read with no partial transpose and no
-    eigensolve: ``(1-p)/d^2 - p/d`` for an isotropic state, as
-    ``(|psi+><psi+|)^T_B = SWAP/d`` has eigenvalues ``+-1/d``; one half
-    less the largest Bell weight for a Bell-diagonal state, as the
-    transpose of the second qubit negates ``t2``; and the least root of
-    the ``|00>, |11>`` block ``[[1-p, -p/2], [-p/2, 0]]`` for example4
-    (:mod:`weylsep.states` gives each proof in full). They agree with the
-    solved value to round-off. Every other state, a relabel of a family
-    state included, has its partial transpose solved (:func:`ppt_statistic`).
+    The statistic is that least eigenvalue, kept on the state like its
+    spectrum: the first call solves it (:func:`ppt_statistic`) and later
+    calls read it, with no partial transpose and no eigensolve. A state
+    that a named family built without validation holds it from the start,
+    in closed form of the family's parameters (:mod:`weylsep.states` gives
+    each proof), which agrees with the solved value to round-off. A
+    relabel, of a family state included, starts without it.
     """
     da, db = _require_bipartite(rho)
-    statistic = rho._ppt_min_eig
-    if statistic is None:
-        statistic = ppt_statistic(rho.matrix, da, db)
+    statistic = _kept(rho, "_ppt_min_eig", lambda: ppt_statistic(rho.matrix, da, db))
     outcome = ENTANGLED if statistic < -STATISTIC_MARGIN else INCONCLUSIVE
     return Verdict("ppt", outcome, statistic, 0.0)
 

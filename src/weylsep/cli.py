@@ -55,9 +55,8 @@ from .bipartite import (
 )
 from .bloch import bloch_length, decompose, purity_from_length, reconstruct
 from .fileio import json_text, load_state, matrix_entries
-from .linalg import DensityMatrix, ValidationError
+from .linalg import DensityMatrix, ValidationError, _dimension
 from .states import (
-    _dimension,
     _mixing,
     bell_diagonal,
     bell_diagonal_coefficients,

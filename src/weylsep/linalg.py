@@ -55,59 +55,42 @@ class DensityMatrix:
     """A validated trace-one Hermitian PSD matrix plus subsystem dimensions.
 
     ``matrix`` is Hermitian bit for bit and ``spectrum`` holds its
-    ascending eigenvalues. Up to ``EAGER_MAX_DIM`` validation solves the
-    spectrum and keeps it; above, validation certifies positivity without
-    it, and ``spectrum`` is solved on first read and cached. Construct
-    through :func:`validate_density`; the dataclass itself does not
-    re-check the invariants. Two other constructions skip validation.
-    The named families of :mod:`weylsep.states` whose spectrum is a closed
-    form of their parameters (``isotropic``, ``bell_diagonal``,
-    ``example4``, ``max_entangled``) wrap the read-only matrix validation
-    would store once their parameter check proves it a state; their
-    spectrum is solved on first read, to the bits validation would keep.
-    And a dims relabel, ``dataclasses.replace(rho, dims=...)``, keeps the
-    same matrix and spectrum under dims with the same product, after the
-    caller has checked those dims (as the CLI does for its
-    ``random-mixed`` pairs).
-    Instances are immutable (the matrix and the spectrum are marked
-    read-only) and safe to share between threads: two threads that read
-    an unsolved spectrum at once both solve it, to the same bits. States
-    compare and hash by identity, as do the library's other values that
-    hold arrays; a field-wise ``==`` over arrays has no truth value.
+    ascending eigenvalues. Construct through :func:`validate_density`; the
+    dataclass itself does not re-check the invariants. Two other
+    constructions skip validation. The named families of
+    :mod:`weylsep.states` whose spectrum is a closed form of their
+    parameters (``isotropic``, ``bell_diagonal``, ``example4``,
+    ``max_entangled``) wrap the read-only matrix validation would store
+    once their parameter check proves it a state. And a dims relabel,
+    ``dataclasses.replace(rho, dims=...)``, keeps the same matrix and
+    spectrum under dims with the same product, after the caller has
+    checked those dims (as the CLI does for its ``random-mixed`` pairs).
+    Instances are immutable (the matrix is marked read-only) and compare
+    and hash by identity, as do the library's other values that hold
+    arrays; a field-wise ``==`` over arrays has no truth value.
 
-    A bipartite state also keeps its Weyl decomposition: the first
-    :func:`weylsep.bipartite.decompose_bipartite` of the state fills
-    ``_decomposition``, and every later reader of the state (the Ky Fan
-    criterion, the product test, the CLI summaries) shares that one table
-    and, through it, one SVD of the correlation matrix. The table holds
-    one complex entry per entry of ``matrix``, D^2 in all, and is freed
-    with the state. A relabel starts with an empty slot, so it never
-    serves a table built for the old dims. Two threads that decompose an
-    undecomposed state at once both compute the table, to the same bits.
+    A state keeps what its readers would otherwise solve again, in private
+    slots that :func:`_kept` fills on first read:
 
-    The Weyl-diagonal named families (``isotropic``, ``max_entangled`` and
-    the certified ``bell_diagonal`` states) also set ``_weyl_diagonal`` to
-    the state's d^2 coefficients ``c_s``, a read-only array.
-    :func:`~weylsep.bipartite.decompose_bipartite` then builds the table
-    and its singular values from them in closed form, on first call, with
-    no transform and no SVD
-    (:func:`~weylsep.bipartite.weyl_diagonal_decomposition`). Until then
-    the state holds no table. A relabel does not inherit the closed form.
+    - ``_spectrum``, read through ``spectrum``. Validation fills it when
+      it solved the spectrum (``D <= EAGER_MAX_DIM``); otherwise the first
+      read solves it, to the bits validation would keep.
+    - ``_decomposition``, the Weyl table of
+      :func:`weylsep.bipartite.decompose_bipartite`, which every later
+      reader (the Ky Fan criterion, the product test, the CLI summaries)
+      shares with its one SVD of the correlation matrix. It holds D^2
+      complex entries and is freed with the state.
+    - ``_ppt_min_eig``, the least eigenvalue of the partial transpose,
+      read by :func:`weylsep.bipartite.ppt_criterion`.
 
-    Every state a named family builds without validation (``isotropic``,
-    ``max_entangled``, ``example4`` and the certified ``bell_diagonal``
-    states) also sets ``_ppt_min_eig`` to the least eigenvalue of its
-    partial transpose, a float in closed form of its parameters, within
-    round-off of the solved value: ``(1-p)/d^2 - p/d`` for an isotropic
-    state, whose partial transpose is ``(1-p)/d^2 * I + p * SWAP/d``
-    (:func:`weylsep.states.isotropic_ppt_min_eig`); one half less the
-    largest Bell weight, since transposing the second qubit negates ``t2``
-    and so maps each weight w to ``1/2 - w``
-    (:func:`weylsep.states.bell_diagonal_ppt_min_eig`); and the least root
-    of example4's one 2x2 block (:func:`weylsep.states.example4`).
-    :func:`~weylsep.bipartite.ppt_criterion` reads it and solves no
-    spectrum; a validated state, and a relabel, which does not inherit
-    the value, leave the slot empty and get the solve.
+    The named families that skip validation pre-fill ``_ppt_min_eig``
+    with a closed form of their parameters, and the Weyl-diagonal ones
+    (``isotropic``, ``max_entangled`` and the certified ``bell_diagonal``
+    states) also set ``_weyl_diagonal`` to their d^2 coefficients ``c_s``,
+    from which the first decomposition builds the table in closed form
+    (:func:`weylsep.states._certified`). ``_spectrum`` is an init field,
+    so a relabel keeps it. The others are not, so a relabel starts with
+    them empty and never reads a value solved under the old dims.
     """
 
     matrix: np.ndarray
@@ -125,11 +108,26 @@ class DensityMatrix:
     @property
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of ``matrix``, read-only; solved on first read unless validation did."""
-        if self._spectrum is None:
-            spectrum = np.linalg.eigvalsh(self.matrix)
-            spectrum.flags.writeable = False
-            object.__setattr__(self, "_spectrum", spectrum)
-        return self._spectrum
+        return _kept(self, "_spectrum", lambda: np.linalg.eigvalsh(self.matrix))
+
+
+def _kept(owner, name: str, solve):
+    """``owner.<name>``, filled with ``solve()`` first when the slot is empty (None).
+
+    The owner is a frozen dataclass and the slot a quantity of its
+    immutable fields, so a value, once solved, is kept on the owner and
+    freed with it. An array is marked read-only before it is kept, so no
+    reader can make it stale. Instances stay safe to share between
+    threads: two threads that read an empty slot at once both solve it,
+    to the same bits, and either value is kept.
+    """
+    value = getattr(owner, name)
+    if value is None:
+        value = solve()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(owner, name, value)
+    return value
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -138,7 +136,7 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values in nonincreasing order, of a matrix or of each matrix of a stack.
+    """Singular values of a matrix in nonincreasing order.
 
     A real matrix takes a real SVD, a complex one a complex SVD.
     """
@@ -146,13 +144,13 @@ def singular_values(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """``(m + m^dagger) / 2`` as a fresh array, Hermitian bit for bit, per matrix of a stack.
+    """``(m + m^dagger) / 2`` of a square matrix as a fresh array, Hermitian bit for bit.
 
     The halves are summed rather than halving the sum, which is the same
     number bit for bit except where the sum would overflow.
     """
     half = m / 2
-    return half + half.conj().swapaxes(-1, -2)
+    return half + half.conj().T
 
 
 def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
@@ -187,13 +185,12 @@ def partial_transpose(rho: DensityMatrix, sys: int) -> np.ndarray:
 
 
 def transpose_factor(m: np.ndarray, da: int, db: int, sys: int) -> np.ndarray:
-    """Transpose on factor ``sys`` of a ``(da*db)``-square matrix, or of each matrix of a stack."""
+    """Transpose on factor ``sys`` of a ``(da*db)``-square matrix."""
     if sys not in (0, 1):
         raise ValueError(f"sys must be 0 or 1, got {sys}")
-    lead = m.shape[:-2]
-    r4 = m.reshape(*lead, da, db, da, db)
-    out = r4.swapaxes(-4, -2) if sys == 0 else r4.swapaxes(-3, -1)
-    return out.reshape(*lead, da * db, da * db)
+    r4 = m.reshape(da, db, da, db)
+    out = r4.swapaxes(0, 2) if sys == 0 else r4.swapaxes(1, 3)
+    return out.reshape(da * db, da * db)
 
 
 def _cholesky_certifies(h: np.ndarray) -> bool:
@@ -215,6 +212,15 @@ def _cholesky_certifies(h: np.ndarray) -> bool:
 def _is_count(value, least: int) -> bool:
     """True for an int or numpy integer, not a bool, that is at least ``least``."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
+def _dimension(d) -> int:
+    """A local dimension as a Python int, once it is checked to be an integer of at least 2."""
+    if not _is_count(d, 2):
+        if isinstance(d, (int, np.integer)):
+            raise ValidationError(f"dimension must be >= 2, got {d}")
+        raise ValidationError(f"dimension must be an integer, got {d!r}")
+    return int(d)
 
 
 def validate_density(m: np.ndarray, dims) -> DensityMatrix:

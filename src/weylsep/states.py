@@ -30,9 +30,10 @@ agree with the transform route to round-off, not bit for bit.
 :func:`example4` is not Weyl-diagonal and keeps the transform.
 
 Every state that skips validation also carries the least eigenvalue of
-its partial transpose in closed form, which
-:func:`~weylsep.bipartite.ppt_criterion` reads with no partial transpose
-and no eigensolve: ``(1-p)/d^2 - p/d`` for :func:`isotropic` and
+its partial transpose in closed form, in the slot where
+:func:`~weylsep.bipartite.ppt_criterion` keeps the value it solves for
+any other state, so it reads it with no partial transpose and no
+eigensolve: ``(1-p)/d^2 - p/d`` for :func:`isotropic` and
 :func:`max_entangled`, since ``(|psi+><psi+|)^T_B = SWAP/d``
 (:func:`isotropic_ppt_min_eig`); one half less the largest Bell weight
 for :func:`bell_diagonal`, since the transpose of the second qubit
@@ -66,19 +67,10 @@ from .linalg import (
     POSITIVITY_TOL,
     DensityMatrix,
     ValidationError,
-    _is_count,
+    _dimension,
     hermitian_part,
     validate_density,
 )
-
-
-def _dimension(d) -> int:
-    """A local dimension as a Python int, once it is checked to be an integer of at least 2."""
-    if not _is_count(d, 2):
-        if isinstance(d, (int, np.integer)):
-            raise ValidationError(f"dimension must be >= 2, got {d}")
-        raise ValidationError(f"dimension must be an integer, got {d!r}")
-    return int(d)
 
 
 def max_entangled_ket(d: int) -> np.ndarray:
@@ -98,24 +90,19 @@ def _certified(
     (Hermitian bit for bit, so its own Hermitian part, byte for byte),
     that its trace is one, and, from the closed form of its spectrum, that
     its smallest eigenvalue is at least ``-POSITIVITY_TOL``. The spectrum
-    is solved on first read by the ``eigvalsh`` validation would have run
-    on the same bytes.
+    slot stays empty, so its first read runs the ``eigvalsh`` validation
+    would have run on the same bytes.
 
-    The caller also passes ``ppt_min_eig``, the least eigenvalue of the
-    partial transpose of m in closed form of the family's parameters,
-    which :func:`~weylsep.bipartite.ppt_criterion` reads instead of
-    solving it; it agrees with the solved value to round-off. For an
-    isotropic state it is ``(1-p)/d^2 - p/d``, as the partial transpose of
-    ``|psi+><psi+|`` is ``SWAP/d``, with eigenvalues ``+-1/d``; for a
-    Bell-diagonal one, one half less the largest Bell weight, as the
-    transpose of the second qubit negates ``t2`` and so maps each weight w
-    to ``1/2 - w``; for example4, the least root of the partial
-    transpose's one 2x2 block. :func:`isotropic_ppt_min_eig`,
-    :func:`bell_diagonal_ppt_min_eig` and :func:`example4` give the proofs
-    in full. A Weyl-diagonal family also passes
-    ``coefficients``, the state's d^2 Weyl-diagonal coefficients, which
-    the state keeps read-only; its first decomposition builds the table
-    from them.
+    ``ppt_min_eig`` pre-fills the slot where the state keeps the least
+    eigenvalue of its partial transpose
+    (:class:`~weylsep.linalg.DensityMatrix`), so
+    :func:`~weylsep.bipartite.ppt_criterion` never solves it: the value
+    in closed form of the family's parameters, within round-off of the
+    solved one (:func:`isotropic_ppt_min_eig`,
+    :func:`bell_diagonal_ppt_min_eig` and :func:`example4` give the
+    proofs). A Weyl-diagonal family also passes ``coefficients``, its d^2
+    Weyl-diagonal coefficients, kept read-only; the first decomposition
+    builds the table from them.
     """
     m.flags.writeable = False
     rho = DensityMatrix(m, (d, d))

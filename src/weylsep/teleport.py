@@ -171,7 +171,10 @@ so ``eigh``, which reads one triangle, solves M itself.
 
 A certificate costs one ``eigh`` of a D x D matrix per step, ``O(d^6)``,
 against ``O(d^4)`` per start for a polar step, so it is rationed: only a
-start that sets a new best value still below the bound is certified; one
+start that sets a new best value still below the bound, and more than
+``GAP_TOL`` above the value last certified, is certified (a start that
+lands within round-off of a certified one is at the same maximum, and its
+certificate would spend the budget on the same gap); one
 search spends at most ``DUAL_STEPS`` calls; a certificate ends early
 when two steps have not halved its distance to f, or when the step would
 be longer than ``||rho||_F`` (K is then near a stationary point whose
@@ -207,7 +210,7 @@ from .bipartite import INCONCLUSIVE, STATISTIC_MARGIN, USEFUL, Verdict
 from .linalg import (
     DensityMatrix,
     DimensionMismatchError,
-    ValidationError,
+    _dimension,
     _is_count,
     hermitian_part,
 )
@@ -288,9 +291,7 @@ def detection_operator(u: np.ndarray) -> DetectionOperator:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatchError(f"expected a square unitary, got shape {u.shape}")
-    d = u.shape[0]
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    d = _dimension(u.shape[0])
     defect = unitarity_defect(u)
     if not defect <= UNITARITY_TOL:
         raise ValueError(f"input is not unitary: max |UU^dag - I| = {defect:.3e}")
@@ -449,9 +450,10 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
     search reaches it. The starts are refined one at a time, in start
     order, by polar iteration; each stops when a step moves no entry of
     its U by ``FIXED_POINT_TOL`` or more, or after ``MAX_ITERATIONS``
-    steps. Each start that sets a new best value below the bound gets a
-    dual certificate from the shared budget of ``DUAL_STEPS`` ``eigh``
-    calls (for ``d <= DUAL_MAX_D``). The search
+    steps. Each start that sets a new best value below the bound, and
+    more than ``GAP_TOL`` above the value last certified, gets a dual
+    certificate from the shared budget of ``DUAL_STEPS`` ``eigh`` calls
+    (for ``d <= DUAL_MAX_D``). The search
     stops after the first start j whose best value over starts ``0..j``
     is within ``GAP_TOL`` of the least bound of starts ``0..j``: the cap
     ``lambda_max(rho)``, read from ``rho.spectrum``, plus its round-off
@@ -476,6 +478,7 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
         return _two_qubit_fef(m, bound, margin)
     dual_left = DUAL_STEPS if d <= DUAL_MAX_D else 0
     best, best_u, evaluations, converged = -np.inf, None, 0, True
+    certified = -np.inf
     for j in range(budget):
         u, steps, fixed = _polar_ascent(m, _start(m, d, seed, j))
         evaluations += steps
@@ -483,9 +486,9 @@ def fef_search(rho: DensityMatrix, budget: int = 64, *, seed) -> FefEstimate:
         value = _value(m, u)
         if value > best:
             best, best_u = value, u
-            if dual_left and best < bound - GAP_TOL:
+            if dual_left and certified + GAP_TOL < best < bound - GAP_TOL:
                 cert, spent = _dual_bound(m, u, best, dual_left)
-                bound, dual_left = min(bound, cert), dual_left - spent
+                bound, dual_left, certified = min(bound, cert), dual_left - spent, best
         if best >= bound - GAP_TOL:
             break
     best_u.flags.writeable = False

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ValidationError
+from .linalg import _dimension
 
 
 def weyl_op(d: int, n: int, m: int) -> np.ndarray:
@@ -22,8 +22,7 @@ def weyl_op(d: int, n: int, m: int) -> np.ndarray:
 
     Indices are reduced modulo d. ``(0, 0)`` gives the identity.
     """
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     n %= d
     m %= d
     w = np.zeros((d, d), dtype=complex)
@@ -63,8 +62,7 @@ class WeylBasis:
 @lru_cache(maxsize=None, typed=True)
 def weyl_basis(d: int) -> WeylBasis:
     """Construct and cache the full basis for dimension d."""
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    d = _dimension(d)
     ops = np.stack([weyl_op(d, n, m) for n in range(d) for m in range(d)])
     ops.flags.writeable = False
     return WeylBasis(d, ops)
@@ -106,15 +104,12 @@ def weyl_coefficients(matrix: np.ndarray, da: int, db: int = 1) -> np.ndarray:
     ``W(n, m)`` has the single entry ``exp(2j*pi*k*n/d)`` in row ``k``, each
     coefficient is a discrete Fourier transform of a cyclic diagonal: the
     diagonals are gathered once, then transformed over ``a`` and over ``b``,
-    in O(D^2 (da + db)) operations with ``D = da*db``. A stack of matrices,
-    shape ``(..., D, D)``, gives a stack of tables, each the table of its
-    matrix bit for bit: the transforms are matrix products per matrix.
+    in O(D^2 (da + db)) operations with ``D = da*db``.
     """
-    lead = matrix.shape[:-2]
-    g = matrix.reshape(*lead, -1).take(cyclic_index(da, db), axis=-1)  # (..., a, b, m1, m2)
-    g = fourier(da) @ g.reshape(*lead, da, -1)  # (..., n1, b, m1, m2)
-    g = fourier(db) @ g.reshape(*lead, da, db, -1)  # (..., n1, n2, m1, m2)
-    return g.reshape(*lead, da, db, da, db).swapaxes(-3, -2).reshape(*lead, da * da, db * db)
+    g = matrix.reshape(-1).take(cyclic_index(da, db))  # (a, b, m1, m2)
+    g = fourier(da) @ g.reshape(da, -1)  # (n1, b, m1, m2)
+    g = fourier(db) @ g.reshape(da, db, -1)  # (n1, n2, m1, m2)
+    return g.reshape(da, db, da, db).swapaxes(1, 2).reshape(da * da, db * db)
 
 
 def weyl_assemble(table: np.ndarray, da: int, db: int = 1) -> np.ndarray:
@@ -170,12 +165,10 @@ def hermitian_coefficients(table: np.ndarray, da: int, db: int) -> np.ndarray:
     unitary and maps the identity to itself, so the block without the
     first row and column has the singular values of the table's. P_A is
     applied to the rows, then P_B to the columns, each as one gather of
-    the negated indices and two weighted terms: O(D^2) operations. A
-    stack of tables, shape ``(..., da^2, db^2)``, gives a stack, each
-    table transformed as if alone.
+    the negated indices and two weighted terms: O(D^2) operations.
     """
     na, sa, ea = hermitian_rows(da)
     nb, sb, eb = hermitian_rows(db)
-    rows = sa[:, None] * table + ea[:, None] * table.take(na, axis=-2)
-    return rows * sb + rows.take(nb, axis=-1) * eb
+    rows = sa[:, None] * table + ea[:, None] * table.take(na, axis=0)
+    return rows * sb + rows.take(nb, axis=1) * eb
 

@@ -38,7 +38,9 @@ with p at 0, 1/(d+1) and 1, Bell-diagonal points at the vertices, edges
 and faces of the tetrahedron and just outside it, example4 over [0, 1],
 max-entangled at d = 2-8, every family rejection, and scans whose end
 points are checked without building a state (isotropic at d = 1 and
-d = 32, and from below 0). The last three are long reports, for the
+d = 32, and from below 0), and a budget-12 ``check-tele`` on a 3x3
+random-mixed pair whose second start ends within round-off of its first,
+so that value is certified once. The last three are long reports, for the
 JSON writer: ``basis --d 8``, ``decompose`` on a full-rank 6x6
 random-mixed pair and ``check-tele`` on a full-rank d = 5 state.
 
@@ -179,6 +181,8 @@ def argvs() -> list[list[str]]:
          "0.5", "--out", "-"],
         ["scan", "--family", "isotropic", "--d", "3", "--from", "-0.5", "--to", "1", "--step",
          "0.5", "--out", "-"],
+        ["check-tele", "--state", "random-mixed:da=3,db=3,rank=4,seed=3", "--budget", "12",
+         "--seed", "3", "--no-timestamp"],
     ]
     out += [
         ["basis", "--d", "8"],

@@ -292,18 +292,18 @@ def octahedron_face_points() -> list[tuple[float, float, float]]:
 
 
 def bell_diagonal_matrix_by_terms(t1, t2, t3) -> np.ndarray:
-    """``(I + t1 XX + t2 YY + t3 ZZ) / 4`` summed term by term, or a stack for arrays ``t``.
+    """``(I + t1 XX + t2 YY + t3 ZZ) / 4`` summed term by term.
 
     The Pauli products are complex Kronecker products, each term is a
-    complex ``np.multiply.outer`` product added to the running sum, and the
-    sum is divided by 4 as a complex array: the bytes every formula of the
-    Bell-diagonal matrix is held to.
+    complex product added to the running sum, and the sum is divided by 4
+    as a complex array: the bytes every formula of the Bell-diagonal
+    matrix is held to.
     """
     paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     m = np.eye(4, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for t, p in zip((t1, t2, t3), paulis):
-            m = m + np.multiply.outer(t, np.kron(p, p))
+            m = m + t * np.kron(p, p)
         return m / 4.0
 
 
@@ -320,17 +320,17 @@ def _isotropic_terms(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def isotropic_matrix_by_terms(d: int, p) -> np.ndarray:
-    """``(1-p)/d^2 * I + p * |psi+><psi+|`` summed term by term, or a stack for an array ``p``.
+    """``(1-p)/d^2 * I + p * |psi+><psi+|`` summed term by term.
 
     The identity is complex, the projector is the complex outer product of
     :func:`weylsep.max_entangled_ket` with its conjugate, and each term is a
-    complex ``np.multiply.outer`` product: the bytes every formula of the
-    isotropic matrix is held to. The two terms are built once per d, for
-    consecutive calls with the same d.
+    complex product: the bytes every formula of the isotropic matrix is
+    held to. The two terms are built once per d, for consecutive calls
+    with the same d.
     """
     identity, projector = _isotropic_terms(d)
-    m = np.multiply.outer((1.0 - p) / (d * d), identity)
-    m += np.multiply.outer(p, projector)
+    m = (1.0 - p) / (d * d) * identity
+    m += p * projector
     return m
 
 
@@ -484,13 +484,9 @@ def matrix_entries_one_at_a_time(m) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def hermiticity_defect(m: np.ndarray) -> float | np.ndarray:
-    """Max-abs entry of ``m - m^dagger``, per matrix of a stack ``(..., D, D)``.
-
-    A single matrix gives a float, a stack an array of its leading shape. It
-    subtracts m itself, where validation subtracts halves.
-    """
-    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Max-abs entry of ``m - m^dagger``; it subtracts m itself, where validation subtracts halves."""
+    return float(np.abs(m - m.conj().T).max())
 
 
 def isotropic_spectrum(d: int, p: float) -> np.ndarray:

@@ -659,6 +659,19 @@ def test_a_relabel_or_a_validated_state_solves_the_partial_transpose(monkeypatch
     assert verdict.statistic == _solved_ppt(rho)
 
 
+def test_the_partial_transpose_is_solved_once_per_state(monkeypatch):
+    rho, shared = _random_bipartite(2, 3, 3, seed=4), ppt_3x3()
+    ppt_criterion(shared)  # solved here unless an earlier test solved it
+    solves = _count_eigvalsh(monkeypatch)
+    first = ppt_criterion(rho)
+    assert solves == [(6, 6)]
+    assert ppt_criterion(rho).statistic == first.statistic == rho._ppt_min_eig
+    assert ppt_criterion(shared).statistic == shared._ppt_min_eig
+    assert solves == [(6, 6)]
+    # a relabel never reads the value solved under the old dims
+    assert dataclasses.replace(rho, dims=(3, 2))._ppt_min_eig is None
+
+
 @pytest.mark.parametrize("d", range(2, 33))
 def test_isotropic_ppt_on_the_separable_boundary_stays_inconclusive(d):
     verdict = ppt_criterion(isotropic(d, 1 / (d + 1)))

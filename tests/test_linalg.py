@@ -25,7 +25,6 @@ from weylsep.linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     hermitian_part,
-    transpose_factor,
 )
 from weylsep.bipartite import ppt_statistic
 from weylsep.states import example4, haar_unitary, isotropic, max_entangled, ppt_3x3
@@ -271,39 +270,17 @@ def test_validation_keeps_the_hermitian_part_and_its_spectrum_bit_for_bit(dim):
     assert decisions == {True, False}
 
 
-def _state_stack(d: int, n: int) -> np.ndarray:
-    """n random d-level states, each with a Hermiticity defect well inside tolerance."""
-    rng = np.random.default_rng(d * 10 + n)
-    stack = np.stack([random_mixed(d, 1 + k % d, seed=k).matrix for k in range(n)])
-    noise = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
-    return stack + 1e-13 * noise
-
-
 @pytest.mark.parametrize("d", [2, 4, 9, 16])
-def test_stacked_hermitian_kernels_match_per_matrix_calls(d):
-    stack = _state_stack(d, 6)
-    defects = hermiticity_defect(stack)
-    parts = hermitian_part(stack)
+def test_the_ppt_statistic_of_a_hermitian_part_is_the_validated_states(d):
+    rng = np.random.default_rng(d * 10 + 6)
     da = 2 if d % 2 == 0 else 3
-    assert defects.shape == (6,)
-    for k, m in enumerate(stack):
-        assert defects[k] == hermiticity_defect(m) > 0
-        np.testing.assert_array_equal(parts[k], hermitian_part(m))
+    for k in range(6):
+        # a Hermiticity defect well inside tolerance
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = random_mixed(d, 1 + k % d, seed=k).matrix + 1e-13 * noise
+        assert hermiticity_defect(m) > 0
         rho = validate_density(m, [da, d // da])
-        assert ppt_statistic(parts[k], da, d // da) == ppt_criterion(rho).statistic
-    nested = hermitian_part(stack.reshape(2, 3, d, d))
-    np.testing.assert_array_equal(nested, parts.reshape(2, 3, d, d))
-    nested_defects = hermiticity_defect(stack.reshape(2, 3, d, d))
-    np.testing.assert_array_equal(nested_defects, defects.reshape(2, 3))
-
-
-def test_transpose_factor_of_a_stack_matches_partial_transpose():
-    stack = np.stack([random_mixed(6, 3, seed=k).matrix for k in range(4)])
-    for sys in (0, 1):
-        out = transpose_factor(stack, 2, 3, sys)
-        for k, m in enumerate(stack):
-            rho = validate_density(m, [2, 3])
-            np.testing.assert_array_equal(out[k], partial_transpose(rho, sys))
+        assert ppt_statistic(hermitian_part(m), da, d // da) == ppt_criterion(rho).statistic
 
 
 @pytest.mark.parametrize("dim", [3, 25])

@@ -450,11 +450,25 @@ def test_fef_search_uses_every_start_below_the_cap():
     # no start of this state reaches the cap, and no certificate closes the
     # gap: the certificates only lower the bound from lambda_max = 0.5508
     rho = validate_density(random_mixed(9, 4, seed=3).matrix, [3, 3])
-    for budget, gap in ((1, 4.576453e-4), (5, 6.476789e-5), (12, 6.476789e-5)):
+    for budget, gap in ((1, 4.576453e-4), (5, 2.1e-12), (12, 2.1e-12)):
         est = fef_search(rho, budget, seed=3)
         assert est.starts_used == budget
         assert est.upper_bound - est.value == pytest.approx(gap, abs=1e-9)
+        assert est.upper_bound - est.value > teleport.GAP_TOL
         assert est.upper_bound < rho.spectrum[-1] - 0.2
+
+
+def test_fef_search_certifies_each_value_once(monkeypatch):
+    # start 1 ends 1.7e-16 above start 0, at the same maximum; certifying it
+    # again spent 6 of the DUAL_STEPS calls on the same gap, and the better
+    # start found later closed its gap only to 6.5e-5 with what was left
+    rho = dataclasses.replace(random_mixed(9, 4, seed=3), dims=(3, 3))
+    bounds = []
+    monkeypatch.setattr(teleport, "_dual_bound", _recording(teleport._dual_bound, bounds))
+    est = fef_search(rho, 12, seed=3)
+    assert len(bounds) <= 2
+    assert est.upper_bound - est.value < 1e-9
+    assert est.value == pytest.approx(0.3397481730198142, abs=1e-15)
 
 
 def test_fef_search_bounds_and_identity_start():

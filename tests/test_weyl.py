@@ -150,10 +150,10 @@ def test_basis_is_cached_and_read_only():
 def test_a_float_dimension_fails_whatever_was_cached_before():
     # an untyped cache keys np.int64(2) and 2.0 alike, so 2.0 raised in a
     # fresh process and returned the d = 2 basis after np.int64(2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match=r"^dimension must be an integer, got 2\.0$"):
         weyl_basis(2.0)
     assert weyl_basis(np.int64(2)).ops.tobytes() == weyl_basis(2).ops.tobytes()
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match=r"^dimension must be an integer, got 2\.0$"):
         weyl_basis(2.0)
     assert weyl_basis.cache_info().misses >= 2  # the benchmark reads the counters
 
@@ -203,18 +203,6 @@ def test_weyl_roundtrip_on_random_matrices(da, db, scale, seed):
     assert np.max(np.abs(back - m)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
 
 
-@pytest.mark.parametrize("da,db", [(2, 2), (3, 3), (2, 4), (5, 1), (8, 8)])
-@pytest.mark.parametrize("lead", [(4,), (2, 3)])
-def test_weyl_coefficients_of_a_stack_match_per_matrix_calls(da, db, lead):
-    rng = np.random.default_rng(da * 100 + db * 10 + len(lead))
-    dim = da * db
-    stack = rng.standard_normal((*lead, dim, dim)) + 1j * rng.standard_normal((*lead, dim, dim))
-    tables = weyl_coefficients(stack, da, db)
-    assert tables.shape == (*lead, da * da, db * db)
-    for i in np.ndindex(*lead):
-        np.testing.assert_array_equal(tables[i], weyl_coefficients(stack[i], da, db))
-
-
 def _hermitian_basis_matrix(d: int) -> np.ndarray:
     """The dense unitary P of :func:`hermitian_rows`."""
     neg, at_self, at_neg = hermitian_rows(d)
@@ -249,7 +237,3 @@ def test_hermitian_coefficients_apply_the_dense_basis(da, db):
     # the imaginary part is the same transform of the anti-Hermitian part's table
     anti = weyl_coefficients((m - m.conj().T) / 2j, da, db)
     np.testing.assert_allclose(out.imag, hermitian_coefficients(anti, da, db).real, atol=1e-13)
-    # a stack is transformed table by table, bit for bit
-    stack = np.stack([table, 2 * table, table.conj()])
-    for k, one in enumerate(hermitian_coefficients(stack, da, db)):
-        np.testing.assert_array_equal(one, hermitian_coefficients(stack[k], da, db))
