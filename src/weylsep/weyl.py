@@ -106,7 +106,8 @@ def weyl_coefficients(matrix: np.ndarray, da: int, db: int = 1) -> np.ndarray:
     diagonals are gathered once, then transformed over ``a`` and over ``b``,
     in O(D^2 (da + db)) operations with ``D = da*db``.
     """
-    g = matrix.reshape(-1).take(cyclic_index(da, db))  # (a, b, m1, m2)
+    # one matrix's D^2 entries: a stack fails here rather than yield its first table
+    g = matrix.reshape(da * da * db * db).take(cyclic_index(da, db))  # (a, b, m1, m2)
     g = fourier(da) @ g.reshape(da, -1)  # (n1, b, m1, m2)
     g = fourier(db) @ g.reshape(da, db, -1)  # (n1, n2, m1, m2)
     return g.reshape(da, db, da, db).swapaxes(1, 2).reshape(da * da, db * db)

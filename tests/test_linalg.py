@@ -25,6 +25,7 @@ from weylsep.linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     hermitian_part,
+    transpose_factor,
 )
 from weylsep.bipartite import ppt_statistic
 from weylsep.states import example4, haar_unitary, isotropic, max_entangled, ppt_3x3
@@ -281,6 +282,21 @@ def test_the_ppt_statistic_of_a_hermitian_part_is_the_validated_states(d):
         assert hermiticity_defect(m) > 0
         rho = validate_density(m, [da, d // da])
         assert ppt_statistic(hermitian_part(m), da, d // da) == ppt_criterion(rho).statistic
+
+
+@pytest.mark.parametrize("da,db", [(2, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("sys", [0, 1])
+def test_transpose_factor_swaps_the_indices_of_one_factor(da, db, sys):
+    # any square matrix, not only a state, against the index swap entry by entry
+    rng = np.random.default_rng(da * 10 + db + 100 * sys)
+    dim = da * db
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    out = transpose_factor(m, da, db, sys)
+    for i, k, j, l in np.ndindex(da, db, da, db):
+        src = (j * db + k, i * db + l) if sys == 0 else (i * db + l, j * db + k)
+        assert out[i * db + k, j * db + l] == m[src]
+    with pytest.raises(ValueError):
+        transpose_factor(np.stack([m, m]), da, db, sys)
 
 
 @pytest.mark.parametrize("dim", [3, 25])

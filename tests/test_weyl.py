@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import weyl_coefficient_table
 
 from weylsep import (
     ValidationError,
@@ -201,6 +202,29 @@ def test_weyl_roundtrip_on_random_matrices(da, db, scale, seed):
     m = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     back = weyl_assemble(weyl_coefficients(m, da, db), da, db)
     assert np.max(np.abs(back - m)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 3), (2, 4), (5, 1), (8, 8)])
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_weyl_coefficients_are_the_explicit_traces(da, db, hermitian):
+    # any square matrix, not only a state, against Tr[M (W_s^dag (x) W_t^dag)] term by term
+    rng = np.random.default_rng(da * 100 + db * 10 + hermitian)
+    dim = da * db
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if hermitian:
+        m = m + m.conj().T
+    table = weyl_coefficients(m, da, db)
+    assert table.shape == (da * da, db * db)
+    np.testing.assert_allclose(table, weyl_coefficient_table(m, da, db), rtol=0, atol=1e-12 * dim)
+
+
+def test_weyl_coefficients_reject_a_stack():
+    # a stack once gave the table of its first matrix, silently
+    m = np.random.default_rng(7).standard_normal((2, 3, 4, 4))
+    for stack in (m, m[0]):
+        with pytest.raises(ValueError):
+            weyl_coefficients(stack, 2, 2)
+    assert weyl_coefficients(m[0, 0], 2, 2).shape == (4, 4)
 
 
 def _hermitian_basis_matrix(d: int) -> np.ndarray:
