@@ -40,6 +40,27 @@ The named Weyl-diagonal families skip the transform and the SVD
 (:func:`weyl_diagonal_decomposition`): their table is nonzero only at the
 pairs ``(s, s-bar)``, with ``W_{s-bar} = conj(W_s)``, so their correlation
 matrix is monomial and its singular values are the moduli of its entries.
+Such a decomposition holds the d^2 coefficients ``c_s`` and builds its
+D^2 table only when the table, or a view of it, is read.
+
+Its reconstruction residual needs no table either
+(:func:`reconstruction_residual`). The rebuilt state is
+``sum_s c_s W_s (x) W_s-bar / d^2``, and for ``s = (n, m)`` the product
+``W(n, m) (x) W(-n, m)`` holds ``w^(n(k-l))``, ``w = exp(2j*pi/d)``, at
+``((k, l), (k+m, l+m))`` and 0 elsewhere. So the rebuilt matrix holds
+``V[(k-l) mod d, m]``, with ``V = conj(F) C / d^2`` (C the coefficients
+as a d x d array over ``(n, m)``, F the DFT matrix), on the d^3 entries
+where ``a - b = a' - b' (mod d)``: O(d^3) work, against O(d^4) for the
+table and its inverse transform. Every entry off that support is exactly
+0 in both matrices the residual compares. In the rebuilt one
+(:func:`weylsep.weyl.weyl_assemble`), the entry at
+``((a, b), (a+m1, b+m2))`` with ``m1 != m2`` is a sum of DFT weights times
+table entries ``(s, t)`` with ``t != s-bar``, each an exact 0. In the
+family's matrix, the isotropic entries ``|ii><ii|`` and ``|ii><jj|`` have
+``a - b = a' - b' = 0``, the Bell-diagonal ones sit on the diagonal and
+the anti-diagonal (``a - b = a' - b'``), and every other entry is written
+as an exact 0 (:mod:`weylsep.states`). The largest difference over the
+support is thus the largest over the whole matrix.
 
 The PPT cross-check reads the smallest eigenvalue of the partial
 transpose. The named families that skip validation carry it in closed
@@ -58,13 +79,13 @@ import numpy as np
 from .linalg import (
     EAGER_MAX_DIM,
     DensityMatrix,
-    DimensionMismatchError,
     _kept,
+    _matrix,
     _require_bipartite,
     singular_values,
     transpose_factor,
 )
-from .weyl import hermitian_coefficients, weyl_assemble, weyl_coefficients
+from .weyl import fourier, hermitian_coefficients, weyl_assemble, weyl_coefficients
 
 ENTANGLED = "ENTANGLED"
 SEPARABLE = "SEPARABLE"
@@ -98,19 +119,34 @@ class BipartiteDecomposition:
     """The Weyl coefficient table ``T[s, t] = Tr[rho (W_s^dag (x) W_t^dag)]``.
 
     ``table`` has shape (dA^2, dB^2), both axes in the lexicographic Weyl
-    ordering with the identity first, and ``table[0, 0] = 1`` exactly.
-    :func:`decompose_bipartite` marks it read-only, so its views ``alpha``
-    (length dA^2 - 1), ``beta`` (length dB^2 - 1) and ``correlation``
-    (shape (dA^2 - 1, dB^2 - 1)) are read-only too, and the kept
-    singular values (:func:`~weylsep.linalg._kept`) cannot go stale. A
+    ordering with the identity first, and ``table[0, 0] = 1`` exactly. It
+    is read-only, so its views ``alpha`` (length dA^2 - 1), ``beta``
+    (length dB^2 - 1) and ``correlation`` (shape (dA^2 - 1, dB^2 - 1)) are
+    read-only too, and the kept singular values
+    (:func:`~weylsep.linalg._kept`) cannot go stale.
+
+    The table is a kept slot. A transform decomposition
+    (:func:`decompose_bipartite`) fills it when it is built. A
     decomposition built in closed form (:func:`weyl_diagonal_decomposition`)
-    holds its singular values from the start.
+    holds its d^2 coefficients and its singular values from the start, and
+    fills the table on the first read of ``table``, ``alpha``, ``beta`` or
+    ``correlation``, by scattering the coefficients onto the pairs
+    ``(s, s-bar)`` of a zero table.
     """
 
     da: int
     db: int
-    table: np.ndarray
+    _table: np.ndarray | None = field(default=None, repr=False)
     _singular_values: np.ndarray | None = field(default=None, repr=False)
+    _weyl_diagonal: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The coefficient table, read-only; built on first read for a closed-form decomposition."""
+        table = self._table
+        if table is None:
+            table = _kept(self, "_table", lambda: _weyl_diagonal_table(self._weyl_diagonal))
+        return table
 
     @property
     def alpha(self) -> np.ndarray:
@@ -134,9 +170,13 @@ class BipartiteDecomposition:
         See :func:`correlation_singular_values`: a complex SVD up to
         ``D = EAGER_MAX_DIM``, a real one in the Hermitian Weyl basis above.
         """
-        return _kept(
-            self, "_singular_values", lambda: correlation_singular_values(self.table, self.da, self.db)
-        )
+        values = self._singular_values
+        if values is None:
+            values = _kept(
+                self, "_singular_values",
+                lambda: correlation_singular_values(self.table, self.da, self.db),
+            )
+        return values
 
 
 def correlation_singular_values(table: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -148,7 +188,10 @@ def correlation_singular_values(table: np.ndarray, da: int, db: int) -> np.ndarr
     which has the same singular values when the state is Hermitian. The
     transform and a real SVD break even with the complex SVD near the gate
     and cost less from about D = 35; below the gate they cost more.
+    Anything but one ``(da^2, db^2)`` table raises
+    :class:`~weylsep.linalg.DimensionMismatchError`.
     """
+    table = _matrix(table, (da * da, db * db))
     if da * db <= EAGER_MAX_DIM:
         return singular_values(table[1:, 1:])
     return singular_values(hermitian_coefficients(table, da, db).real[1:, 1:])
@@ -181,6 +224,46 @@ def _conjugate_pairs(d: int) -> np.ndarray:
     return positions
 
 
+def _weyl_diagonal_table(coefficients: np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 table holding ``c_s`` at ``(s, s-bar)`` and 0 elsewhere."""
+    d = math.isqrt(len(coefficients))
+    table = np.zeros((d * d, d * d), dtype=complex)
+    table.flat[_conjugate_pairs(d)] = coefficients
+    return table
+
+
+@lru_cache(maxsize=None)
+def _support_index(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only indices of the d^3 support of a d x d Weyl-diagonal state, O(d^2) entries in all.
+
+    Returns ``(j, k, l, km, lm)``: ``(k, l, km, lm)`` index
+    ``M.reshape(d, d, d, d)`` at the entries
+    ``((k, l), ((k+m) mod d, (l+m) mod d))`` and broadcast to shape
+    (d, d, d) over ``(k, l, m)``, and ``j[k, l] = (k-l) mod d``.
+    """
+    a = np.arange(d)
+    shifted = (a[:, None] + a) % d  # [k, m] -> (k+m) mod d
+    index = ((a[:, None] - a) % d, a[:, None, None], a[:, None], shifted[:, None, :], shifted)
+    for i in index:
+        i.flags.writeable = False
+    return index
+
+
+def _weyl_diagonal_support(coefficients: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Where the rebuilt Weyl-diagonal state may be nonzero, and its values there.
+
+    Returns the index ``(k, l, km, lm)`` of :func:`_support_index` into a
+    matrix reshaped to ``(d, d, d, d)``, and the entries of
+    ``sum_s c_s W_s (x) W_s-bar / d^2`` at it, of shape (d, d, d) over
+    ``(k, l, m)``: one d x d product, ``V = conj(F) C / d^2``, read at
+    ``V[(k-l) mod d, m]`` (see the module docstring).
+    """
+    d = math.isqrt(len(coefficients))
+    j, *index = _support_index(d)
+    values = (fourier(d).conj() @ coefficients.reshape(d, d) / (d * d))[j]
+    return tuple(index), values
+
+
 def weyl_diagonal_decomposition(coefficients: np.ndarray) -> BipartiteDecomposition:
     """The decomposition of a d x d Weyl-diagonal state from its d^2 coefficients, in closed form.
 
@@ -197,14 +280,20 @@ def weyl_diagonal_decomposition(coefficients: np.ndarray) -> BipartiteDecomposit
     nonzero entry per row and column), so ``L L^dag`` is diagonal and its
     singular values are the ``|c_s|``, ``s != 0``
     (:func:`weyl_diagonal_singular_values`). No transform and no SVD are run.
+
+    The decomposition keeps the coefficients (a read-only copy of a
+    writable array) and builds no table: its first read scatters them onto
+    a zero table (:class:`BipartiteDecomposition`). Its local vectors
+    ``alpha`` and ``beta`` are 0, since ``s-bar = 0`` only at ``s = 0``
+    (:func:`local_lengths`).
     """
     d = math.isqrt(len(coefficients))
-    table = np.zeros((d * d, d * d), dtype=complex)
-    table.flat[_conjugate_pairs(d)] = coefficients
-    table.flags.writeable = False
+    if coefficients.flags.writeable:
+        coefficients = coefficients.copy()
+        coefficients.flags.writeable = False
     values = weyl_diagonal_singular_values(coefficients)
     values.flags.writeable = False
-    return BipartiteDecomposition(d, d, table, values)
+    return BipartiteDecomposition(d, d, None, values, coefficients)
 
 
 def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
@@ -216,10 +305,14 @@ def decompose_bipartite(rho: DensityMatrix) -> BipartiteDecomposition:
     singular values are solved once per state (see
     :class:`~weylsep.linalg.DensityMatrix`). A state that a named
     Weyl-diagonal family built in closed form (:mod:`weylsep.states`) gets
-    its table and singular values from :func:`weyl_diagonal_decomposition`
-    instead, with no transform and no SVD.
+    its coefficients and singular values from
+    :func:`weyl_diagonal_decomposition` instead, with no transform, no SVD
+    and no table until one is read.
     """
-    return _kept(rho, "_decomposition", lambda: _decompose(rho))
+    dec = rho._decomposition
+    if dec is None:
+        dec = _kept(rho, "_decomposition", lambda: _decompose(rho))
+    return dec
 
 
 def _decompose(rho: DensityMatrix) -> BipartiteDecomposition:
@@ -238,15 +331,43 @@ def reconstruct_bipartite(dec: BipartiteDecomposition) -> np.ndarray:
     return weyl_assemble(dec.table, dec.da, dec.db)
 
 
+def local_lengths(dec: BipartiteDecomposition) -> tuple[float, float]:
+    """The Euclidean lengths of ``alpha`` and ``beta``.
+
+    A closed-form decomposition answers exactly ``(0.0, 0.0)`` without
+    building its table: its table holds ``c_s`` at ``(s, s-bar)`` only,
+    and ``s-bar = 0`` only at ``s = 0``, so the identity row and column
+    hold ``c_0`` alone.
+    """
+    if dec._weyl_diagonal is not None:
+        return 0.0, 0.0
+    return float(np.linalg.norm(dec.alpha)), float(np.linalg.norm(dec.beta))
+
+
+def reconstruction_residual(rho: DensityMatrix) -> float:
+    """``max |reconstruct_bipartite(dec) - rho.matrix|`` for the decomposition the state keeps.
+
+    A transform decomposition is assembled back in full (O(D^2 (dA + dB))).
+    A closed-form one is compared on its d^3 support alone, where it
+    builds no table: off the support both matrices are exactly 0 (see the
+    module docstring), and on it the rebuilt values come from one d x d
+    product, within round-off (1e-15) of the full assembly's.
+    """
+    dec = decompose_bipartite(rho)
+    if dec._weyl_diagonal is None:
+        return float(np.max(np.abs(reconstruct_bipartite(dec) - rho.matrix)))
+    index, values = _weyl_diagonal_support(dec._weyl_diagonal)
+    return float(np.max(np.abs(values - rho.matrix.reshape((dec.da,) * 4)[index])))
+
+
 def kyfan_norm(m: np.ndarray) -> float:
     """Sum of the singular values (trace / nuclear norm) of one matrix.
 
-    Anything but a 2-D array raises :class:`DimensionMismatchError`: a stack
-    would otherwise give the sum of its matrices' norms.
+    Anything but a 2-D array raises
+    :class:`~weylsep.linalg.DimensionMismatchError`
+    (:func:`~weylsep.linalg.singular_values`): a stack would otherwise give
+    the sum of its matrices' norms.
     """
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
     return float(np.sum(singular_values(m)))
 
 
@@ -302,8 +423,10 @@ def ppt_criterion(rho: DensityMatrix) -> Verdict:
     each proof), which agrees with the solved value to round-off. A
     relabel, of a family state included, starts without it.
     """
-    da, db = _require_bipartite(rho)
-    statistic = _kept(rho, "_ppt_min_eig", lambda: ppt_statistic(rho.matrix, da, db))
+    statistic = rho._ppt_min_eig  # only a bipartite state holds one
+    if statistic is None:
+        da, db = _require_bipartite(rho)
+        statistic = _kept(rho, "_ppt_min_eig", lambda: ppt_statistic(rho.matrix, da, db))
     outcome = ENTANGLED if statistic < -STATISTIC_MARGIN else INCONCLUSIVE
     return Verdict("ppt", outcome, statistic, 0.0)
 

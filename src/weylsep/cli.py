@@ -48,8 +48,9 @@ from .bipartite import (
     correlation_outcome,
     decompose_bipartite,
     kyfan_bound,
+    local_lengths,
     ppt_criterion,
-    reconstruct_bipartite,
+    reconstruction_residual,
     weyl_diagonal_singular_values,
     weyl_separability_criterion,
 )
@@ -243,19 +244,21 @@ def _emit(report) -> None:
     print(json_text(report))
 
 
-def _residual(rebuilt: np.ndarray, rho: DensityMatrix) -> float:
-    return float(np.max(np.abs(rebuilt - rho.matrix)))
-
-
 def _bipartite_summary(rho: DensityMatrix) -> dict:
-    """The summary of the state's decomposition that ``decompose`` and ``check-sep`` share."""
+    """The summary of the state's decomposition that ``decompose`` and ``check-sep`` share.
+
+    It reads no coefficient table of a closed-form decomposition
+    (:func:`~weylsep.bipartite.local_lengths`,
+    :func:`~weylsep.bipartite.reconstruction_residual`).
+    """
     dec = decompose_bipartite(rho)
+    alpha_length, beta_length = local_lengths(dec)
     return {
-        "alpha_length": float(np.linalg.norm(dec.alpha)),
-        "beta_length": float(np.linalg.norm(dec.beta)),
+        "alpha_length": alpha_length,
+        "beta_length": beta_length,
         "kyfan_norm": float(dec.singular_values.sum()),
         "top_singular_values": [float(s) for s in dec.singular_values[:5]],
-        "reconstruction_residual": _residual(reconstruct_bipartite(dec), rho),
+        "reconstruction_residual": reconstruction_residual(rho),
     }
 
 
@@ -279,7 +282,7 @@ def cmd_decompose(args) -> int:
             "purity": purity_from_length(vec),
             "coefficients": matrix_entries(vec.coeffs),
         }
-        residual = _residual(reconstruct(vec), rho)
+        residual = float(np.max(np.abs(reconstruct(vec) - rho.matrix)))
     elif len(rho.dims) == 2:
         dec = decompose_bipartite(rho)
         report["bipartite"] = {

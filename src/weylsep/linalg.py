@@ -75,11 +75,13 @@ class DensityMatrix:
     - ``_spectrum``, read through ``spectrum``. Validation fills it when
       it solved the spectrum (``D <= EAGER_MAX_DIM``); otherwise the first
       read solves it, to the bits validation would keep.
-    - ``_decomposition``, the Weyl table of
+    - ``_decomposition``, the decomposition of
       :func:`weylsep.bipartite.decompose_bipartite`, which every later
       reader (the Ky Fan criterion, the product test, the CLI summaries)
-      shares with its one SVD of the correlation matrix. It holds D^2
-      complex entries and is freed with the state.
+      shares with its one SVD of the correlation matrix. A transform
+      decomposition holds a table of D^2 complex entries; a closed-form
+      one holds d^2 coefficients and builds that table only when it is
+      read. Either is freed with the state.
     - ``_ppt_min_eig``, the least eigenvalue of the partial transpose,
       read by :func:`weylsep.bipartite.ppt_criterion`.
 
@@ -87,7 +89,7 @@ class DensityMatrix:
     with a closed form of their parameters, and the Weyl-diagonal ones
     (``isotropic``, ``max_entangled`` and the certified ``bell_diagonal``
     states) also set ``_weyl_diagonal`` to their d^2 coefficients ``c_s``,
-    from which the first decomposition builds the table in closed form
+    which the first decomposition keeps in place of a table
     (:func:`weylsep.states._certified`). ``_spectrum`` is an init field,
     so a relabel keeps it. The others are not, so a relabel starts with
     them empty and never reads a value solved under the old dims.
@@ -108,11 +110,21 @@ class DensityMatrix:
     @property
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of ``matrix``, read-only; solved on first read unless validation did."""
-        return _kept(self, "_spectrum", lambda: np.linalg.eigvalsh(self.matrix))
+        spectrum = self._spectrum
+        if spectrum is None:
+            spectrum = _kept(self, "_spectrum", lambda: np.linalg.eigvalsh(self.matrix))
+        return spectrum
 
 
 def _kept(owner, name: str, solve):
-    """``owner.<name>``, filled with ``solve()`` first when the slot is empty (None).
+    """Fill the empty slot ``owner.<name>`` with ``solve()`` and return the value.
+
+    Each reader tests its slot itself and calls this only on a miss (the
+    slot is None), so a value already kept costs one attribute read::
+
+        value = owner._slot
+        if value is None:
+            value = _kept(owner, "_slot", lambda: ...)
 
     The owner is a frozen dataclass and the slot a quantity of its
     immutable fields, so a value, once solved, is kept on the owner and
@@ -121,12 +133,10 @@ def _kept(owner, name: str, solve):
     threads: two threads that read an empty slot at once both solve it,
     to the same bits, and either value is kept.
     """
-    value = getattr(owner, name)
-    if value is None:
-        value = solve()
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        object.__setattr__(owner, name, value)
+    value = solve()
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    object.__setattr__(owner, name, value)
     return value
 
 
@@ -135,20 +145,40 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.matrix, rho.matrix).real)
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix in nonincreasing order.
+def _matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """``m`` as an array, once it is one matrix, of ``shape`` when one is given.
 
-    A real matrix takes a real SVD, a complex one a complex SVD.
+    Anything else, a stack of matrices or a vector, raises
+    :class:`DimensionMismatchError` naming its shape: a kernel that takes
+    one matrix would otherwise broadcast over a stack, or slice its first
+    axis, and return an array of the wrong shape without an error.
     """
-    return np.linalg.svd(np.asarray(m), compute_uv=False)
+    m = np.asarray(m)
+    if m.ndim != 2 or shape is not None and m.shape != shape:
+        expected = "a matrix" if shape is None else f"a {shape[0]}x{shape[1]} matrix"
+        raise DimensionMismatchError(f"expected {expected}, got shape {m.shape}")
+    return m
+
+
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of one matrix in nonincreasing order.
+
+    A real matrix takes a real SVD, a complex one a complex SVD. Anything
+    but a 2-D array raises :class:`DimensionMismatchError` (:func:`_matrix`).
+    """
+    return np.linalg.svd(_matrix(m), compute_uv=False)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """``(m + m^dagger) / 2`` of a square matrix as a fresh array, Hermitian bit for bit.
+    """``(m + m^dagger) / 2`` of one square matrix as a fresh array, Hermitian bit for bit.
 
     The halves are summed rather than halving the sum, which is the same
-    number bit for bit except where the sum would overflow.
+    number bit for bit except where the sum would overflow. Anything but a
+    square 2-D array raises :class:`DimensionMismatchError`.
     """
+    m = _matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     half = m / 2
     return half + half.conj().T
 

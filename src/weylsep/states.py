@@ -22,10 +22,11 @@ validation. Their states also carry their Weyl decomposition in closed
 form, as the read-only array of their d^2 coefficients
 (:func:`isotropic_coefficients`, :func:`bell_diagonal_coefficients`),
 computed when the state is built. The first
-:func:`~weylsep.bipartite.decompose_bipartite` of such a state builds the
-table from them, with singular values ``p`` (``d^2 - 1`` times) or
-``|t1|, |t2|, |t3|`` in nonincreasing order, and runs no transform and
-no SVD (:func:`~weylsep.bipartite.weyl_diagonal_decomposition`). Those
+:func:`~weylsep.bipartite.decompose_bipartite` of such a state keeps them,
+with singular values ``p`` (``d^2 - 1`` times) or ``|t1|, |t2|, |t3|`` in
+nonincreasing order, and runs no transform and no SVD
+(:func:`~weylsep.bipartite.weyl_diagonal_decomposition`); it builds the
+D^2 coefficient table only when that is read. Those
 agree with the transform route to round-off, not bit for bit.
 :func:`example4` is not Weyl-diagonal and keeps the transform.
 
@@ -101,8 +102,11 @@ def _certified(
     solved one (:func:`isotropic_ppt_min_eig`,
     :func:`bell_diagonal_ppt_min_eig` and :func:`example4` give the
     proofs). A Weyl-diagonal family also passes ``coefficients``, its d^2
-    Weyl-diagonal coefficients, kept read-only; the first decomposition
-    builds the table from them.
+    Weyl-diagonal coefficients, kept read-only. The first decomposition
+    keeps them in place of a table and builds the table only when it is
+    read, so the Ky Fan criterion, the PPT test and the ``check-sep``
+    summary hold no D^2 array beyond the matrix
+    (:func:`~weylsep.bipartite.reconstruction_residual`).
     """
     m.flags.writeable = False
     rho = DensityMatrix(m, (d, d))

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _dimension
+from .linalg import _dimension, _matrix
 
 
 def weyl_op(d: int, n: int, m: int) -> np.ndarray:
@@ -167,7 +167,10 @@ def hermitian_coefficients(table: np.ndarray, da: int, db: int) -> np.ndarray:
     first row and column has the singular values of the table's. P_A is
     applied to the rows, then P_B to the columns, each as one gather of
     the negated indices and two weighted terms: O(D^2) operations.
+    Anything but one ``(da^2, db^2)`` table raises
+    :class:`~weylsep.linalg.DimensionMismatchError`.
     """
+    table = _matrix(table, (da * da, db * db))
     na, sa, ea = hermitian_rows(da)
     nb, sb, eb = hermitian_rows(db)
     rows = sa[:, None] * table + ea[:, None] * table.take(na, axis=0)

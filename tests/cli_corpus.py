@@ -40,16 +40,20 @@ max-entangled at d = 2-8, every family rejection, and scans whose end
 points are checked without building a state (isotropic at d = 1 and
 d = 32, and from below 0), and a budget-12 ``check-tele`` on a 3x3
 random-mixed pair whose second start ends within round-off of its first,
-so that value is certified once. The last three are long reports, for the
-JSON writer: ``basis --d 8``, ``decompose`` on a full-rank 6x6
-random-mixed pair and ``check-tele`` on a full-rank d = 5 state.
+so that value is certified once, and ``check-sep`` on isotropic states at
+d = 16 and d = 32, whose summaries build no coefficient table. The last
+three are long reports, for the JSON writer: ``basis --d 8``,
+``decompose`` on a full-rank 6x6 random-mixed pair and ``check-tele`` on
+a full-rank d = 5 state.
 
 Isotropic, max-entangled and certified Bell-diagonal states also
 decompose in closed form, with no Weyl transform and no SVD, and these
 and example4 states carry their PPT statistic in closed form, so their
 ``check-sep``, ``decompose`` and ``scan`` numbers are round-off away from
 those of the transform and eigensolve routes; ``--compare`` measures how
-far.
+far. The same holds for the reconstruction residual of the Weyl-diagonal
+states, which is taken over the d^3 entries where their matrix may be
+nonzero rather than from the assembled table.
 """
 
 from __future__ import annotations
@@ -183,6 +187,9 @@ def argvs() -> list[list[str]]:
          "0.5", "--out", "-"],
         ["check-tele", "--state", "random-mixed:da=3,db=3,rank=4,seed=3", "--budget", "12",
          "--seed", "3", "--no-timestamp"],
+        # large-d summaries of a closed-form decomposition, which builds no table
+        _report("check-sep", "--state", "isotropic:d=16,p=0.3"),
+        _report("check-sep", "--state", "isotropic:d=32,p=0.3"),
     ]
     out += [
         ["basis", "--d", "8"],

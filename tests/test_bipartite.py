@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import threading
 import tracemalloc
@@ -25,7 +26,7 @@ from weylsep import (
     validate_density,
     weyl_separability_criterion,
 )
-from weylsep import bipartite, cli, weyl
+from weylsep import bipartite, cli, linalg, weyl
 from weylsep.linalg import EAGER_MAX_DIM, DimensionMismatchError
 from weylsep.states import (
     bell_diagonal,
@@ -110,6 +111,17 @@ def test_kyfan_norm_rejects_anything_but_a_matrix():
     for m in (np.stack([np.eye(3), 2 * np.eye(3)]), np.ones(3)):
         with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {m.shape}")):
             kyfan_norm(m)
+
+
+def test_correlation_singular_values_reject_anything_but_one_table():
+    # [1:, 1:] once sliced the stack axis: a (4, 4, 4) stack gave a (3, 3)
+    # array, and a (3, 16, 16) one at 4x4 a (2, 15) array
+    rng = np.random.default_rng(9)
+    for table, d in ((rng.standard_normal((4, 4, 4)), 2), (rng.standard_normal((3, 16, 16)), 4)):
+        for bad in (table, table[0, :3], table[0, 0]):
+            with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {bad.shape}")):
+                bipartite.correlation_singular_values(bad, d, d)
+        assert bipartite.correlation_singular_values(table[0], d, d).shape == (d * d - 1,)
 
 
 def test_kyfan_norm_unitary_invariance():
@@ -500,14 +512,23 @@ def _count_svds(monkeypatch):
 )
 def test_weyl_diagonal_families_run_no_transform_and_no_svd(monkeypatch, spec):
     transforms, svds = _count_transforms(monkeypatch), _count_svds(monkeypatch)
+    tables, assembles = [], []
+    table, assemble = bipartite._weyl_diagonal_table, bipartite.weyl_assemble
+    monkeypatch.setattr(bipartite, "_weyl_diagonal_table", lambda c: tables.append(1) or table(c))
+    monkeypatch.setattr(bipartite, "weyl_assemble", lambda *a: assembles.append(1) or assemble(*a))
     rho = cli.state_from_spec(spec)
     assert rho._decomposition is None
     verdict = weyl_separability_criterion(rho)
-    product_test(rho)
-    for command in ("check-sep", "decompose"):
+    ppt_criterion(rho)
+    assert tables == []
+    product_test(rho)  # reads alpha, beta and L: the table is built here, once
+    assert tables == [1]
+    # check-sep builds no table and assembles nothing; decompose prints the table
+    for command, built in (("check-sep", 0), ("decompose", 1)):
         rc, out, err = cli_corpus.run([command, "--state", spec, "--no-timestamp"])
         assert (rc, err) == (0, "")
-    assert (transforms, svds) == ([], [])
+        assert len(tables) == 1 + built
+    assert (transforms, svds, assembles) == ([], [], [])
     dec = decompose_bipartite(rho)
     assert verdict.statistic == float(dec.singular_values.sum())
 
@@ -528,20 +549,86 @@ def test_other_states_keep_the_transform(monkeypatch, make):
     assert dec.table.shape == (rho.dims[0] ** 2, rho.dims[1] ** 2)
 
 
-def test_a_family_state_holds_no_table_until_it_is_decomposed():
+def _scattered_table(coefficients):
+    """The table holding c_s at (s, s-bar) = ((n, m), (-n mod d, m)) and 0 elsewhere, entry by entry."""
+    d = math.isqrt(len(coefficients))
+    table = np.zeros((d * d, d * d), dtype=complex)
+    for n in range(d):
+        for m in range(d):
+            table[n * d + m, (-n % d) * d + m] = coefficients[n * d + m]
+    return table
+
+
+def test_a_family_state_holds_no_table_until_its_table_is_read():
     d = 32
     tracemalloc.start()
     try:
         rho = isotropic(d, 0.3)
         held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        weyl_separability_criterion(rho)
+        ppt_criterion(rho)
+        summary = cli._bipartite_summary(rho)
+        summarized, peak = tracemalloc.get_traced_memory()
         dec = decompose_bipartite(rho)
-        decomposed, _ = tracemalloc.get_traced_memory()
+        table = dec.table
+        read, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rho.matrix.nbytes == dec.table.nbytes == 16 * d**4
+    assert rho.matrix.nbytes == table.nbytes == 16 * d**4
     assert held < 1.1 * rho.matrix.nbytes
-    assert decomposed - held >= dec.table.nbytes
+    # criterion, PPT and the check-sep summary keep under 1% of a table, and
+    # never hold one
+    assert summarized - held < 0.01 * table.nbytes
+    assert peak - held < 0.25 * table.nbytes
+    assert summary["alpha_length"] == summary["beta_length"] == 0.0
+    assert summary["reconstruction_residual"] <= 1e-15
+    assert read - summarized >= table.nbytes
+    assert dec.table is table and not table.flags.writeable
+    assert table.tobytes() == _scattered_table(rho._weyl_diagonal).tobytes()
     assert dec.singular_values.tolist() == [0.3] * (d * d - 1)
+
+
+@pytest.mark.parametrize("family, d, param", _WEYL_DIAGONAL)
+def test_the_residual_over_the_support_is_the_assembled_one(family, d, param):
+    rho, _ = _weyl_diagonal_state(family, d, param)
+    dec = decompose_bipartite(rho)
+    index, values = bipartite._weyl_diagonal_support(dec._weyl_diagonal)
+    positions = np.ravel_multi_index(np.broadcast_arrays(*index), (d, d, d, d))
+    # the support is the d^3 entries ((a, b), (a', b')) with a - b = a' - b' (mod d)
+    a, b, a2, b2 = np.indices((d, d, d, d))
+    on = ((a - b - a2 + b2) % d == 0).reshape(-1)
+    assert positions.shape == values.shape == (d, d, d)
+    assert np.array_equal(np.sort(positions, axis=None), np.flatnonzero(on))
+    rebuilt = weyl.weyl_assemble(dec.table, d, d).reshape(-1)
+    assert np.abs(rebuilt[positions] - values).max() <= 1e-15
+    # off the support both matrices are exactly 0
+    assert not rebuilt[~on].any() and not rho.matrix.reshape(-1)[~on].any()
+    assembled = float(np.abs(rebuilt - rho.matrix.reshape(-1)).max())
+    assert abs(bipartite.reconstruction_residual(rho) - assembled) <= 1e-15
+
+
+def test_a_kept_slot_is_read_without_calling_kept(monkeypatch):
+    calls = []
+    kept = linalg._kept
+
+    def counted(owner, name, solve):
+        calls.append(name)
+        return kept(owner, name, solve)
+
+    monkeypatch.setattr(linalg, "_kept", counted)
+    monkeypatch.setattr(bipartite, "_kept", counted)
+    # a closed-form isotropic state, and a validated one above the EAGER_MAX_DIM gate
+    cases = [(isotropic(3, 0.3), ["_decomposition", "_spectrum", "_table"]),
+             (_random_bipartite(3, 8, 4, seed=38),
+              ["_decomposition", "_spectrum", "_singular_values", "_ppt_min_eig"])]
+    for rho, misses in cases:
+        for solved in (misses, []):
+            calls.clear()
+            dec = decompose_bipartite(rho)
+            kept_values = rho.spectrum, dec.table, dec.singular_values, ppt_criterion(rho)
+            assert calls == solved
+        assert decompose_bipartite(rho) is dec and dec.table is kept_values[1]
 
 
 @pytest.mark.parametrize("d", range(2, 33))

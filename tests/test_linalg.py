@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_singular_values_rank_one():
     s = singular_values(np.outer(a, b))
     assert abs(s[0] - np.linalg.norm(a) * np.linalg.norm(b)) < 1e-12
     assert np.all(s[1:] < 1e-12)
+
+
+def test_singular_values_reject_anything_but_one_matrix():
+    # a stack once gave each matrix's values, as a (3, 4) array here
+    stack = np.random.default_rng(3).standard_normal((3, 4, 4))
+    for m in (stack, stack[0, 0]):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {m.shape}")):
+            singular_values(m)
+    assert singular_values(stack[0]).shape == (4,)
+
+
+def test_hermitian_part_rejects_anything_but_one_square_matrix():
+    # a (1, 4, 4) stack once broadcast against its transpose to a (4, 4, 4) array
+    stack = np.random.default_rng(4).standard_normal((1, 4, 4))
+    for m in (stack, stack[0, :3], stack[0, 0]):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {m.shape}")):
+            hermitian_part(m)
+    assert hermitian_part(stack[0]).shape == (4, 4)
 
 
 def test_sum_of_squared_singular_values_is_frobenius():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import weyl_coefficient_table
 
 from weylsep import (
+    DimensionMismatchError,
     ValidationError,
     detection_operator,
     haar_unitary,
@@ -225,6 +228,15 @@ def test_weyl_coefficients_reject_a_stack():
         with pytest.raises(ValueError):
             weyl_coefficients(stack, 2, 2)
     assert weyl_coefficients(m[0, 0], 2, 2).shape == (4, 4)
+
+
+def test_hermitian_coefficients_reject_anything_but_one_table():
+    # a (4, 4, 4) stack of 2x2 tables once gave a (4, 4, 4) array without error
+    stack = np.random.default_rng(8).standard_normal((4, 4, 4))
+    for table in (stack, stack[0, :3], stack[0, 0]):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {table.shape}")):
+            hermitian_coefficients(table, 2, 2)
+    assert hermitian_coefficients(stack[0], 2, 2).shape == (4, 4)
 
 
 def _hermitian_basis_matrix(d: int) -> np.ndarray:
